@@ -44,6 +44,14 @@ def _parse_window(text: str) -> tuple[int, ...]:
         raise CliError(f"bad integer list {text!r}") from e
 
 
+def nonnegative_int(text: str) -> int:
+    """Argument type of budgets and variable counts: a negative one is a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _parse_word(text: str) -> tuple[int, ...]:
     text = text.strip()
     if "," in text:
@@ -373,26 +381,26 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--n", type=int, required=True)
     pc.add_argument("--alpha", required=True)
     pc.add_argument("--beta", required=True)
-    pc.add_argument("--degree", type=int, required=True)
-    pc.add_argument("--xvars", type=int, default=2)
-    pc.add_argument("--yvars", type=int, default=2)
+    pc.add_argument("--degree", type=nonnegative_int, required=True)
+    pc.add_argument("--xvars", type=nonnegative_int, default=2)
+    pc.add_argument("--yvars", type=nonnegative_int, default=2)
     po = vs.add_parser("oneschur")
     po.add_argument("--k", type=int, required=True)
     po.add_argument("--n", type=int, required=True)
     po.add_argument("--alpha", required=True)
-    po.add_argument("--degree", type=int, required=True)
-    po.add_argument("--vars", type=int, default=2)
+    po.add_argument("--degree", type=nonnegative_int, required=True)
+    po.add_argument("--vars", type=nonnegative_int, default=2)
     pf = vs.add_parser("fcount")
     pf.add_argument("--k", type=int, required=True)
     pf.add_argument("--n", type=int, required=True)
     pf.add_argument("--alpha", required=True)
     pf.add_argument("--beta", required=True)
-    pf.add_argument("--m", type=int, required=True)
+    pf.add_argument("--m", type=nonnegative_int, required=True)
     ps = vs.add_parser("skew")
     ps.add_argument("--alpha", required=True)
     ps.add_argument("--beta", required=True)
-    ps.add_argument("--degree", type=int, required=True)
-    ps.add_argument("--vars", type=int, default=2)
+    ps.add_argument("--degree", type=nonnegative_int, required=True)
+    ps.add_argument("--vars", type=nonnegative_int, default=2)
     ps.add_argument("--cross-check", action="store_true", dest="cross_check")
     p.set_defaults(fn=cmd_verify)
 

@@ -7,14 +7,15 @@ identity are compared coefficient by coefficient.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from collections import Counter
+from itertools import product
+from typing import Iterable, Iterator, Sequence
 
 from .geometry import (
     Box,
     CylParams,
     CylPartition,
+    GeometryError,
     ParamsMismatch,
     Point,
     SkewShape,
@@ -23,32 +24,29 @@ from .geometry import (
     skew_boxes,
 )
 from .polynomials import IdentityReport, SparsePolynomial
-from .tableau import CylTableau, weight
-
-T = TypeVar("T")
-R = TypeVar("R")
+from .tableau import CylTableau
 
 
-def _pmap(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Map a pure function over independent jobs, optionally threaded.
-
-    CYLTAB_THREADS > 1 enables a thread pool; results merge associatively.
-    """
-    workers = int(os.environ.get("CYLTAB_THREADS", "1") or "1")
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
+def _require_nonnegative(**counts: int) -> None:
+    for name, value in counts.items():
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 def _windows(
-    lo: Sequence[int], hi: Sequence[int], params: CylParams
+    lo: Sequence[int], hi: Sequence[int], params: CylParams, total: int | None = None
 ) -> Iterator[tuple[int, ...]]:
-    """All valid partition windows w with lo[i] <= w[i] <= hi[i]."""
+    """All valid partition windows w with lo[i] <= w[i] <= hi[i], in lexicographic order.
+
+    With a total, only windows with sum(w) == total: each part's range is
+    clamped so that the parts after it can still make up the total.
+    """
     k, width = params.k, params.width
+    tail_lo = [sum(lo[i + 1 :]) for i in range(k)]
+    tail_hi = [sum(hi[i + 1 :]) for i in range(k)]
     prefix: list[int] = []
 
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
+    def rec(i: int, acc: int) -> Iterator[tuple[int, ...]]:
         if i == k:
             yield tuple(prefix)
             return
@@ -56,13 +54,16 @@ def _windows(
         lower = lo[i]
         if i == k - 1 and k > 1:
             lower = max(lower, prefix[0] - width)
+        if total is not None:
+            lower = max(lower, total - acc - tail_hi[i])
+            upper = min(upper, total - acc - tail_lo[i])
         for v in range(lower, upper + 1):
             prefix.append(v)
-            yield from rec(i + 1)
+            yield from rec(i + 1, acc + v)
             prefix.pop()
 
     # For k == 1 the wrap constraint w[0] >= w[0] - width always holds.
-    yield from rec(0)
+    yield from rec(0, 0)
 
 
 def enumerate_inner(
@@ -71,19 +72,11 @@ def enumerate_inner(
     """All mu contained in both alpha and beta with exactly m boxes in alpha/mu."""
     if alpha.params != beta.params:
         raise ParamsMismatch("alpha and beta live on different cylinders")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    _require_nonnegative(m=m)
     params = alpha.params
     lo = [alpha.window[i] - m for i in range(params.k)]
     hi = [min(a, b) for a, b in zip(alpha.window, beta.window)]
-    if any(l > h for l, h in zip(lo, hi)):
-        return []
-    out = [
-        CylPartition(params, w)
-        for w in _windows(lo, hi, params)
-        if sum(alpha.window[i] - w[i] for i in range(params.k)) == m
-    ]
-    return sorted(out, key=lambda p: p.window)
+    return [CylPartition(params, w) for w in _windows(lo, hi, params, sum(alpha.window) - m)]
 
 
 def enumerate_outer(
@@ -92,19 +85,11 @@ def enumerate_outer(
     """All lam containing both alpha and beta with exactly m boxes in lam/beta."""
     if alpha.params != beta.params:
         raise ParamsMismatch("alpha and beta live on different cylinders")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    _require_nonnegative(m=m)
     params = alpha.params
     lo = [max(a, b) for a, b in zip(alpha.window, beta.window)]
     hi = [beta.window[i] + m for i in range(params.k)]
-    if any(l > h for l, h in zip(lo, hi)):
-        return []
-    out = [
-        CylPartition(params, w)
-        for w in _windows(lo, hi, params)
-        if sum(w[i] - beta.window[i] for i in range(params.k)) == m
-    ]
-    return sorted(out, key=lambda p: p.window)
+    return [CylPartition(params, w) for w in _windows(lo, hi, params, sum(beta.window) + m)]
 
 
 def enumerate_ssct(shape: SkewShape, num_letters: int) -> list[CylTableau]:
@@ -186,30 +171,50 @@ def count_standard(shape: SkewShape) -> int:
 
 
 def schur_poly(shape: SkewShape, num_vars: int) -> SparsePolynomial:
-    """Truncated Schur polynomial: sum of weight monomials over all fillings."""
-    poly = SparsePolynomial.zero(num_vars)
-    for t in enumerate_ssct(shape, num_vars):
-        exps = [0] * num_vars
-        for a, c in weight(t).items():
-            exps[a - 1] = c
-        poly = poly + SparsePolynomial.monomial(tuple(exps))
-    return poly
+    """Truncated Schur polynomial: sum of weight monomials over all fillings.
+
+    A filling over {1..v} is a chain inner = nu_0 <= ... <= nu_v = outer of
+    horizontal strips (letter j fills nu_j / nu_(j-1)), so fillings are counted
+    by a DP mapping each window nu_j to {exponent prefix: number of chains}.
+    """
+    _require_nonnegative(num_vars=num_vars)
+    lam, width = shape.outer.window, shape.params.width
+    states = {shape.inner.window: {(): 1}}
+    # rho / nu is a strip inside lam iff nu[i] <= rho[i] <= min(lam[i], nu[i-1]),
+    # with nu[-1] read as nu[k-1] + width; these bounds also make rho a window.
+    # With r letters left after this one, rho[i] >= lam[i+r] keeps only the
+    # windows from which lam is still reachable; r = 0 forces rho = lam.
+    for r in reversed(range(num_vars)):
+        floor = [shape.outer.part(i + r) for i in range(len(lam))]
+        successors = {}
+        for nu, prefixes in states.items():
+            size = sum(nu)
+            ranges = [
+                range(a if a > f else f, (b if b < c else c) + 1)
+                for a, f, b, c in zip(nu, floor, lam, (nu[-1] + width,) + nu[:-1])
+            ]
+            for rho in product(*ranges):
+                d = (sum(rho) - size,)
+                chains = successors.setdefault(rho, {})
+                for ex, c in prefixes.items():
+                    ex += d
+                    chains[ex] = chains.get(ex, 0) + c
+        states = successors
+    return SparsePolynomial(num_vars, states.get(lam))
 
 
 def _pair_sum(
     shapes: Iterable[tuple[SkewShape, SkewShape]], vx: int, vy: int
 ) -> SparsePolynomial:
-    arity = vx + vy
-    items = list(shapes)
-
-    def term(pair: tuple[SkewShape, SkewShape]) -> SparsePolynomial:
-        sx, sy = pair
-        return schur_poly(sx, vx).embed(arity, 0) * schur_poly(sy, vy).embed(arity, vx)
-
-    total = SparsePolynomial.zero(arity)
-    for p in _pmap(term, items):
-        total = total + p
-    return total
+    """Sum of s(sx; x) * s(sy; y) over the pairs, in disjoint variables x, y."""
+    acc: dict[tuple[int, ...], int] = {}
+    for sx, sy in shapes:
+        ys = schur_poly(sy, vy).terms()
+        for ex, cx in schur_poly(sx, vx).terms():
+            for ey, cy in ys:
+                e = ex + ey
+                acc[e] = acc.get(e, 0) + cx * cy
+    return SparsePolynomial(vx + vy, acc)
 
 
 def cauchy_sides(
@@ -220,6 +225,7 @@ def cauchy_sides(
     num_vars_y: int,
 ) -> tuple[SparsePolynomial, SparsePolynomial]:
     """Both sides of the cylindric Cauchy identity, truncated by x-degree."""
+    _require_nonnegative(max_degree=max_degree, num_vars_x=num_vars_x, num_vars_y=num_vars_y)
     lhs_shapes = [
         (SkewShape(alpha, mu), SkewShape(beta, mu))
         for j in range(max_degree + 1)
@@ -257,14 +263,14 @@ def verify_oneschur(
     alpha: CylPartition, max_degree: int, num_vars: int
 ) -> IdentityReport:
     """Check the one-shape summation identity exactly up to the degree budget."""
-    lhs = SparsePolynomial.zero(num_vars)
-    rhs = SparsePolynomial.zero(num_vars)
+    _require_nonnegative(max_degree=max_degree, num_vars=num_vars)
+    lhs, rhs = Counter(), Counter()
     for j in range(max_degree + 1):
         for mu in enumerate_inner(alpha, alpha, j):
-            lhs = lhs + schur_poly(SkewShape(alpha, mu), num_vars)
+            lhs.update(dict(schur_poly(SkewShape(alpha, mu), num_vars).terms()))
         for lam in enumerate_outer(alpha, alpha, j):
-            rhs = rhs + schur_poly(SkewShape(lam, alpha), num_vars)
-    return IdentityReport(lhs, rhs)
+            rhs.update(dict(schur_poly(SkewShape(lam, alpha), num_vars).terms()))
+    return IdentityReport(SparsePolynomial(num_vars, lhs), SparsePolynomial(num_vars, rhs))
 
 
 def verify_fcount(alpha: CylPartition, beta: CylPartition, m: int) -> tuple[int, int]:
@@ -317,7 +323,7 @@ def enumerate_tableaux_with_outer(
 def regular_normalize(parts: Iterable[int]) -> tuple[int, ...]:
     ps = tuple(parts)
     if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)) or any(p < 0 for p in ps):
-        raise ValueError(f"{ps} is not a partition")
+        raise GeometryError(f"{ps} is not a partition")
     while ps and ps[-1] == 0:
         ps = ps[:-1]
     return ps
@@ -367,14 +373,14 @@ def regular_skew_schur(
     outer: Iterable[int], inner: Iterable[int], num_vars: int
 ) -> SparsePolynomial:
     """Schur polynomial of a regular skew shape by direct enumeration."""
-    poly = SparsePolynomial.zero(num_vars)
+    counts: Counter[tuple[int, ...]] = Counter()
     for rows in enumerate_regular_ssyt(tuple(outer), tuple(inner), num_vars):
         exps = [0] * num_vars
         for row in rows:
             for v in row:
                 exps[v - 1] += 1
-        poly = poly + SparsePolynomial.monomial(tuple(exps))
-    return poly
+        counts[tuple(exps)] += 1
+    return SparsePolynomial(num_vars, counts)
 
 
 def regular_partitions_of(size: int, max_rows: int | None = None) -> list[tuple[int, ...]]:
@@ -453,6 +459,7 @@ def skew_reduction_sides(
     alpha: Iterable[int], beta: Iterable[int], max_degree: int, num_vars: int
 ) -> tuple[SparsePolynomial, SparsePolynomial]:
     """Both sides of the regular-partition reduction identity, x-degree truncated."""
+    _require_nonnegative(max_degree=max_degree, num_vars=num_vars)
     a = regular_normalize(alpha)
     b = regular_normalize(beta)
     v = num_vars

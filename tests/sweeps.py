@@ -49,6 +49,17 @@ def iter_shapes(params, max_boxes):
             yield ct.SkewShape(lam, mu)
 
 
+def schur_poly_by_enumeration(shape, num_vars):
+    """Reference Schur polynomial: sum of weight monomials over enumerate_ssct."""
+    poly = ct.SparsePolynomial.zero(num_vars)
+    for t in ct.enumerate_ssct(shape, num_vars):
+        exps = [0] * num_vars
+        for a, c in ct.weight(t).items():
+            exps[a - 1] = c
+        poly = poly + ct.SparsePolynomial.monomial(tuple(exps))
+    return poly
+
+
 def iter_tableaux(params, max_boxes, letters):
     for shape in iter_shapes(params, max_boxes):
         yield from ct.enumerate_ssct(shape, letters)

@@ -1,7 +1,10 @@
 from itertools import product
 
+import pytest
+
 import cyltab as ct
 from cyltab.enumeration import (
+    _windows,
     cauchy_sides,
     enumerate_regular_ssyt,
     enumerate_tableaux_with_inner,
@@ -10,6 +13,8 @@ from cyltab.enumeration import (
     skew_reduction_cross_check,
 )
 from cyltab.polynomials import SparsePolynomial
+
+from sweeps import anchored_partitions, iter_params, iter_shapes, schur_poly_by_enumeration
 
 K2N4 = ct.CylParams(2, 4)
 
@@ -41,6 +46,22 @@ def brute_inner(alpha, beta, m, span=6):
     return found
 
 
+def filtered_inner(alpha, beta, m):
+    """Every window in the bounding box of enumerate_inner, filtered by size."""
+    lo = [a - m for a in alpha.window]
+    hi = [min(a, b) for a, b in zip(alpha.window, beta.window)]
+    fits = (w for w in _windows(lo, hi, alpha.params) if sum(alpha.window) - sum(w) == m)
+    return sorted(fits)
+
+
+def filtered_outer(alpha, beta, m):
+    """Every window in the bounding box of enumerate_outer, filtered by size."""
+    lo = [max(a, b) for a, b in zip(alpha.window, beta.window)]
+    hi = [b + m for b in beta.window]
+    fits = (w for w in _windows(lo, hi, alpha.params) if sum(w) - sum(beta.window) == m)
+    return sorted(fits)
+
+
 class TestShapeEnumeration:
     def test_inner_examples(self):
         assert [p.window for p in ct.enumerate_inner(part((0, 0)), part((0, 0)), 1)] == [(0, -1)]
@@ -57,6 +78,28 @@ class TestShapeEnumeration:
         assert ct.enumerate_outer(part((0, 0)), part((0, 0)), 0) == [part((0, 0))]
         got = ct.enumerate_outer(part((1, 0)), part((0, 0)), 1)
         assert [p.window for p in got] == [(1, 0)]
+
+    def test_pruned_enumeration_matches_filtered_sweep(self):
+        # k <= 5, width <= 2, beta shifted -1..1 columns against alpha, m <= 5
+        cases = 0
+        for params in iter_params(max_k=5, max_width=2):
+            parts = anchored_partitions(params)
+            betas = [b.shifted(s) for b in parts for s in (-1, 0, 1)]
+            for alpha in parts:
+                for beta in betas:
+                    for m in range(6):
+                        inner = [p.window for p in ct.enumerate_inner(alpha, beta, m)]
+                        assert inner == filtered_inner(alpha, beta, m), (alpha, beta, m)
+                        outer = [p.window for p in ct.enumerate_outer(alpha, beta, m)]
+                        assert outer == filtered_outer(alpha, beta, m), (alpha, beta, m)
+                        cases += 2
+        assert cases == 15336
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError):
+            ct.enumerate_inner(part((0, 0)), part((0, 0)), -1)
+        with pytest.raises(ValueError):
+            ct.enumerate_outer(part((0, 0)), part((0, 0)), -1)
 
     def test_outer_mirrors_inner_under_flip(self):
         alpha, beta = part((1, 0)), part((0, -1))
@@ -134,6 +177,26 @@ class TestSchurPolynomials:
     def test_empty_shape(self):
         assert ct.schur_poly(shape((0, 0), (0, 0)), 2) == SparsePolynomial.one(2)
 
+    def test_strip_chain_dp_matches_enumeration_sweep(self):
+        # every shape with k <= 3, width <= 3, at most 6 boxes, over 0..4 letters
+        cases = 0
+        for params in iter_params(max_k=3, max_width=3):
+            for sh in iter_shapes(params, 6):
+                for v in range(5):
+                    got = ct.schur_poly(sh, v)
+                    assert got.terms() == schur_poly_by_enumeration(sh, v).terms(), (sh, v)
+                    assert got.arity == v
+                    cases += 1
+        assert cases == 1985
+
+    def test_no_letters(self):
+        assert ct.schur_poly(shape((0, 0), (0, 0)), 0) == SparsePolynomial.one(0)
+        assert ct.schur_poly(shape((1, 0), (0, 0)), 0).is_zero()
+
+    def test_negative_variable_count_rejected(self):
+        with pytest.raises(ValueError):
+            ct.schur_poly(shape((0, 0), (0, 0)), -1)
+
     def test_homogeneous_of_box_degree(self):
         sh = shape((2, 1), (0, -1))
         poly = ct.schur_poly(sh, 3)
@@ -162,6 +225,22 @@ class TestIdentities:
         assert ct.verify_oneschur(part((0, 0)), 0, 2).equal
         assert ct.verify_oneschur(part((0, 0)), 2, 2).equal
         assert ct.verify_oneschur(part((1, 0)), 2, 2).equal
+
+    def test_negative_budgets_rejected(self):
+        alpha = part((0, 0))
+        for call in (
+            lambda: ct.verify_cauchy(alpha, alpha, -1, 0, 0),
+            lambda: ct.verify_cauchy(alpha, alpha, 1, -1, 2),
+            lambda: ct.verify_cauchy(alpha, alpha, 1, 2, -1),
+            lambda: ct.verify_oneschur(alpha, -1, 2),
+            lambda: ct.verify_oneschur(alpha, 1, -1),
+            lambda: ct.verify_fcount(alpha, alpha, -1),
+            lambda: ct.verify_skew_reduction((), (), -1, 2),
+            lambda: ct.verify_skew_reduction((), (), 1, -1),
+            lambda: skew_reduction_cross_check((), (), 1, -1),
+        ):
+            with pytest.raises(ValueError):
+                call()
 
     def test_fcount(self):
         assert ct.verify_fcount(part((0, 0)), part((0, 0)), 1) == (1, 1)
@@ -194,6 +273,10 @@ class TestRegular:
         assert ct.verify_skew_reduction((), (), 1, 2).equal
         assert ct.verify_skew_reduction((), (), 0, 2).equal
         assert ct.verify_skew_reduction((1,), (), 2, 2).equal
+
+    def test_non_partition_is_a_geometry_error(self):
+        with pytest.raises(ct.geometry.GeometryError):
+            ct.verify_skew_reduction((1, 2), (), 1, 2)
 
     def test_skew_reduction_cross_check(self):
         lhs_rep, rhs_rep = skew_reduction_cross_check((1,), (), 1, 2)

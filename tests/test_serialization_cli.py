@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,18 @@ TABLEAU_DOC = {
     },
     "rows": [[1, 2], [3]],
 }
+
+
+SRC = str(Path(ct.__file__).resolve().parents[1])
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports cyltab from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
 
 
 class TestSchemas:
@@ -147,3 +163,36 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
+
+
+class TestBadVerifyInputs:
+    """Bad verify inputs end in a usage error or a structured report, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["verify", "skew", "--alpha", "1,2", "--beta", "1", "--degree", "2"], 1),
+            (["verify", "oneschur", "--k", "2", "--n", "4", "--alpha", "1,0",
+              "--degree", "3", "--vars", "-1"], 2),
+            (["verify", "cauchy", "--k", "2", "--n", "4", "--alpha", "0,0", "--beta", "0,0",
+              "--degree", "-1", "--xvars", "0", "--yvars", "0"], 2),
+            (["verify", "fcount", "--k", "2", "--n", "4", "--alpha", "1,0", "--beta", "0,0",
+              "--m", "-1"], 2),
+        ],
+    )
+    def test_exit_code_without_traceback(self, argv, code):
+        res = run_python("-m", "cyltab.cli", *argv)
+        assert res.returncode == code, res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+        if code == 1:
+            assert json.loads(res.stderr) == {
+                "error": "GeometryError",
+                "detail": "(1, 2) is not a partition",
+            }
+
+
+def test_import_loads_no_thread_pool():
+    res = run_python("-c", "import sys, cyltab; print('concurrent.futures' in sys.modules)")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
