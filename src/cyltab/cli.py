@@ -167,18 +167,18 @@ def cmd_verify(args) -> int:
         )
         _emit({"lhs": lhs, "rhs": rhs, "equal": lhs == rhs})
         return 0 if lhs == rhs else 1
-    report = enumeration.verify_skew_reduction(
-        _parse_window(args.alpha), _parse_window(args.beta), args.degree, args.vars
-    )
+    alpha, beta = _parse_window(args.alpha), _parse_window(args.beta)
+    lhs, rhs = enumeration.skew_reduction_sides(alpha, beta, args.degree, args.vars)
+    report = IdentityReport(lhs, rhs)
     doc = _report_doc(report)
     ok = report.equal
     if args.cross_check:
-        lhs_rep, rhs_rep = enumeration.skew_reduction_cross_check(
-            _parse_window(args.alpha), _parse_window(args.beta), args.degree, args.vars
+        lhs_cyl, rhs_cyl = enumeration.skew_reduction_embedding_sides(
+            alpha, beta, args.degree, args.vars
         )
-        doc["embedding_lhs_equal"] = lhs_rep.equal
-        doc["embedding_rhs_equal"] = rhs_rep.equal
-        ok = ok and lhs_rep.equal and rhs_rep.equal
+        doc["embedding_lhs_equal"] = IdentityReport(lhs, lhs_cyl).equal
+        doc["embedding_rhs_equal"] = IdentityReport(rhs, rhs_cyl).equal
+        ok = ok and doc["embedding_lhs_equal"] and doc["embedding_rhs_equal"]
     _emit(doc)
     return 0 if ok else 1
 

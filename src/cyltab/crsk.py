@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .geometry import Box, CylPartition
 from .insertion import InsertionError, full_multi
 from .reverse import reverse_full_multi
-from .tableau import CylTableau, empty_tableau, from_box_entries
+from .tableau import CylTableau, boxes_by_letter, empty_tableau, from_box_entries
 
 
 class MismatchedInnerShapes(InsertionError):
@@ -45,14 +45,13 @@ def crsk(t: CylTableau, u: CylTableau) -> CrskOutput:
             f"inner shapes differ: {t.inner.window} vs {u.inner.window}"
         )
     alpha = t.outer
-    letters = sorted(set(u.entries()))
-    if not letters:
+    batches = boxes_by_letter(u)
+    if not batches:
         return CrskOutput(t, empty_tableau(alpha), alpha)
     p = t
     recorded: dict[Box, int] = {}
-    for i in letters:
-        batch = [b for b in u.boxes() if u.entry(b) == i]
-        res = full_multi(p, batch)
+    for i in sorted(batches):
+        res = full_multi(p, batches[i])
         p = res.tableau
         for b in res.new_set:
             recorded[b] = i
@@ -68,14 +67,13 @@ def crsk_inverse(p: CylTableau, q: CylTableau) -> CrskInput:
             f"outer shapes differ: {p.outer.window} vs {q.outer.window}"
         )
     beta = p.inner
-    letters = sorted(set(q.entries()), reverse=True)
-    if not letters:
+    batches = boxes_by_letter(q)
+    if not batches:
         return CrskInput(p, empty_tableau(beta), p.inner)
     t = p
     recorded: dict[Box, int] = {}
-    for i in letters:
-        batch = [b for b in q.boxes() if q.entry(b) == i]
-        res = reverse_full_multi(t, batch)
+    for i in sorted(batches, reverse=True):
+        res = reverse_full_multi(t, batches[i])
         t = res.tableau
         for b in res.reverse_new_set:
             recorded[b] = i

@@ -512,15 +512,24 @@ def skew_reduction_embedding_params(
     return CylParams(k, n)
 
 
+def skew_reduction_embedding_sides(
+    alpha: Iterable[int], beta: Iterable[int], max_degree: int, num_vars: int
+) -> tuple[SparsePolynomial, SparsePolynomial]:
+    """The Cauchy sides of the cylindric embeddings of alpha and beta."""
+    a = regular_normalize(alpha)
+    b = regular_normalize(beta)
+    params = skew_reduction_embedding_params(a, b, max_degree)
+    return cauchy_sides(
+        cyl_embed(a, params), cyl_embed(b, params), max_degree, num_vars, num_vars
+    )
+
+
 def skew_reduction_cross_check(
     alpha: Iterable[int], beta: Iterable[int], max_degree: int, num_vars: int
 ) -> tuple[IdentityReport, IdentityReport]:
     """Compare the regular identity sides against their cylindric embeddings."""
     a = regular_normalize(alpha)
     b = regular_normalize(beta)
-    params = skew_reduction_embedding_params(a, b, max_degree)
     lhs_reg, rhs_reg = skew_reduction_sides(a, b, max_degree, num_vars)
-    lhs_cyl, rhs_cyl = cauchy_sides(
-        cyl_embed(a, params), cyl_embed(b, params), max_degree, num_vars, num_vars
-    )
+    lhs_cyl, rhs_cyl = skew_reduction_embedding_sides(a, b, max_degree, num_vars)
     return IdentityReport(lhs_reg, lhs_cyl), IdentityReport(rhs_reg, rhs_cyl)

@@ -2,13 +2,16 @@
 
 Multi-insertion removes a horizontal strip of boxes into the inner shape and
 bumps the displaced entries downward row by row, driven by a FIFO queue of
-(letter, row) pairs.  Bumping routes record the chain of plane points each
-displaced box travels through; they always trend weakly left.
+(letter, row) pairs.  Every seed, bump and landing is one tuple of a flat
+step log; the bumping routes (the chain of plane points each displaced box
+travels through, always trending weakly left), the successive queues and
+the events are derived from that log when they are read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .geometry import Box, CylParams, CylPartition, Point, SkewShape, lift
@@ -96,13 +99,77 @@ class InsertionEvent:
     bumped: int | None
 
 
+# One step of a cascade: (kind, row, col, plane_row, route_id, inserted, bumped).
+# The box (row, col) is where the step happened and plane_row the plane row it
+# lifts to; kind is "seed", "seed_out", "bump" or "land".
+Step = tuple[str, int, int, int, int, int | None, int | None]
+
+
+def _events(log: tuple[Step, ...]) -> tuple[InsertionEvent, ...]:
+    """One event per step, stamped with its log index."""
+    return tuple(
+        InsertionEvent(i, kind, Box(r, c), inserted, bumped)
+        for i, (kind, r, c, _, _, inserted, bumped) in enumerate(log)
+    )
+
+
+def _routes(log: tuple[Step, ...], params: CylParams) -> tuple[BumpingRoute, ...]:
+    """One route per seeded box: the lifts of its steps, stamped with log indices."""
+    points: list[list[Point]] = []
+    stamps: list[list[int]] = []
+    for i, (_, r, c, plane, rid, _, _) in enumerate(log):
+        if rid == len(points):
+            points.append([])
+            stamps.append([])
+        points[rid].append(lift(Box(r, c), plane, params))
+        stamps[rid].append(i)
+    return tuple(BumpingRoute(tuple(p), tuple(s)) for p, s in zip(points, stamps))
+
+
+def _queues(log: tuple[Step, ...], rounds: tuple[int, ...], k: int, shift: int, queue_type):
+    """Queue j holds the letters displaced in log segment j, bound for the next row."""
+    out = []
+    start = 0
+    for end in rounds:
+        items = tuple(
+            (bumped, (r + shift) % k)
+            for _, r, _, _, _, _, bumped in log[start:end]
+            if bumped is not None
+        )
+        out.append(queue_type(items, k))
+        start = end
+    return tuple(out)
+
+
+def _cascade(st: TableauState, queue: list, log: list[Step], one_round) -> tuple[int, ...]:
+    """Run queue rounds until every chain lands; return the log length after each."""
+    rounds = [len(log)]
+    while queue:
+        queue = one_round(st, queue, log)
+        rounds.append(len(log))
+    return tuple(rounds)
+
+
 @dataclass(frozen=True, slots=True)
 class MultiInsertResult:
+    """A forward multi-insertion; routes, queues and events are views of its log."""
+
     tableau: CylTableau
     new_set: frozenset[Box]
-    routes: tuple[BumpingRoute, ...]
-    queues: tuple[InsertionQueue, ...]
-    events: tuple[InsertionEvent, ...]
+    log: tuple[Step, ...]
+    rounds: tuple[int, ...]
+
+    @property
+    def routes(self) -> tuple[BumpingRoute, ...]:
+        return _routes(self.log, self.tableau.params)
+
+    @property
+    def queues(self) -> tuple[InsertionQueue, ...]:
+        return _queues(self.log, self.rounds, self.tableau.params.k, 1, InsertionQueue)
+
+    @property
+    def events(self) -> tuple[InsertionEvent, ...]:
+        return _events(self.log)
 
 
 @dataclass
@@ -198,58 +265,48 @@ def one_step_multi(
     if not queue.is_regular():
         raise QueueNotRegular(f"queue {queue.items} is not regular")
     st = state.copy()
-    out: list[tuple[int, int]] = []
-    for x, r in queue.items:
-        row = st.rows[r]
-        if not row or x >= row[-1]:
-            st.lam[r] += 1
+    out = _forward_round(st, [(x, r, r, 0) for x, r in queue.items], [])
+    return st, InsertionQueue(tuple((x, r) for x, r, _, _ in out), queue.k)
+
+
+def _forward_round(
+    st: TableauState, queue: list[tuple[int, int, int, int]], log: list[Step]
+) -> list[tuple[int, int, int, int]]:
+    """Insert each queued (letter, row, plane row, route id); return the bumped ones.
+
+    A letter bumps the leftmost greater entry of its row, or lands at the end
+    of the row if there is none.  Rows stay weakly increasing throughout.
+    """
+    k = st.params.k
+    rows, mu, lam = st.rows, st.mu, st.lam
+    out = []
+    for x, r, plane, rid in queue:
+        row = rows[r]
+        idx = bisect_right(row, x)
+        if idx == len(row):
             row.append(x)
+            lam[r] += 1
+            log.append(("land", r, lam[r], plane, rid, x, None))
         else:
-            idx = _leftmost_greater(row, x)
-            out.append((row[idx], (r + 1) % st.params.k))
+            bumped = row[idx]
             row[idx] = x
-    return st, InsertionQueue(tuple(out), queue.k)
-
-
-def _leftmost_greater(row: list[int], x: int) -> int:
-    for i, v in enumerate(row):
-        if v > x:
-            return i
-    raise AssertionError("no entry greater than x; caller checked the landing case")
-
-
-@dataclass
-class _Tracker:
-    step: int = 0
-    events: list[InsertionEvent] = field(default_factory=list)
-    route_points: list[list[Point]] = field(default_factory=list)
-    route_steps: list[list[int]] = field(default_factory=list)
-
-    def new_route(self, p: Point) -> int:
-        self.route_points.append([p])
-        self.route_steps.append([self.step])
-        return len(self.route_points) - 1
-
-    def extend(self, rid: int, p: Point) -> None:
-        self.route_points[rid].append(p)
-        self.route_steps[rid].append(self.step)
-
-    def emit(self, kind: str, box: Box, inserted: int | None, bumped: int | None) -> None:
-        self.events.append(InsertionEvent(self.step, kind, box, inserted, bumped))
-        self.step += 1
+            log.append(("bump", r, mu[r] + 1 + idx, plane, rid, x, bumped))
+            out.append((bumped, (r + 1) % k, plane + 1, rid))
+    return out
 
 
 def seed_multi(
     t: CylTableau, boxes: Iterable[Box], seed_row: int = 0
 ) -> tuple[TableauState, InsertionQueue]:
     """Remove a horizontal strip into the inner shape, yielding the start queue."""
-    state, queue = _seed_forward(t, boxes, seed_row, _Tracker())
+    state, queue = _seed_forward(t, boxes, seed_row, [])
     return state, InsertionQueue(tuple((x, r) for x, r, _, _ in queue), t.params.k)
 
 
 def _seed_forward(
-    t: CylTableau, boxes: Iterable[Box], seed_row: int, tr: _Tracker
+    t: CylTableau, boxes: Iterable[Box], seed_row: int, log: list[Step]
 ) -> tuple[TableauState, list[tuple[int, int, int, int]]]:
+    """Absorb the strip row by row from seed_row, left to right; one route per box."""
     bs = sorted(set(boxes), key=lambda b: (b.row, b.col))
     _check_strip_into_inner(t, bs)
     st = TableauState.from_tableau(t)
@@ -257,17 +314,18 @@ def _seed_forward(
     queue: list[tuple[int, int, int, int]] = []  # letter, row, plane row, route id
     for h in range(seed_row, seed_row + k):
         r = h % k
-        for b in sorted((b for b in bs if b.row == r), key=lambda b: b.col):
-            rid = tr.new_route(lift(b, h, st.params))
+        for b in bs:
+            if b.row != r:
+                continue
+            rid = len(log)
+            st.mu[r] += 1
             if b.col <= st.lam[r]:
                 x = st.rows[r].pop(0)
-                st.mu[r] += 1
                 queue.append((x, (h + 1) % k, h + 1, rid))
-                tr.emit("seed", b, None, x)
+                log.append(("seed", r, b.col, h, rid, None, x))
             else:
-                st.mu[r] += 1
                 st.lam[r] += 1
-                tr.emit("seed_out", b, None, None)
+                log.append(("seed_out", r, b.col, h, rid, None, None))
     return st, queue
 
 
@@ -277,84 +335,28 @@ def full_multi(t: CylTableau, boxes: Iterable[Box], seed_row: int = 0) -> MultiI
     The strip is removed row by row (left to right within a row) starting at
     seed_row, then the displaced entries cascade downward until every chain
     lands.  The result records the grown tableau, the set of boxes added to
-    the outer shape (always a horizontal strip), one bumping route per
-    removed box, and the successive queues.
+    the outer shape (always a horizontal strip) and the log of every step,
+    from which one bumping route per removed box and the successive queues
+    are derived on demand.
     """
-    tr = _Tracker()
-    lam_start = t.outer
-    st, queue = _seed_forward(t, boxes, seed_row, tr)
-    k = st.params.k
-    queues = [InsertionQueue(tuple((x, r) for x, r, _, _ in queue), k)]
-    while queue:
-        nxt: list[tuple[int, int, int, int]] = []
-        for x, r, plane, rid in queue:
-            row = st.rows[r]
-            if not row or x >= row[-1]:
-                st.lam[r] += 1
-                row.append(x)
-                box = Box(r, st.lam[r])
-                tr.extend(rid, lift(box, plane, st.params))
-                tr.emit("land", box, x, None)
-            else:
-                idx = _leftmost_greater(row, x)
-                box = Box(r, st.mu[r] + 1 + idx)
-                bumped = row[idx]
-                row[idx] = x
-                nxt.append((bumped, (r + 1) % k, plane + 1, rid))
-                tr.extend(rid, lift(box, plane, st.params))
-                tr.emit("bump", box, x, bumped)
-        queue = nxt
-        queues.append(InsertionQueue(tuple((x, r) for x, r, _, _ in queue), k))
+    log: list[Step] = []
+    st, queue = _seed_forward(t, boxes, seed_row, log)
+    rounds = _cascade(st, queue, log, _forward_round)
     result = st.to_tableau()
     # The new set is measured against the outer shape of the input tableau,
     # so boxes absorbed degenerately during seeding count as new.
-    new_shape = SkewShape(result.outer, lam_start)
-    routes = tuple(
-        BumpingRoute(tuple(ps), tuple(ss))
-        for ps, ss in zip(tr.route_points, tr.route_steps)
-    )
-    return MultiInsertResult(
-        tableau=result,
-        new_set=frozenset(new_shape.boxes()),
-        routes=routes,
-        queues=tuple(queues),
-        events=tuple(tr.events),
-    )
+    new_shape = SkewShape(result.outer, t.outer)
+    return MultiInsertResult(result, frozenset(new_shape.boxes()), tuple(log), rounds)
 
 
 def internal_insert(t: CylTableau, b: Box) -> tuple[CylTableau, BumpingRoute]:
     """Insert a single inside cocorner, bumping one chain of entries downward."""
-    st = TableauState.from_tableau(t)
-    k = st.params.k
     r = b.row
     if not (
-        0 <= r < k
-        and b.col == st.mu[r] + 1
-        and b.col <= CylPartition(st.params, tuple(st.mu)).part(r - 1)
+        0 <= r < t.params.k
+        and b.col == t.inner.window[r] + 1
+        and b.col <= t.inner.part(r - 1)
     ):
         raise NotInsideCocorner(f"box {b} is not an inside cocorner")
-    points = [Point(r, b.col)]
-    steps = [0]
-    st.mu[r] += 1
-    if b.col > st.lam[r]:
-        st.lam[r] += 1
-        return st.to_tableau(), BumpingRoute(tuple(points), tuple(steps))
-    x = st.rows[r].pop(0)
-    plane = r
-    step = 1
-    while True:
-        plane += 1
-        r = plane % k
-        row = st.rows[r]
-        if not row or x >= row[-1]:
-            st.lam[r] += 1
-            row.append(x)
-            points.append(lift(Box(r, st.lam[r]), plane, st.params))
-            steps.append(step)
-            break
-        idx = _leftmost_greater(row, x)
-        points.append(lift(Box(r, st.mu[r] + 1 + idx), plane, st.params))
-        steps.append(step)
-        x, row[idx] = row[idx], x
-        step += 1
-    return st.to_tableau(), BumpingRoute(tuple(points), tuple(steps))
+    res = full_multi(t, [b], seed_row=r)
+    return res.tableau, res.routes[0]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geometry import CylParams, CylPartition, GeometryError, SkewShape
-from .tableau import CylTableau
+from .tableau import CylTableau, boxes_by_letter
 
 
 class MarbleError(GeometryError):
@@ -104,13 +104,21 @@ def final_arrangement(game: MarbleGame) -> Arrangement:
 
 def tableau_to_game(t: CylTableau, num_letters: int | None = None) -> MarbleGame:
     """Encode a tableau over {1..m} as a game of m turns from Arr(inner)."""
-    m = t.max_entry() if num_letters is None else num_letters
-    if t.max_entry() > m:
+    by_letter = boxes_by_letter(t)
+    top = max(by_letter, default=0)
+    m = top if num_letters is None else num_letters
+    if top > m:
         raise MarbleError(f"tableau uses letters above {m}")
+    low = min(by_letter, default=1)
+    if low < 1:
+        raise MarbleError(f"tableau uses letter {low}; letters start at 1")
     k = t.params.k
     turns = []
     for j in range(1, m + 1):
-        turns.append(tuple(sum(1 for v in t.rows[r] if v == j) for r in range(k)))
+        turn = [0] * k
+        for b in by_letter.get(j, ()):
+            turn[b.row] += 1
+        turns.append(tuple(turn))
     return MarbleGame(arrangement(t.inner), tuple(turns))
 
 

@@ -7,16 +7,22 @@ retrace the forward routes point for point, in reverse order.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
-from .geometry import Box, Point, SkewShape, lift
+# `lift` is no longer called here but stays a module name: bench/tracer.py rebinds it.
+from .geometry import Box, SkewShape, lift  # noqa: F401
 from .insertion import (
     BumpingRoute,
     InsertionError,
     InsertionEvent,
+    Step,
     TableauState,
-    _Tracker,
+    _cascade,
+    _events,
+    _queues,
+    _routes,
 )
 from .tableau import CylTableau
 
@@ -60,11 +66,24 @@ class ReverseQueue:
 
 @dataclass(frozen=True, slots=True)
 class ReverseMultiResult:
+    """A reverse multi-insertion; routes, queues and events are views of its log."""
+
     tableau: CylTableau
     reverse_new_set: frozenset[Box]
-    routes: tuple[BumpingRoute, ...]
-    queues: tuple[ReverseQueue, ...]
-    events: tuple[InsertionEvent, ...]
+    log: tuple[Step, ...]
+    rounds: tuple[int, ...]
+
+    @property
+    def routes(self) -> tuple[BumpingRoute, ...]:
+        return _routes(self.log, self.tableau.params)
+
+    @property
+    def queues(self) -> tuple[ReverseQueue, ...]:
+        return _queues(self.log, self.rounds, self.tableau.params.k, -1, ReverseQueue)
+
+    @property
+    def events(self) -> tuple[InsertionEvent, ...]:
+        return _events(self.log)
 
 
 def outside_corners(t: CylTableau) -> list[Box]:
@@ -115,47 +134,59 @@ def reverse_one_step_multi(
     if not queue.is_reverse_regular():
         raise QueueNotReverseRegular(f"queue {queue.items} is not reverse-regular")
     st = state.copy()
-    out: list[tuple[int, int]] = []
-    for x, r in queue.items:
-        row = st.rows[r]
-        if not row or x <= row[0]:
-            st.mu[r] -= 1
+    out = _reverse_round(st, [(x, r, r, 0) for x, r in queue.items], [])
+    return st, ReverseQueue(tuple((x, r) for x, r, _, _ in out), queue.k)
+
+
+def _reverse_round(
+    st: TableauState, queue: list[tuple[int, int, int, int]], log: list[Step]
+) -> list[tuple[int, int, int, int]]:
+    """Reverse-insert each queued (letter, row, plane row, route id); return the bumped.
+
+    A letter bumps the rightmost smaller entry of its row, or lands just
+    inside the inner shape if there is none.  Rows stay weakly increasing.
+    """
+    k = st.params.k
+    rows, mu = st.rows, st.mu
+    out = []
+    for x, r, plane, rid in queue:
+        row = rows[r]
+        idx = bisect_left(row, x) - 1
+        if idx < 0:
+            log.append(("land", r, mu[r], plane, rid, x, None))
+            mu[r] -= 1
             row.insert(0, x)
         else:
-            idx = _rightmost_less(row, x)
-            out.append((row[idx], (r - 1) % st.params.k))
+            bumped = row[idx]
             row[idx] = x
-    return st, ReverseQueue(tuple(out), queue.k)
-
-
-def _rightmost_less(row: list[int], x: int) -> int:
-    for i in range(len(row) - 1, -1, -1):
-        if row[i] < x:
-            return i
-    raise AssertionError("no entry less than x; caller checked the landing case")
+            log.append(("bump", r, mu[r] + 1 + idx, plane, rid, x, bumped))
+            out.append((bumped, (r - 1) % k, plane - 1, rid))
+    return out
 
 
 def _seed_reverse(
-    t: CylTableau, boxes: Iterable[Box], seed_row: int, tr: _Tracker
+    t: CylTableau, boxes: Iterable[Box], seed_row: int, log: list[Step]
 ) -> tuple[TableauState, list[tuple[int, int, int, int]]]:
-    bs = sorted(set(boxes), key=lambda b: (b.row, b.col))
+    """Peel the strip from seed_row downward in index, right to left; one route per box."""
+    bs = sorted(set(boxes), key=lambda b: (b.row, -b.col))
     _check_strip_from_outer(t, bs)
     st = TableauState.from_tableau(t)
     k = st.params.k
     queue: list[tuple[int, int, int, int]] = []
     for h in range(seed_row, seed_row - k, -1):
         r = h % k
-        for b in sorted((b for b in bs if b.row == r), key=lambda b: -b.col):
-            rid = tr.new_route(lift(b, h, st.params))
+        for b in bs:
+            if b.row != r:
+                continue
+            rid = len(log)
+            st.lam[r] -= 1
             if b.col > st.mu[r]:
                 x = st.rows[r].pop()
-                st.lam[r] -= 1
                 queue.append((x, (h - 1) % k, h - 1, rid))
-                tr.emit("seed", b, None, x)
+                log.append(("seed", r, b.col, h, rid, None, x))
             else:
                 st.mu[r] -= 1
-                st.lam[r] -= 1
-                tr.emit("seed_out", b, None, None)
+                log.append(("seed_out", r, b.col, h, rid, None, None))
     return st, queue
 
 
@@ -163,7 +194,7 @@ def seed_reverse_multi(
     t: CylTableau, boxes: Iterable[Box], seed_row: int = 0
 ) -> tuple[TableauState, ReverseQueue]:
     """Remove a horizontal strip from the outer shape, yielding the start queue."""
-    state, queue = _seed_reverse(t, boxes, seed_row, _Tracker())
+    state, queue = _seed_reverse(t, boxes, seed_row, [])
     return state, ReverseQueue(tuple((x, r) for x, r, _, _ in queue), t.params.k)
 
 
@@ -177,78 +208,21 @@ def reverse_full_multi(
     until each chain lands just inside the inner shape.  The boxes shed by
     the inner shape form a horizontal strip.
     """
-    tr = _Tracker()
-    mu_start = t.inner
-    st, queue = _seed_reverse(t, boxes, seed_row, tr)
-    k = st.params.k
-    queues = [ReverseQueue(tuple((x, r) for x, r, _, _ in queue), k)]
-    while queue:
-        nxt: list[tuple[int, int, int, int]] = []
-        for x, r, plane, rid in queue:
-            row = st.rows[r]
-            if not row or x <= row[0]:
-                box = Box(r, st.mu[r])
-                st.mu[r] -= 1
-                row.insert(0, x)
-                tr.extend(rid, lift(box, plane, st.params))
-                tr.emit("land", box, x, None)
-            else:
-                idx = _rightmost_less(row, x)
-                box = Box(r, st.mu[r] + 1 + idx)
-                bumped = row[idx]
-                row[idx] = x
-                nxt.append((bumped, (r - 1) % k, plane - 1, rid))
-                tr.extend(rid, lift(box, plane, st.params))
-                tr.emit("bump", box, x, bumped)
-        queue = nxt
-        queues.append(ReverseQueue(tuple((x, r) for x, r, _, _ in queue), k))
+    log: list[Step] = []
+    st, queue = _seed_reverse(t, boxes, seed_row, log)
+    rounds = _cascade(st, queue, log, _reverse_round)
     result = st.to_tableau()
     # Measured against the inner shape of the input tableau, so boxes shed
     # degenerately during seeding count as part of the reverse new set.
-    shed = SkewShape(mu_start, result.inner)
-    routes = tuple(
-        BumpingRoute(tuple(ps), tuple(ss))
-        for ps, ss in zip(tr.route_points, tr.route_steps)
-    )
-    return ReverseMultiResult(
-        tableau=result,
-        reverse_new_set=frozenset(shed.boxes()),
-        routes=routes,
-        queues=tuple(queues),
-        events=tuple(tr.events),
-    )
+    shed = SkewShape(t.inner, result.inner)
+    return ReverseMultiResult(result, frozenset(shed.boxes()), tuple(log), rounds)
 
 
 def reverse_insert(t: CylTableau, b: Box) -> tuple[CylTableau, BumpingRoute]:
     """Remove a single outside corner, bumping one chain of entries upward."""
-    st = TableauState.from_tableau(t)
-    k = st.params.k
     r = b.row
     lam = t.outer
-    if not (0 <= r < k and b.col == st.lam[r] and b.col > lam.part(r + 1)):
+    if not (0 <= r < t.params.k and b.col == lam.window[r] and b.col > lam.part(r + 1)):
         raise NotOutsideCorner(f"box {b} is not an outside corner")
-    points = [Point(r, b.col)]
-    steps = [0]
-    st.lam[r] -= 1
-    if b.col <= st.mu[r]:
-        st.mu[r] -= 1
-        return st.to_tableau(), BumpingRoute(tuple(points), tuple(steps))
-    x = st.rows[r].pop()
-    plane = r
-    step = 1
-    while True:
-        plane -= 1
-        r = plane % k
-        row = st.rows[r]
-        if not row or x <= row[0]:
-            points.append(lift(Box(r, st.mu[r]), plane, st.params))
-            steps.append(step)
-            st.mu[r] -= 1
-            row.insert(0, x)
-            break
-        idx = _rightmost_less(row, x)
-        points.append(lift(Box(r, st.mu[r] + 1 + idx), plane, st.params))
-        steps.append(step)
-        x, row[idx] = row[idx], x
-        step += 1
-    return st.to_tableau(), BumpingRoute(tuple(points), tuple(steps))
+    res = reverse_full_multi(t, [b], seed_row=r)
+    return res.tableau, res.routes[0]

@@ -138,6 +138,15 @@ def from_box_entries(
     return CylTableau(shape, tuple(rows))
 
 
+def boxes_by_letter(t: CylTableau) -> dict[int, list[Box]]:
+    """Map each letter to the boxes holding it, in one pass over the rows."""
+    out: dict[int, list[Box]] = {}
+    for r, (row, lo) in enumerate(zip(t.rows, t.inner.window)):
+        for c, v in enumerate(row, lo + 1):
+            out.setdefault(v, []).append(Box(r, c))
+    return out
+
+
 def weight(t: CylTableau) -> Counter[int]:
     """Letter multiplicities of the tableau."""
     return Counter(t.entries())

@@ -270,7 +270,7 @@ def lift_word(w: Word) -> LiftedWord:
     return LiftedWord(tuple(p), t, s)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _sorting_moves(w: Word) -> tuple[Move, ...]:
     """Moves carrying w to its weakly increasing arrangement, validated on w.
 

@@ -9,7 +9,13 @@ from collections import Counter, defaultdict
 from itertools import combinations
 
 import cyltab as ct
-from cyltab.insertion import point_order_lt
+from cyltab.insertion import (
+    InsertionEvent,
+    TableauState,
+    _check_strip_into_inner,
+    point_order_lt,
+)
+from cyltab.reverse import _check_strip_from_outer
 
 
 def iter_params(max_k=3, max_width=3):
@@ -85,6 +91,26 @@ def removable_strips(outer, max_size):
             if ct.is_horizontal_strip(shape):
                 strips.append(frozenset(ct.skew_boxes(shape)))
     return strips
+
+
+def sweep_pairs(max_k=3, max_width=3, max_boxes=4, letters=3, strip_size=3):
+    """(tableau, addable strips of its inner shape) over the exhaustive space."""
+    for params in iter_params(max_k, max_width):
+        for mu in anchored_partitions(params):
+            strips = addable_strips(mu, strip_size)
+            for lam in outer_partitions(mu, max_boxes):
+                for t in ct.enumerate_ssct(ct.SkewShape(lam, mu), letters):
+                    yield t, strips
+
+
+def removal_pairs(max_k=3, max_width=3, max_boxes=4, letters=3, strip_size=3):
+    """(tableau, removable strips of its outer shape) over the exhaustive space."""
+    for params in iter_params(max_k, max_width):
+        for mu in anchored_partitions(params):
+            for lam in outer_partitions(mu, max_boxes):
+                strips = removable_strips(lam, strip_size)
+                for t in ct.enumerate_ssct(ct.SkewShape(lam, mu), letters):
+                    yield t, strips
 
 
 def _weakly_increasing(seq):
@@ -191,3 +217,138 @@ def check_retrace(forward_res, reverse_res):
         for r in reverse_res.routes
     )
     assert fwd == bwd, "reverse routes do not retrace the forward routes"
+
+
+# Oracles: the eager multi-insertion that built routes, queues and events as it
+# went, kept to check the step-log results field for field.
+
+
+class _Tracker:
+    def __init__(self):
+        self.step = 0
+        self.events = []
+        self.route_points = []
+        self.route_steps = []
+
+    def new_route(self, p):
+        self.route_points.append([p])
+        self.route_steps.append([self.step])
+        return len(self.route_points) - 1
+
+    def extend(self, rid, p):
+        self.route_points[rid].append(p)
+        self.route_steps[rid].append(self.step)
+
+    def emit(self, kind, box, inserted, bumped):
+        self.events.append(InsertionEvent(self.step, kind, box, inserted, bumped))
+        self.step += 1
+
+    def routes(self):
+        return tuple(
+            ct.BumpingRoute(tuple(ps), tuple(ss))
+            for ps, ss in zip(self.route_points, self.route_steps)
+        )
+
+
+def _leftmost_greater(row, x):
+    return next(i for i, v in enumerate(row) if v > x)
+
+
+def _rightmost_less(row, x):
+    return next(i for i in range(len(row) - 1, -1, -1) if row[i] < x)
+
+
+def full_multi_oracle(t, boxes, seed_row=0):
+    """(tableau, new_set, routes, queues, events) of a forward multi-insertion."""
+    tr = _Tracker()
+    params = t.params
+    k = params.k
+    bs = sorted(set(boxes), key=lambda b: (b.row, b.col))
+    _check_strip_into_inner(t, bs)
+    st = TableauState.from_tableau(t)
+    queue = []
+    for h in range(seed_row, seed_row + k):
+        r = h % k
+        for b in sorted((b for b in bs if b.row == r), key=lambda b: b.col):
+            rid = tr.new_route(ct.lift(b, h, params))
+            if b.col <= st.lam[r]:
+                x = st.rows[r].pop(0)
+                st.mu[r] += 1
+                queue.append((x, (h + 1) % k, h + 1, rid))
+                tr.emit("seed", b, None, x)
+            else:
+                st.mu[r] += 1
+                st.lam[r] += 1
+                tr.emit("seed_out", b, None, None)
+    queues = [ct.InsertionQueue(tuple((x, r) for x, r, _, _ in queue), k)]
+    while queue:
+        nxt = []
+        for x, r, plane, rid in queue:
+            row = st.rows[r]
+            if not row or x >= row[-1]:
+                st.lam[r] += 1
+                row.append(x)
+                box = ct.Box(r, st.lam[r])
+                tr.extend(rid, ct.lift(box, plane, params))
+                tr.emit("land", box, x, None)
+            else:
+                idx = _leftmost_greater(row, x)
+                box = ct.Box(r, st.mu[r] + 1 + idx)
+                bumped = row[idx]
+                row[idx] = x
+                nxt.append((bumped, (r + 1) % k, plane + 1, rid))
+                tr.extend(rid, ct.lift(box, plane, params))
+                tr.emit("bump", box, x, bumped)
+        queue = nxt
+        queues.append(ct.InsertionQueue(tuple((x, r) for x, r, _, _ in queue), k))
+    result = st.to_tableau()
+    new_set = frozenset(ct.skew_boxes(ct.SkewShape(result.outer, t.outer)))
+    return result, new_set, tr.routes(), tuple(queues), tuple(tr.events)
+
+
+def reverse_full_multi_oracle(t, boxes, seed_row=0):
+    """(tableau, reverse_new_set, routes, queues, events) of a reverse multi-insertion."""
+    tr = _Tracker()
+    params = t.params
+    k = params.k
+    bs = sorted(set(boxes), key=lambda b: (b.row, b.col))
+    _check_strip_from_outer(t, bs)
+    st = TableauState.from_tableau(t)
+    queue = []
+    for h in range(seed_row, seed_row - k, -1):
+        r = h % k
+        for b in sorted((b for b in bs if b.row == r), key=lambda b: -b.col):
+            rid = tr.new_route(ct.lift(b, h, params))
+            if b.col > st.mu[r]:
+                x = st.rows[r].pop()
+                st.lam[r] -= 1
+                queue.append((x, (h - 1) % k, h - 1, rid))
+                tr.emit("seed", b, None, x)
+            else:
+                st.mu[r] -= 1
+                st.lam[r] -= 1
+                tr.emit("seed_out", b, None, None)
+    queues = [ct.ReverseQueue(tuple((x, r) for x, r, _, _ in queue), k)]
+    while queue:
+        nxt = []
+        for x, r, plane, rid in queue:
+            row = st.rows[r]
+            if not row or x <= row[0]:
+                box = ct.Box(r, st.mu[r])
+                st.mu[r] -= 1
+                row.insert(0, x)
+                tr.extend(rid, ct.lift(box, plane, params))
+                tr.emit("land", box, x, None)
+            else:
+                idx = _rightmost_less(row, x)
+                box = ct.Box(r, st.mu[r] + 1 + idx)
+                bumped = row[idx]
+                row[idx] = x
+                nxt.append((bumped, (r - 1) % k, plane - 1, rid))
+                tr.extend(rid, ct.lift(box, plane, params))
+                tr.emit("bump", box, x, bumped)
+        queue = nxt
+        queues.append(ct.ReverseQueue(tuple((x, r) for x, r, _, _ in queue), k))
+    result = st.to_tableau()
+    shed = frozenset(ct.skew_boxes(ct.SkewShape(t.inner, result.inner)))
+    return result, shed, tr.routes(), tuple(queues), tuple(tr.events)

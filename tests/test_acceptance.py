@@ -13,14 +13,13 @@ from cyltab.enumeration import (
     skew_reduction_cross_check,
 )
 from sweeps import (
-    addable_strips,
     anchored_partitions,
     check_forward_call,
     check_retrace,
     check_reverse_call,
     iter_params,
-    outer_partitions,
-    removable_strips,
+    removal_pairs,
+    sweep_pairs,
 )
 
 K2N4 = ct.CylParams(2, 4)
@@ -31,15 +30,6 @@ K3N7 = ct.CylParams(3, 7)
 
 def shape(params, outer, inner):
     return ct.SkewShape(ct.CylPartition(params, outer), ct.CylPartition(params, inner))
-
-
-def _sweep_pairs(max_k=3, max_width=3, max_boxes=4, letters=3, strip_size=3):
-    for params in iter_params(max_k, max_width):
-        for mu in anchored_partitions(params):
-            strips = addable_strips(mu, strip_size)
-            for lam in outer_partitions(mu, max_boxes):
-                for t in ct.enumerate_ssct(ct.SkewShape(lam, mu), letters):
-                    yield t, strips
 
 
 def test_criterion_1_worked_example_fidelity():
@@ -94,7 +84,7 @@ def test_criterion_1_worked_example_fidelity():
 def test_criterion_2_round_trip_suite():
     start = time.perf_counter()
     forward_cases = 0
-    for t, strips in _sweep_pairs():
+    for t, strips in sweep_pairs():
         for strip in strips:
             fwd = ct.full_multi(t, strip)
             back = ct.reverse_full_multi(fwd.tableau, fwd.new_set)
@@ -102,18 +92,13 @@ def test_criterion_2_round_trip_suite():
             assert back.reverse_new_set == strip
             forward_cases += 1
     backward_cases = 0
-    for params in iter_params(3, 3):
-        for mu in anchored_partitions(params):
-            for lam in outer_partitions(mu, 4):
-                sh = ct.SkewShape(lam, mu)
-                strips = removable_strips(lam, 3)
-                for t in ct.enumerate_ssct(sh, 3):
-                    for strip in strips:
-                        rev = ct.reverse_full_multi(t, strip)
-                        fwd = ct.full_multi(rev.tableau, rev.reverse_new_set)
-                        assert fwd.tableau == t
-                        assert fwd.new_set == strip
-                        backward_cases += 1
+    for t, strips in removal_pairs():
+        for strip in strips:
+            rev = ct.reverse_full_multi(t, strip)
+            fwd = ct.full_multi(rev.tableau, rev.reverse_new_set)
+            assert fwd.tableau == t
+            assert fwd.new_set == strip
+            backward_cases += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"criterion 2 took {elapsed:.1f}s"
     print(
@@ -125,7 +110,7 @@ def test_criterion_2_round_trip_suite():
 def test_criterion_3_row_bumping_properties():
     start = time.perf_counter()
     calls = 0
-    for t, strips in _sweep_pairs():
+    for t, strips in sweep_pairs():
         for strip in strips:
             fwd = ct.full_multi(t, strip)
             check_forward_call(t, strip, fwd)
@@ -134,7 +119,7 @@ def test_criterion_3_row_bumping_properties():
             check_retrace(fwd, back)
             calls += 1
     seeds_checked = 0
-    for t, strips in _sweep_pairs(max_k=3, max_width=2, max_boxes=3, strip_size=2):
+    for t, strips in sweep_pairs(max_k=3, max_width=2, max_boxes=3, strip_size=2):
         for strip in strips:
             base = ct.full_multi(t, strip, seed_row=0)
             for seed in range(1, t.params.k):
@@ -228,7 +213,7 @@ def test_criterion_5_identity_checks():
 def test_criterion_6_marble_bijection():
     start = time.perf_counter()
     round_trips = 0
-    for t, _ in _sweep_pairs():
+    for t, _ in sweep_pairs():
         game = ct.tableau_to_game(t, 3)
         assert ct.game_validate(game)
         assert ct.game_to_tableau(t.inner, game) == t

@@ -5,7 +5,13 @@ from cyltab.enumeration import (
     enumerate_tableaux_with_inner,
     enumerate_tableaux_with_outer,
 )
-from cyltab.marbles import InitialMismatch, InvalidTurn, apply_turn, final_arrangement
+from cyltab.marbles import (
+    InitialMismatch,
+    InvalidTurn,
+    MarbleError,
+    apply_turn,
+    final_arrangement,
+)
 from sweeps import anchored_partitions, iter_params, iter_tableaux
 
 K2N4 = ct.CylParams(2, 4)
@@ -43,6 +49,16 @@ class TestEncoding:
         t = ct.empty_tableau(ct.CylPartition(K2N4, (0, 0)))
         assert ct.tableau_to_game(t, 0).turns == ()
         assert ct.tableau_to_game(t, 2).turns == ((0, 0), (0, 0))
+
+    def test_rejects_letters_below_one(self):
+        # A valid tableau, but turn j encodes letter j >= 1: a 0 has no turn.
+        t = ct.tableau_validate(
+            ct.SkewShape(ct.CylPartition(K2N4, (2, 1)), ct.CylPartition(K2N4, (0, 0))),
+            [[0, 1], [2]],
+        )
+        for letters in (None, 2, 3):
+            with pytest.raises(MarbleError, match="letter 0"):
+                ct.tableau_to_game(t, letters)
 
     def test_decode_worked_example(self):
         mu = ct.CylPartition(K3N7, (5, 4, 2))

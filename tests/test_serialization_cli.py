@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cyltab as ct
-from cyltab import serialization as ser
+from cyltab import enumeration, serialization as ser
 from cyltab.cli import main, run_fixtures
 from cyltab.serialization import SchemaError
 
@@ -153,6 +153,34 @@ class TestCli:
         assert main(["marble", "decode", "--mu", str(mu), "--game", str(g)]) == 0
         back = json.loads(capsys.readouterr().out)["tableau"]
         assert back == doc
+
+    def test_marble_encode_rejects_letter_zero(self, tmp_path):
+        t = tmp_path / "t.json"
+        t.write_text(json.dumps({**TABLEAU_DOC, "rows": [[0, 1], [2]]}))
+        assert main(["validate", str(t)]) == 0
+        res = run_python("-m", "cyltab.cli", "marble", "encode", "--tableau", str(t))
+        assert res.returncode == 1, res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"] == "MarbleError"
+
+    def test_verify_skew_cross_check_computes_sides_once(self, monkeypatch, capsys):
+        calls = []
+        sides = enumeration.skew_reduction_sides
+
+        def counted(*args):
+            calls.append(args)
+            return sides(*args)
+
+        monkeypatch.setattr(enumeration, "skew_reduction_sides", counted)
+        argv = ["verify", "skew", "--alpha", "2,1", "--beta", "1", "--degree", "2"]
+        assert main(argv + ["--cross-check"]) == 0
+        assert len(calls) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["embedding_lhs_equal"] and doc["embedding_rhs_equal"]
+        assert main(argv) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert {k: v for k, v in doc.items() if not k.startswith("embedding_")} == plain
 
     def test_fixtures_all_pass(self):
         lines = []
