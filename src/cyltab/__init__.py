@@ -1,5 +1,6 @@
 """Cylindric Young tableaux: geometry, insertion, RSK, identities, games, words."""
 
+from .errors import CyltabError
 from .geometry import (
     Box,
     CylParams,

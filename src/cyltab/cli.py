@@ -10,13 +10,12 @@ from importlib import resources
 from . import enumeration, insertion, marbles, reverse, serialization as ser, tableau, words
 from .crsk import crsk as run_crsk
 from .crsk import crsk_inverse as run_crsk_inverse
-from .geometry import CylParams, CylPartition, GeometryError
+from .errors import CyltabError
+from .geometry import CylParams, CylPartition
 from .polynomials import IdentityReport
-from .serialization import SchemaError
-from .words import WordError
 
 
-class CliError(ValueError):
+class CliError(CyltabError):
     pass
 
 
@@ -56,7 +55,7 @@ def _parse_word(text: str) -> tuple[int, ...]:
     text = text.strip()
     if "," in text:
         return _parse_window(text)
-    if not text.isdigit():
+    if not text.isdecimal():
         raise CliError(f"word {text!r} must be digits or comma-separated integers")
     return tuple(int(c) for c in text)
 
@@ -435,7 +434,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (GeometryError, SchemaError, WordError, CliError) as e:
+    except CyltabError as e:
         sys.stderr.write(
             ser.canonical_json({"error": type(e).__name__, "detail": str(e)}) + "\n"
         )

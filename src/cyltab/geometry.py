@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .errors import CyltabError
 
-class GeometryError(ValueError):
+
+class GeometryError(CyltabError):
     pass
 
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import CyltabError
 
-class PolynomialError(ValueError):
+
+class PolynomialError(CyltabError):
     pass
 
 

@@ -5,13 +5,14 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from .errors import CyltabError
 from .geometry import Box, CylParams, CylPartition, GeometryError, SkewShape
 from .marbles import Arrangement, MarbleGame
 from .tableau import CylTableau
 from .words import MOVE_KINDS, Certificate, Move
 
 
-class SchemaError(ValueError):
+class SchemaError(CyltabError):
     def __init__(self, path: str, reason: str):
         self.path = path
         self.reason = reason

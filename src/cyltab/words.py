@@ -13,6 +13,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import CyltabError
+
 Word = tuple[int, ...]
 
 KPRIME = "Kprime"
@@ -24,7 +26,7 @@ ROTATE = "Rotate"
 MOVE_KINDS = (KPRIME, KPRIME_INV, KDPRIME, KDPRIME_INV, ROTATE)
 
 
-class WordError(ValueError):
+class WordError(CyltabError):
     pass
 
 
@@ -50,6 +52,9 @@ class Move:
     pos: int = 0
 
 
+_ROTATE = Move(ROTATE)
+
+
 @dataclass(frozen=True, slots=True)
 class Certificate:
     """A replayable chain of moves from start to end."""
@@ -59,47 +64,53 @@ class Certificate:
     end: Word
 
     def replay(self) -> Word:
-        w = self.start
-        for mv in self.moves:
-            w = apply_move(w, mv)
-        return w
+        return _replay(self.start, self.moves)
+
+
+# The letter pattern each triple move requires.
+_PATTERNS = {
+    KPRIME: "y z x with x < y <= z",
+    KPRIME_INV: "y x z with x < y <= z",
+    KDPRIME: "x z y with x <= y < z",
+    KDPRIME_INV: "z x y with x <= y < z",
+}
+
+
+def _moved(kind: str, a: int, b: int, c: int, p: int) -> tuple[int, int, int]:
+    """The triple a b c at position p after a move of the given kind, checked."""
+    if kind == KPRIME and c < a <= b or kind == KPRIME_INV and b < a <= c:
+        return a, c, b  # y z x <-> y x z
+    if kind == KDPRIME and a <= c < b or kind == KDPRIME_INV and b <= c < a:
+        return b, a, c  # x z y <-> z x y
+    if kind not in MOVE_KINDS:  # compared by ==, so any kind value is reported
+        raise WordError(f"unknown move kind {kind!r}")
+    raise PatternMismatch(p, f"{(a, b, c)} does not match {_PATTERNS[kind]}")
+
+
+def _replay(w: Word, moves: tuple[Move, ...] | list[Move]) -> Word:
+    """Apply moves in order, checking each; a run of rotations is one slice."""
+    buf, m, shift = list(w), len(w), 0
+    for mv in moves:
+        if mv.kind == ROTATE:
+            if not m:
+                raise PatternMismatch(0, "cannot rotate the empty word")
+            shift += 1
+            continue
+        if shift:
+            s = shift % m
+            buf = buf[-s:] + buf[:-s]
+            shift = 0
+        p = mv.pos
+        if not 0 <= p <= m - 3:
+            raise PatternMismatch(p, f"no letter triple at {p} in a word of length {m}")
+        buf[p : p + 3] = _moved(mv.kind, buf[p], buf[p + 1], buf[p + 2], p)
+    s = shift % m if shift else 0
+    return tuple(buf[-s:] + buf[:-s])  # buf + [] when s == 0
 
 
 def apply_move(w: Word, move: Move) -> Word:
     """Apply one move, checking its pattern precondition."""
-    if move.kind == ROTATE:
-        if not w:
-            raise PatternMismatch(0, "cannot rotate the empty word")
-        return (w[-1],) + w[:-1]
-    p = move.pos
-    if not 0 <= p <= len(w) - 3:
-        raise PatternMismatch(p, f"no letter triple at {p} in a word of length {len(w)}")
-    a, b, c = w[p], w[p + 1], w[p + 2]
-    if move.kind == KPRIME:
-        # y z x -> y x z  with  x < y <= z
-        y, z, x = a, b, c
-        if not x < y <= z:
-            raise PatternMismatch(p, f"{(a, b, c)} does not match y z x with x < y <= z")
-        triple = (y, x, z)
-    elif move.kind == KPRIME_INV:
-        y, x, z = a, b, c
-        if not x < y <= z:
-            raise PatternMismatch(p, f"{(a, b, c)} does not match y x z with x < y <= z")
-        triple = (y, z, x)
-    elif move.kind == KDPRIME:
-        # x z y -> z x y  with  x <= y < z
-        x, z, y = a, b, c
-        if not x <= y < z:
-            raise PatternMismatch(p, f"{(a, b, c)} does not match x z y with x <= y < z")
-        triple = (z, x, y)
-    elif move.kind == KDPRIME_INV:
-        z, x, y = a, b, c
-        if not x <= y < z:
-            raise PatternMismatch(p, f"{(a, b, c)} does not match z x y with x <= y < z")
-        triple = (x, z, y)
-    else:
-        raise WordError(f"unknown move kind {move.kind!r}")
-    return w[:p] + triple + w[p + 3 :]
+    return _replay(w, (move,))
 
 
 def inverse_moves(moves: tuple[Move, ...] | list[Move], length: int) -> list[Move]:
@@ -108,7 +119,7 @@ def inverse_moves(moves: tuple[Move, ...] | list[Move], length: int) -> list[Mov
     out: list[Move] = []
     for mv in reversed(list(moves)):
         if mv.kind == ROTATE:
-            out.extend([Move(ROTATE)] * (length - 1))
+            out.extend([_ROTATE] * (length - 1))
         else:
             out.append(Move(flip[mv.kind], mv.pos))
     return out
@@ -116,7 +127,7 @@ def inverse_moves(moves: tuple[Move, ...] | list[Move], length: int) -> list[Mov
 
 def applicable_moves(w: Word) -> list[Move]:
     """Every move whose precondition holds; rotation is always available."""
-    out = [Move(ROTATE)]
+    out = [_ROTATE]
     for p in range(len(w) - 2):
         a, b, c = w[p], w[p + 1], w[p + 2]
         if c < a <= b:
@@ -158,19 +169,20 @@ class TransformResult:
         return tuple(w for w, c in zip(self.words, self.critical) if c)
 
 
-def _strictly_between(y: int, a: int, b: int) -> bool:
-    lo, hi = (a, b) if a < b else (b, a)
-    return lo < y < hi
+def _find_switch(w: Word, start: int = 1) -> int | None:
+    """Leftmost 1-based position from start on whose pair admits a catalyzed switch.
 
-
-def _find_switch(w: Word) -> int | None:
-    """Leftmost 1-based position whose pair admits a catalyzed switch."""
+    Pair i's neighbors are w[i - 2] and w[i + 1 - m], cyclically.  A switch at i
+    changes letters i - 1 and i, read only by pairs i - 2 .. i + 2 and, for the
+    last letter, pair 1: resuming at max(1, i - 2), or at 1 if i == m - 1, finds
+    the same leftmost switch as a full rescan.
+    """
     m = len(w)
-    for i in range(1, m):
+    for i in range(start, m):
         a, b = w[i - 1], w[i]
-        left = w[i - 2] if i >= 2 else w[m - 1]
-        right = w[i + 1] if i + 1 < m else w[0]
-        if _strictly_between(left, a, b) or _strictly_between(right, a, b):
+        if a > b:
+            a, b = b, a
+        if a < w[i - 2] < b or a < w[i + 1 - m] < b:
             return i
     return None
 
@@ -179,14 +191,15 @@ def _switch_moves(w: Word, i: int) -> list[Move]:
     """Moves realizing the switch at 1-based position i on an anchored word."""
     m = len(w)
     a, b = w[i - 1], w[i]
+    lo, hi = (a, b) if a < b else (b, a)
     if i >= 2:
-        if _strictly_between(w[i - 2], a, b):
+        if lo < w[i - 2] < hi:
             return [Move(KPRIME if a > b else KPRIME_INV, i - 2)]
         return [Move(KDPRIME if a < b else KDPRIME_INV, i - 1)]
     # Switching the anchor pair: realize, then rotate 1 back to the front.
-    if i + 1 < m and _strictly_between(w[i + 1], a, b):
-        return [Move(KDPRIME, 0)] + [Move(ROTATE)] * (m - 1)
-    return [Move(ROTATE), Move(KPRIME_INV, 0)] + [Move(ROTATE)] * (m - 2)
+    if i + 1 < m and lo < w[i + 1] < hi:
+        return [Move(KDPRIME, 0)] + [_ROTATE] * (m - 1)
+    return [_ROTATE, Move(KPRIME_INV, 0)] + [_ROTATE] * (m - 2)
 
 
 def word_transform(w: Word) -> TransformResult:
@@ -204,17 +217,18 @@ def word_transform(w: Word) -> TransformResult:
     moves: list[Move] = []
     cur = w
     while cur and cur[0] != 1:
-        moves.append(Move(ROTATE))
+        moves.append(_ROTATE)
         cur = (cur[-1],) + cur[:-1]
     positions: list[int] = []
     words: list[Word] = []
     critical: list[bool] = []
     guard = 0
+    start = 1
     while cur != identity:
         guard += 1
         if guard > (m + 1) ** (m + 1):
             raise AssertionError("switch scan failed to make progress")
-        i = _find_switch(cur)
+        i = _find_switch(cur, start)
         if i is None:
             raise AssertionError(f"no switch available on {cur}")
         moves.extend(_switch_moves(cur, i))
@@ -225,6 +239,7 @@ def word_transform(w: Word) -> TransformResult:
         positions.append(i)
         words.append(cur)
         critical.append(i == 1)
+        start = 1 if i == m - 1 else max(1, i - 2)
     return TransformResult(
         Certificate(w, tuple(moves), cur),
         tuple(positions),
@@ -291,27 +306,29 @@ def _sorting_moves(w: Word) -> tuple[Move, ...]:
     prev_phi: int | None = None
     while True:
         p = lift_word(u).permutation
-        while p[0] != 1:
-            p = (p[-1],) + p[:-1]
-            u = apply_move(u, Move(ROTATE))
-            moves.append(Move(ROTATE))
+        j = p.index(1)
+        p, rotations = p[j:] + p[:j], [_ROTATE] * ((m - j) % m)
+        u = _replay(u, rotations)
+        moves += rotations
         phi = monovariant(p)
         if prev_phi is not None and phi >= prev_phi:
             raise AssertionError("lift monovariant failed to decrease")
         prev_phi = phi
         critical = False
+        start = 1
         while p != identity:
-            i = _find_switch(p)
+            i = _find_switch(p, start)
             if i is None:
                 raise AssertionError(f"no switch available on {p}")
-            for mv in _switch_moves(p, i):
-                u = apply_move(u, mv)
-                moves.append(mv)
+            switch = _switch_moves(p, i)
+            u = _replay(u, switch)
+            moves += switch
             if i == 1:
                 p = (1,) + p[2:] + (p[1],)
                 critical = True
                 break
             p = p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :]
+            start = 1 if i == m - 1 else max(1, i - 2)
         if not critical:
             break
     if u != target:

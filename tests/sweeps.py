@@ -6,9 +6,10 @@ translation.
 """
 
 from collections import Counter, defaultdict
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import cyltab as ct
+from cyltab import words
 from cyltab.insertion import (
     InsertionEvent,
     TableauState,
@@ -352,3 +353,145 @@ def reverse_full_multi_oracle(t, boxes, seed_row=0):
     result = st.to_tableau()
     shed = frozenset(ct.skew_boxes(ct.SkewShape(t.inner, result.inner)))
     return result, shed, tr.routes(), tuple(queues), tuple(tr.events)
+
+
+# ---------------------------------------------------------------------------
+# Cyclic Knuth words, as the words module computed them before it replayed a
+# run of rotations as one slice and resumed the switch scan next to the last
+# switch: one tuple rebuilt per move, and a full rescan after every switch.
+
+
+def knuth_permutations(max_m=7):
+    """Every permutation of 1..m for m = 1..max_m (criterion 7: 5,913 of them)."""
+    for m in range(1, max_m + 1):
+        yield from permutations(range(1, m + 1))
+
+
+def knuth_pairs(max_length=5, letters=3):
+    """Every ordered pair of rearrangements of each multiset (criterion 7: 5,403)."""
+    for length in range(1, max_length + 1):
+        for content in combinations_with_replacement(range(1, letters + 1), length):
+            arrangements = sorted(set(permutations(content)))
+            for a in arrangements:
+                for b in arrangements:
+                    yield a, b
+
+
+def apply_move_oracle(w, move):
+    if move.kind == words.ROTATE:
+        if not w:
+            raise words.PatternMismatch(0, "cannot rotate the empty word")
+        return (w[-1],) + w[:-1]
+    p = move.pos
+    if not 0 <= p <= len(w) - 3:
+        raise words.PatternMismatch(p, f"no letter triple at {p} in a word of length {len(w)}")
+    a, b, c = w[p], w[p + 1], w[p + 2]
+    if move.kind == words.KPRIME:
+        y, z, x = a, b, c
+        if not x < y <= z:
+            raise words.PatternMismatch(p, f"{(a, b, c)} does not match y z x with x < y <= z")
+        triple = (y, x, z)
+    elif move.kind == words.KPRIME_INV:
+        y, x, z = a, b, c
+        if not x < y <= z:
+            raise words.PatternMismatch(p, f"{(a, b, c)} does not match y x z with x < y <= z")
+        triple = (y, z, x)
+    elif move.kind == words.KDPRIME:
+        x, z, y = a, b, c
+        if not x <= y < z:
+            raise words.PatternMismatch(p, f"{(a, b, c)} does not match x z y with x <= y < z")
+        triple = (z, x, y)
+    elif move.kind == words.KDPRIME_INV:
+        z, x, y = a, b, c
+        if not x <= y < z:
+            raise words.PatternMismatch(p, f"{(a, b, c)} does not match z x y with x <= y < z")
+        triple = (x, z, y)
+    else:
+        raise words.WordError(f"unknown move kind {move.kind!r}")
+    return w[:p] + triple + w[p + 3 :]
+
+
+def replay_oracle(w, moves):
+    for mv in moves:
+        w = apply_move_oracle(w, mv)
+    return w
+
+
+def _strictly_between(y, a, b):
+    lo, hi = (a, b) if a < b else (b, a)
+    return lo < y < hi
+
+
+def find_switch_oracle(w):
+    m = len(w)
+    for i in range(1, m):
+        a, b = w[i - 1], w[i]
+        left = w[i - 2] if i >= 2 else w[m - 1]
+        right = w[i + 1] if i + 1 < m else w[0]
+        if _strictly_between(left, a, b) or _strictly_between(right, a, b):
+            return i
+    return None
+
+
+def _switch_moves_oracle(w, i):
+    Move, m = words.Move, len(w)
+    a, b = w[i - 1], w[i]
+    if i >= 2:
+        if _strictly_between(w[i - 2], a, b):
+            return [Move(words.KPRIME if a > b else words.KPRIME_INV, i - 2)]
+        return [Move(words.KDPRIME if a < b else words.KDPRIME_INV, i - 1)]
+    if i + 1 < m and _strictly_between(w[i + 1], a, b):
+        return [Move(words.KDPRIME, 0)] + [Move(words.ROTATE)] * (m - 1)
+    return [Move(words.ROTATE), Move(words.KPRIME_INV, 0)] + [Move(words.ROTATE)] * (m - 2)
+
+
+def word_transform_oracle(w):
+    w = tuple(w)
+    m = len(w)
+    identity = tuple(range(1, m + 1))
+    moves = []
+    cur = w
+    while cur and cur[0] != 1:
+        moves.append(words.Move(words.ROTATE))
+        cur = (cur[-1],) + cur[:-1]
+    positions, seen, critical = [], [], []
+    while cur != identity:
+        i = find_switch_oracle(cur)
+        moves.extend(_switch_moves_oracle(cur, i))
+        if i == 1:
+            cur = (1,) + cur[2:] + (cur[1],)
+        else:
+            cur = cur[: i - 1] + (cur[i], cur[i - 1]) + cur[i + 1 :]
+        positions.append(i)
+        seen.append(cur)
+        critical.append(i == 1)
+    return words.TransformResult(
+        words.Certificate(w, tuple(moves), cur), tuple(positions), tuple(seen), tuple(critical)
+    )
+
+
+def sorting_moves_oracle(w):
+    u, m = w, len(w)
+    identity = tuple(range(1, m + 1))
+    moves = []
+    while True:
+        p = words.lift_word(u).permutation
+        while p[0] != 1:
+            p = (p[-1],) + p[:-1]
+            u = apply_move_oracle(u, words.Move(words.ROTATE))
+            moves.append(words.Move(words.ROTATE))
+        critical = False
+        while p != identity:
+            i = find_switch_oracle(p)
+            for mv in _switch_moves_oracle(p, i):
+                u = apply_move_oracle(u, mv)
+                moves.append(mv)
+            if i == 1:
+                p = (1,) + p[2:] + (p[1],)
+                critical = True
+                break
+            p = p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :]
+        if not critical:
+            break
+    assert u == tuple(sorted(w))
+    return tuple(moves)

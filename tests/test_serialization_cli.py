@@ -1,10 +1,13 @@
 import json
 import os
+import string
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cyltab as ct
 from cyltab import enumeration, serialization as ser
@@ -224,3 +227,36 @@ def test_import_loads_no_thread_pool():
     res = run_python("-c", "import sys, cyltab; print('concurrent.futures' in sys.modules)")
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+class TestKnuthArguments:
+    """Any text given as a knuth word ends in a result, a report or a usage error."""
+
+    @pytest.mark.parametrize(
+        "argv", [["knuth", "transform", "\u00b2"], ["knuth", "connect", "\u00b2", "\u00b2"]]
+    )
+    def test_non_decimal_digit_is_reported(self, argv):
+        res = run_python("-m", "cyltab.cli", *argv)
+        assert res.returncode == 1, res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"] == "CliError"
+
+    # Decimal digits of several scripts, which int() reads, and numbers such
+    # as superscripts, which str.isdigit accepts and int() rejects.  Fixed
+    # alphabets spare Hypothesis from building its Unicode table.
+    NUMBERS = "0123456789,-\u0663\u06f4\u0966\u0bec\u00b2\u00b3\u2460\u2474\u1369"
+    WORD = st.text(
+        st.sampled_from(string.printable + "\u00e9\u4e2d" + NUMBERS), max_size=10
+    ) | st.text(st.sampled_from(NUMBERS), max_size=10)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.booleans(), WORD, WORD)
+    def test_fuzzed_words(self, transform, w, v):
+        argv = ["knuth", "transform", w] if transform else ["knuth", "connect", w, v]
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            assert e.code == 2
+        else:
+            assert code in (0, 1)

@@ -2,20 +2,31 @@ from collections import Counter
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyltab as ct
 from cyltab.words import (
     KDPRIME,
     KPRIME,
+    MOVE_KINDS,
     ROTATE,
+    Certificate,
     Move,
     NotAPermutation,
     NotSameMultiset,
     PatternMismatch,
+    WordError,
     inverse_moves,
     lift_word,
+)
+from sweeps import (
+    apply_move_oracle,
+    knuth_pairs,
+    knuth_permutations,
+    replay_oracle,
+    sorting_moves_oracle,
+    word_transform_oracle,
 )
 
 TRACE_START = (1, 5, 9, 3, 6, 2, 8, 4, 7)
@@ -201,3 +212,71 @@ class TestConnect:
             moves.append(Move(ROTATE))
         cert = ct.Certificate(w1, tuple(moves), w2)
         assert cert.replay() == w2
+
+
+@st.composite
+def certificates(draw):
+    """A start word and moves: runs of rotations, valid moves and arbitrary ones.
+
+    Valid moves are chosen on the word the moves so far lead to, so long runs
+    replay before the first bad position, unknown kind or empty-word rotation.
+    """
+    start = tuple(draw(st.lists(st.integers(1, 4), max_size=7)))
+    cur, moves = start, []
+    for _ in range(draw(st.integers(0, 12))):
+        choice = draw(st.integers(0, 2))
+        if choice == 0:
+            step = [Move(ROTATE)] * draw(st.integers(1, 2 * len(start) + 1))
+        elif choice == 1 and cur is not None:
+            step = [draw(st.sampled_from(ct.applicable_moves(cur)))]
+        else:
+            kind = draw(st.sampled_from(MOVE_KINDS + ("Bogus",)))
+            step = [Move(kind, draw(st.integers(-1, len(start))))]
+        moves += step
+        if cur is not None:
+            try:
+                cur = replay_oracle(cur, step)
+            except WordError:
+                cur = None
+    return start, tuple(moves)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except WordError as e:
+        return type(e), getattr(e, "position", None), str(e)
+
+
+class TestFastPathsMatchOracles:
+    """Slice-replayed rotations and the resumed switch scan change no result."""
+
+    def test_transform_on_criterion_7_permutations(self):
+        count = 0
+        for w in knuth_permutations():
+            assert ct.word_transform(w) == word_transform_oracle(w)
+            count += 1
+        assert count == 5913
+
+    def test_connect_moves_on_criterion_7_pairs(self):
+        sorting = {}
+        count = 0
+        for a, b in knuth_pairs():
+            for w in (a, b):
+                if w not in sorting:
+                    sorting[w] = sorting_moves_oracle(w)
+            expected = () if a == b else sorting[a] + tuple(inverse_moves(sorting[b], len(b)))
+            assert ct.connect(a, b).moves == expected
+            count += 1
+        assert count == 5403
+
+    @settings(derandomize=True, max_examples=150)
+    @given(certificates())
+    def test_replay_and_first_failure(self, cert):
+        start, moves = cert
+        replayed = _outcome(Certificate(start, moves, start).replay)
+        assert replayed == _outcome(replay_oracle, start, moves)
+        if moves:
+            assert _outcome(ct.apply_move, start, moves[0]) == _outcome(
+                apply_move_oracle, start, moves[0]
+            )
