@@ -5,18 +5,29 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
+from typing import TYPE_CHECKING
 
-from . import enumeration, insertion, marbles, reverse, serialization as ser, tableau, words
-from .crsk import crsk as run_crsk
-from .crsk import crsk_inverse as run_crsk_inverse
+from . import serialization as ser
 from .errors import CyltabError
-from .geometry import CylParams, CylPartition
-from .polynomials import IdentityReport
+
+# Each command imports the library modules it runs, so that a command loads
+# only what it needs.
+if TYPE_CHECKING:
+    from .geometry import CylPartition
+    from .polynomials import IdentityReport
 
 
 class CliError(CyltabError):
     pass
+
+
+def __getattr__(name: str):
+    # The correspondence under the names this module has always exported.
+    if name in ("run_crsk", "run_crsk_inverse"):
+        from .crsk import crsk, crsk_inverse
+
+        return crsk if name == "run_crsk" else crsk_inverse
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _load(path: str):
@@ -61,6 +72,8 @@ def _parse_word(text: str) -> tuple[int, ...]:
 
 
 def _partition(args, window: tuple[int, ...]) -> CylPartition:
+    from .geometry import CylParams, CylPartition
+
     return CylPartition(CylParams(args.k, args.n), window)
 
 
@@ -84,6 +97,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_insert(args) -> int:
+    from . import insertion
+
     t = ser.parse_tableau(_load(args.tableau))
     boxes = ser.parse_boxes(_load(args.boxes))
     res = insertion.full_multi(t, boxes, seed_row=args.seed_row)
@@ -99,6 +114,8 @@ def cmd_insert(args) -> int:
 
 
 def cmd_reverse(args) -> int:
+    from . import reverse
+
     t = ser.parse_tableau(_load(args.tableau))
     boxes = ser.parse_boxes(_load(args.boxes))
     res = reverse.reverse_full_multi(t, boxes, seed_row=args.seed_row)
@@ -114,6 +131,8 @@ def cmd_reverse(args) -> int:
 
 
 def cmd_crsk(args) -> int:
+    from .crsk import crsk as run_crsk
+
     t = ser.parse_tableau(_load(args.t))
     u = ser.parse_tableau(_load(args.u))
     out = run_crsk(t, u)
@@ -128,6 +147,8 @@ def cmd_crsk(args) -> int:
 
 
 def cmd_crsk_inv(args) -> int:
+    from .crsk import crsk_inverse as run_crsk_inverse
+
     p = ser.parse_tableau(_load(args.p))
     q = ser.parse_tableau(_load(args.q))
     out = run_crsk_inverse(p, q)
@@ -142,6 +163,9 @@ def cmd_crsk_inv(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import enumeration
+    from .polynomials import IdentityReport
+
     if args.identity == "cauchy":
         report = enumeration.verify_cauchy(
             _partition(args, _parse_window(args.alpha)),
@@ -183,6 +207,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_marble(args) -> int:
+    from . import marbles
+
     if args.direction == "encode":
         t = ser.parse_tableau(_load(args.tableau))
         game = marbles.tableau_to_game(t, args.letters)
@@ -196,6 +222,8 @@ def cmd_marble(args) -> int:
 
 
 def cmd_knuth(args) -> int:
+    from . import words
+
     if args.action == "transform":
         res = words.word_transform(_parse_word(args.word))
         _emit(
@@ -229,6 +257,8 @@ def _fixture_op(name):
 
 @_fixture_op("insert")
 def _fx_insert(payload):
+    from . import insertion
+
     t = ser.parse_tableau(payload["tableau"])
     res = insertion.full_multi(
         t, ser.parse_boxes(payload["boxes"]), seed_row=payload.get("seed_row", 0)
@@ -243,6 +273,8 @@ def _fx_insert(payload):
 
 @_fixture_op("reverse")
 def _fx_reverse(payload):
+    from . import reverse
+
     t = ser.parse_tableau(payload["tableau"])
     res = reverse.reverse_full_multi(
         t, ser.parse_boxes(payload["boxes"]), seed_row=payload.get("seed_row", 0)
@@ -256,6 +288,8 @@ def _fx_reverse(payload):
 
 @_fixture_op("crsk")
 def _fx_crsk(payload):
+    from .crsk import crsk as run_crsk
+
     out = run_crsk(
         ser.parse_tableau(payload["t"]), ser.parse_tableau(payload["u"])
     )
@@ -268,6 +302,8 @@ def _fx_crsk(payload):
 
 @_fixture_op("crsk_inverse")
 def _fx_crsk_inverse(payload):
+    from .crsk import crsk_inverse as run_crsk_inverse
+
     out = run_crsk_inverse(
         ser.parse_tableau(payload["p"]), ser.parse_tableau(payload["q"])
     )
@@ -280,6 +316,8 @@ def _fx_crsk_inverse(payload):
 
 @_fixture_op("marble_encode")
 def _fx_marble_encode(payload):
+    from . import marbles
+
     t = ser.parse_tableau(payload["tableau"])
     game = marbles.tableau_to_game(t, payload.get("letters"))
     return {"game": ser.serialize_game(game)}
@@ -287,6 +325,8 @@ def _fx_marble_encode(payload):
 
 @_fixture_op("marble_decode")
 def _fx_marble_decode(payload):
+    from . import marbles
+
     mu = ser.parse_partition(payload["mu"])
     game = ser.parse_game(payload["game"], mu.params)
     return {"tableau": ser.serialize_tableau(marbles.game_to_tableau(mu, game))}
@@ -294,6 +334,8 @@ def _fx_marble_decode(payload):
 
 @_fixture_op("knuth_transform")
 def _fx_knuth_transform(payload):
+    from . import words
+
     res = words.word_transform(tuple(payload["word"]))
     return {
         "end": list(res.certificate.end),
@@ -304,17 +346,23 @@ def _fx_knuth_transform(payload):
 
 @_fixture_op("lift_word")
 def _fx_lift_word(payload):
+    from . import words
+
     lifted = words.lift_word(tuple(payload["word"]))
     return {"permutation": list(lifted.permutation), "anchor": lifted.anchor}
 
 
 @_fixture_op("tableau_word")
 def _fx_tableau_word(payload):
+    from . import tableau
+
     return {"word": list(tableau.tableau_word(ser.parse_tableau(payload["tableau"])))}
 
 
 @_fixture_op("weight")
 def _fx_weight(payload):
+    from . import tableau
+
     t = ser.parse_tableau(payload["tableau"])
     w = tableau.weight(t)
     top = max(w, default=0)
@@ -322,6 +370,8 @@ def _fx_weight(payload):
 
 
 def run_fixtures(emit=print) -> int:
+    from importlib import resources
+
     failures = 0
     fixture_dir = resources.files("cyltab").joinpath("fixtures")
     names = sorted(

@@ -11,6 +11,7 @@ from collections import Counter
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
+from .errors import CyltabError
 from .geometry import (
     Box,
     CylParams,
@@ -27,10 +28,14 @@ from .polynomials import IdentityReport, SparsePolynomial
 from .tableau import CylTableau
 
 
+class EnumerationError(CyltabError):
+    """A count or shape the enumerators cannot take."""
+
+
 def _require_nonnegative(**counts: int) -> None:
     for name, value in counts.items():
         if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
+            raise EnumerationError(f"{name} must be nonnegative, got {value}")
 
 
 def _windows(
@@ -340,7 +345,7 @@ def enumerate_regular_ssyt(
     outer = regular_normalize(outer)
     inner = regular_normalize(inner)
     if any(_regular_part(inner, i) > _regular_part(outer, i) for i in range(len(outer))):
-        raise ValueError("inner not contained in outer")
+        raise EnumerationError("inner not contained in outer")
     nrows = len(outer)
     rows: list[list[int]] = [[] for _ in range(nrows)]
 

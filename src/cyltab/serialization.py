@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import CyltabError
-from .geometry import Box, CylParams, CylPartition, GeometryError, SkewShape
-from .marbles import Arrangement, MarbleGame
-from .tableau import CylTableau
-from .words import MOVE_KINDS, Certificate, Move
+
+# Each parser imports the classes it builds, so that reading one kind of
+# document loads only the modules that define it.
+if TYPE_CHECKING:
+    from .geometry import Box, CylParams, CylPartition, SkewShape
+    from .marbles import MarbleGame
+    from .tableau import CylTableau
+    from .words import Certificate, Move
 
 
 class SchemaError(CyltabError):
@@ -44,6 +48,8 @@ def _expect_obj(value: Any, path: str, keys: set[str]) -> dict:
 
 
 def parse_partition(doc: Any, path: str = "partition") -> CylPartition:
+    from .geometry import CylParams, CylPartition, GeometryError
+
     obj = _expect_obj(doc, path, {"k", "n", "window"})
     k = _expect_int(obj["k"], f"{path}.k")
     n = _expect_int(obj["n"], f"{path}.n")
@@ -61,6 +67,8 @@ def serialize_partition(p: CylPartition) -> dict:
 
 
 def parse_box(doc: Any, path: str = "box") -> Box:
+    from .geometry import Box
+
     obj = _expect_obj(doc, path, {"row", "col"})
     return Box(_expect_int(obj["row"], f"{path}.row"), _expect_int(obj["col"], f"{path}.col"))
 
@@ -70,6 +78,8 @@ def serialize_box(b: Box) -> dict:
 
 
 def parse_shape(doc: Any, path: str = "shape") -> SkewShape:
+    from .geometry import GeometryError, SkewShape
+
     obj = _expect_obj(doc, path, {"outer", "inner"})
     outer = parse_partition(obj["outer"], f"{path}.outer")
     inner = parse_partition(obj["inner"], f"{path}.inner")
@@ -84,6 +94,9 @@ def serialize_shape(s: SkewShape) -> dict:
 
 
 def parse_tableau(doc: Any, path: str = "tableau") -> CylTableau:
+    from .geometry import GeometryError
+    from .tableau import CylTableau
+
     obj = _expect_obj(doc, path, {"shape", "rows"})
     shape = parse_shape(obj["shape"], f"{path}.shape")
     rows = _expect_list(obj["rows"], f"{path}.rows")
@@ -110,6 +123,9 @@ def serialize_boxes(bs) -> list:
 
 
 def parse_game(doc: Any, params: CylParams, path: str = "game") -> MarbleGame:
+    from .geometry import GeometryError
+    from .marbles import Arrangement, MarbleGame
+
     obj = _expect_obj(doc, path, {"initial", "turns"})
     initial = [_expect_int(v, f"{path}.initial[{i}]") for i, v in enumerate(_expect_list(obj["initial"], f"{path}.initial"))]
     turns = []
@@ -128,6 +144,8 @@ def serialize_game(g: MarbleGame) -> dict:
 
 
 def parse_move(doc: Any, path: str = "move") -> Move:
+    from .words import MOVE_KINDS, Move
+
     obj = _expect_obj(doc, path, {"kind", "pos"})
     kind = obj["kind"]
     if kind not in MOVE_KINDS:
@@ -140,6 +158,8 @@ def serialize_move(m: Move) -> dict:
 
 
 def parse_certificate(doc: Any, path: str = "certificate") -> Certificate:
+    from .words import Certificate
+
     obj = _expect_obj(doc, path, {"start", "moves", "end"})
     start = tuple(_expect_int(v, f"{path}.start[{i}]") for i, v in enumerate(_expect_list(obj["start"], f"{path}.start")))
     end = tuple(_expect_int(v, f"{path}.end[{i}]") for i, v in enumerate(_expect_list(obj["end"], f"{path}.end")))

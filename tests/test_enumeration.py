@@ -12,6 +12,7 @@ from cyltab.enumeration import (
     regular_partitions_of,
     skew_reduction_cross_check,
 )
+from cyltab.errors import CyltabError
 from cyltab.polynomials import SparsePolynomial
 
 from sweeps import anchored_partitions, iter_params, iter_shapes, schur_poly_by_enumeration
@@ -242,6 +243,20 @@ class TestIdentities:
             with pytest.raises(ValueError):
                 call()
 
+    def test_negative_counts_are_cyltab_errors(self):
+        alpha = part((0, 0))
+        for call in (
+            lambda: ct.enumerate_inner(alpha, alpha, -1),
+            lambda: ct.enumerate_outer(alpha, alpha, -1),
+            lambda: ct.schur_poly(shape((0, 0), (0, 0)), -1),
+            lambda: ct.verify_cauchy(alpha, alpha, 1, 2, -1),
+            lambda: ct.verify_oneschur(alpha, -1, 2),
+            lambda: ct.verify_fcount(alpha, alpha, -1),
+            lambda: ct.verify_skew_reduction((), (), 1, -1),
+        ):
+            with pytest.raises(CyltabError, match="must be nonnegative"):
+                call()
+
     def test_fcount(self):
         assert ct.verify_fcount(part((0, 0)), part((0, 0)), 1) == (1, 1)
         assert ct.verify_fcount(part((0, 0)), part((0, 0)), 0) == (1, 1)
@@ -263,6 +278,10 @@ class TestRegular:
         fillings = list(enumerate_regular_ssyt((2, 1), (), 3))
         assert len(fillings) == 8
         assert ct.regular_skew_schur((2, 1), (), 3).coefficient((1, 1, 1)) == 2
+
+    def test_inner_not_contained_is_a_cyltab_error(self):
+        with pytest.raises(CyltabError, match="inner not contained in outer"):
+            list(enumerate_regular_ssyt((1,), (2,), 2))
 
     def test_partitions_of(self):
         assert regular_partitions_of(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cyltab as ct
@@ -260,3 +260,101 @@ class TestKnuthArguments:
             assert e.code == 2
         else:
             assert code in (0, 1)
+
+
+JUNK_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.sampled_from([0.5, "", "x"]),
+    lambda c: st.lists(c, max_size=3)
+    | st.dictionaries(st.sampled_from(["k", "n", "window", "shape", "rows", "row", "col", "turns"]), c, max_size=3),
+    max_leaves=8,
+)
+NOT_JSON = st.text(st.sampled_from('{}[]",:-0123456789 ax'), max_size=8)
+
+
+@st.composite
+def json_inputs(draw):
+    """One cyltab command whose input files hold random JSON documents.
+
+    Each example draws one cylinder and one skew shape, and builds every
+    tableau on that shape, so that pairs share the shape the correspondence
+    needs.  Any file may instead hold an arbitrary small JSON
+    value or text that is not JSON at all.
+    """
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k + 1, k + 3))
+    base = draw(st.integers(-1, 2))
+    inner = sorted(draw(st.lists(st.integers(base, base + n - k), min_size=k, max_size=k)), reverse=True)
+    lengths = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+    outer = [a + b for a, b in zip(inner, lengths)]
+    if outer != sorted(outer, reverse=True) or outer[-1] < outer[0] - (n - k):
+        lengths = [min(lengths)] * k
+        outer = [a + lengths[0] for a in inner]
+
+    def partition(window):
+        return {"k": k, "n": n, "window": window}
+
+    def tableau():
+        rows = [sorted(draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))) for m in lengths]
+        return {"shape": {"outer": partition(outer), "inner": partition(inner)}, "rows": rows}
+
+    def boxes():
+        return [
+            {"row": r, "col": outer[r % k] + d}
+            for r, d in draw(st.lists(st.tuples(st.integers(-1, k), st.integers(-1, 2)), max_size=3))
+        ]
+
+    def game():
+        initial = [(inner[i - 1] if i else inner[-1] + n - k) - inner[i] for i in range(k)]
+        turns = draw(st.lists(st.lists(st.integers(0, 2), min_size=k, max_size=k), max_size=3))
+        return {"initial": initial, "turns": turns}
+
+    def doc(build):
+        kind = draw(st.sampled_from(["built", "built", "junk", "text"]))
+        if kind == "built":
+            return json.dumps(build())
+        return json.dumps(draw(JUNK_JSON)) if kind == "junk" else draw(NOT_JSON)
+
+    command = draw(st.sampled_from(["validate", "insert", "reverse", "crsk", "crsk-inv", "encode", "decode"]))
+    if command == "validate":
+        return ["validate"], [(None, doc(tableau))]
+    if command in ("insert", "reverse"):
+        flags = ["--seed-row", str(draw(st.integers(-2, 3)))] + (["--trace"] if draw(st.booleans()) else [])
+        return [command, *flags], [("--tableau", doc(tableau)), ("--boxes", doc(boxes))]
+    if command == "crsk":
+        return ["crsk"], [("--t", doc(tableau)), ("--u", doc(tableau))]
+    if command == "crsk-inv":
+        return ["crsk-inv"], [("--p", doc(tableau)), ("--q", doc(tableau))]
+    if command == "encode":
+        letters = draw(st.none() | st.integers(-1, 6))
+        flags = [] if letters is None else ["--letters", str(letters)]
+        return ["marble", "encode", *flags], [("--tableau", doc(tableau))]
+    return ["marble", "decode"], [("--mu", doc(lambda: partition(inner))), ("--game", doc(game))]
+
+
+class TestJsonInputs:
+    """Any JSON given to a file-reading command ends in a result, a report or a usage error."""
+
+    @settings(
+        derandomize=True,
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(json_inputs())
+    def test_fuzzed_documents(self, tmp_path, capsys, command):
+        argv, files = command
+        argv = list(argv)
+        for i, (flag, text) in enumerate(files):
+            path = tmp_path / f"in{i}.json"
+            path.write_text(text)
+            argv += [str(path)] if flag is None else [flag, str(path)]
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert out and not err
+        elif code == 1:
+            assert not out and json.loads(err)["error"]
