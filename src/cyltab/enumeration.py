@@ -175,51 +175,54 @@ def count_standard(shape: SkewShape) -> int:
     return rec(0)
 
 
+def _strip_chains(
+    start: tuple[int, ...], num_vars: int, width: int, budget: int, bound: Sequence[int], down: bool
+) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
+    """Count the chains of num_vars cylindric horizontal strips from the window start.
+
+    Maps each window at most budget boxes from start to {exponent vector:
+    number of chains}. Going up, a step adds a strip rho / nu with
+    nu[i] <= rho[i] <= min(nu[i-1], bound[i]), nu[-1] read as nu[k-1] + width;
+    going down, it removes one with max(rho[i+1], bound[i]) <= nu[i] <= rho[i],
+    rho[k] read as rho[0] - width. These bounds also make each window valid.
+    Exponents stay in letter order: going down, each new one is prepended.
+    """
+    base = sum(start)
+    states = {start: {(): 1}}
+    for _ in range(num_vars):
+        successors: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        for cur, prefixes in states.items():
+            size = sum(cur)
+            slack = budget - abs(size - base)
+            if down:
+                below = zip(cur, cur[1:] + (cur[0] - width,), bound)
+                ranges = [range(max(r, f, c - slack), c + 1) for c, r, f in below]
+            else:
+                above = zip(cur, (cur[-1] + width,) + cur[:-1], bound)
+                ranges = [range(c, min(a, b, c + slack) + 1) for c, a, b in above]
+            for nxt in product(*ranges):
+                d = abs(sum(nxt) - size)
+                if d > slack:
+                    continue
+                letter = (d,)
+                chains = successors.setdefault(nxt, {})
+                for ex, c in prefixes.items():
+                    ex = letter + ex if down else ex + letter
+                    chains[ex] = chains.get(ex, 0) + c
+        states = successors
+    return states
+
+
 def schur_poly(shape: SkewShape, num_vars: int) -> SparsePolynomial:
     """Truncated Schur polynomial: sum of weight monomials over all fillings.
 
     A filling over {1..v} is a chain inner = nu_0 <= ... <= nu_v = outer of
-    horizontal strips (letter j fills nu_j / nu_(j-1)), so fillings are counted
-    by a DP mapping each window nu_j to {exponent prefix: number of chains}.
+    horizontal strips (letter j fills nu_j / nu_(j-1)): a strip chain up from inner.
     """
     _require_nonnegative(num_vars=num_vars)
-    lam, width = shape.outer.window, shape.params.width
-    states = {shape.inner.window: {(): 1}}
-    # rho / nu is a strip inside lam iff nu[i] <= rho[i] <= min(lam[i], nu[i-1]),
-    # with nu[-1] read as nu[k-1] + width; these bounds also make rho a window.
-    # With r letters left after this one, rho[i] >= lam[i+r] keeps only the
-    # windows from which lam is still reachable; r = 0 forces rho = lam.
-    for r in reversed(range(num_vars)):
-        floor = [shape.outer.part(i + r) for i in range(len(lam))]
-        successors = {}
-        for nu, prefixes in states.items():
-            size = sum(nu)
-            ranges = [
-                range(a if a > f else f, (b if b < c else c) + 1)
-                for a, f, b, c in zip(nu, floor, lam, (nu[-1] + width,) + nu[:-1])
-            ]
-            for rho in product(*ranges):
-                d = (sum(rho) - size,)
-                chains = successors.setdefault(rho, {})
-                for ex, c in prefixes.items():
-                    ex += d
-                    chains[ex] = chains.get(ex, 0) + c
-        states = successors
-    return SparsePolynomial(num_vars, states.get(lam))
-
-
-def _pair_sum(
-    shapes: Iterable[tuple[SkewShape, SkewShape]], vx: int, vy: int
-) -> SparsePolynomial:
-    """Sum of s(sx; x) * s(sy; y) over the pairs, in disjoint variables x, y."""
-    acc: dict[tuple[int, ...], int] = {}
-    for sx, sy in shapes:
-        ys = schur_poly(sy, vy).terms()
-        for ex, cx in schur_poly(sx, vx).terms():
-            for ey, cy in ys:
-                e = ex + ey
-                acc[e] = acc.get(e, 0) + cx * cy
-    return SparsePolynomial(vx + vy, acc)
+    outer = shape.outer.window
+    chains = _strip_chains(shape.inner.window, num_vars, shape.params.width, shape.size(), outer, False)
+    return SparsePolynomial(num_vars, chains.get(outer))
 
 
 def cauchy_sides(
@@ -229,22 +232,30 @@ def cauchy_sides(
     num_vars_x: int,
     num_vars_y: int,
 ) -> tuple[SparsePolynomial, SparsePolynomial]:
-    """Both sides of the cylindric Cauchy identity, truncated by x-degree."""
+    """Both sides of the cylindric Cauchy identity, truncated by x-degree.
+
+    Each family shares one end (every s(alpha/mu) ends at alpha, every
+    s(lam/beta) starts at beta), so it is one strip-chain DP from there; a
+    side pairs its x and y families on the windows mu (or lam) both reach.
+    """
     _require_nonnegative(max_degree=max_degree, num_vars_x=num_vars_x, num_vars_y=num_vars_y)
-    lhs_shapes = [
-        (SkewShape(alpha, mu), SkewShape(beta, mu))
-        for j in range(max_degree + 1)
-        for mu in enumerate_inner(alpha, beta, j)
-    ]
-    rhs_shapes = [
-        (SkewShape(lam, beta), SkewShape(lam, alpha))
-        for j in range(max_degree + 1)
-        for lam in enumerate_outer(alpha, beta, j)
-    ]
-    return (
-        _pair_sum(lhs_shapes, num_vars_x, num_vars_y),
-        _pair_sum(rhs_shapes, num_vars_x, num_vars_y),
-    )
+    if alpha.params != beta.params:
+        raise ParamsMismatch("alpha and beta live on different cylinders")
+    a, b, width = alpha.window, beta.window, alpha.params.width
+    vx, vy, d = num_vars_x, num_vars_y, max_degree
+    d_y = sum(b) - sum(a) + d  # |beta/mu| = |alpha/mu| + |beta| - |alpha|, as for lam
+    sides = []
+    runs = ((a, b, [p - d for p in a], True), (b, a, [p + d for p in b], False))
+    for x_from, y_from, bound, down in runs:
+        ys = _strip_chains(y_from, vy, width, d_y, bound, down)
+        acc: dict[tuple[int, ...], int] = {}
+        for window, xterms in _strip_chains(x_from, vx, width, d, bound, down).items():
+            for ey, cy in ys.get(window, {}).items():
+                for ex, cx in xterms.items():
+                    e = ex + ey
+                    acc[e] = acc.get(e, 0) + cx * cy
+        sides.append(SparsePolynomial(vx + vy, acc))
+    return sides[0], sides[1]
 
 
 def verify_cauchy(
@@ -264,17 +275,15 @@ def verify_cauchy(
     return IdentityReport(lhs, rhs)
 
 
-def verify_oneschur(
-    alpha: CylPartition, max_degree: int, num_vars: int
-) -> IdentityReport:
+def verify_oneschur(alpha: CylPartition, max_degree: int, num_vars: int) -> IdentityReport:
     """Check the one-shape summation identity exactly up to the degree budget."""
     _require_nonnegative(max_degree=max_degree, num_vars=num_vars)
+    a, width, d = alpha.window, alpha.params.width, max_degree
     lhs, rhs = Counter(), Counter()
-    for j in range(max_degree + 1):
-        for mu in enumerate_inner(alpha, alpha, j):
-            lhs.update(dict(schur_poly(SkewShape(alpha, mu), num_vars).terms()))
-        for lam in enumerate_outer(alpha, alpha, j):
-            rhs.update(dict(schur_poly(SkewShape(lam, alpha), num_vars).terms()))
+    for terms in _strip_chains(a, num_vars, width, d, [p - d for p in a], True).values():
+        lhs.update(terms)
+    for terms in _strip_chains(a, num_vars, width, d, [p + d for p in a], False).values():
+        rhs.update(terms)
     return IdentityReport(SparsePolynomial(num_vars, lhs), SparsePolynomial(num_vars, rhs))
 
 
@@ -367,11 +376,7 @@ def enumerate_regular_ssyt(
             yield from rec(r, c + 1)
             rows[r].pop()
 
-    start = _regular_part(inner, 0) + 1 if nrows else 0
-    if nrows == 0:
-        yield ()
-    else:
-        yield from rec(0, start)
+    yield from rec(0, _regular_part(inner, 0) + 1)
 
 
 def regular_skew_schur(
@@ -451,13 +456,7 @@ def _regular_superpartitions(base: tuple[int, ...], over: tuple[int, ...], j: in
             prefix.pop()
 
     rec(0, target, 0, [])
-    seen = set()
-    uniq = []
-    for p in out:
-        if p not in seen:
-            seen.add(p)
-            uniq.append(p)
-    return uniq
+    return list(dict.fromkeys(out))
 
 
 def skew_reduction_sides(

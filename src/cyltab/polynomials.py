@@ -141,10 +141,11 @@ class IdentityReport:
 
     def __post_init__(self) -> None:
         bad = []
-        exps = set(self.lhs._coeffs) | set(self.rhs._coeffs)
-        for e in sorted(exps):
-            lc, rc = self.lhs.coefficient(e), self.rhs.coefficient(e)
-            if lc != rc:
-                bad.append((e, lc, rc))
+        lhs, rhs = self.lhs._coeffs, self.rhs._coeffs
+        if lhs != rhs:
+            for e in sorted(lhs.keys() | rhs.keys()):
+                lc, rc = lhs.get(e, 0), rhs.get(e, 0)
+                if lc != rc:
+                    bad.append((e, lc, rc))
         object.__setattr__(self, "mismatches", tuple(bad))
         object.__setattr__(self, "equal", not bad)

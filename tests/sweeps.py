@@ -6,16 +6,19 @@ translation.
 """
 
 from collections import Counter, defaultdict
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import cyltab as ct
 from cyltab import words
+from cyltab.enumeration import enumerate_inner, enumerate_outer
+from cyltab.geometry import SkewShape
 from cyltab.insertion import (
     InsertionEvent,
     TableauState,
     _check_strip_into_inner,
     point_order_lt,
 )
+from cyltab.polynomials import SparsePolynomial
 from cyltab.reverse import _check_strip_from_outer
 
 
@@ -65,6 +68,72 @@ def schur_poly_by_enumeration(shape, num_vars):
             exps[a - 1] = c
         poly = poly + ct.SparsePolynomial.monomial(tuple(exps))
     return poly
+
+
+def schur_poly_per_shape(shape, num_vars):
+    """Reference strip-chain DP for one shape, pruned to the chains that reach outer.
+
+    A filling over {1..v} is a chain inner = nu_0 <= ... <= nu_v = outer of
+    horizontal strips; with r letters left after the current one,
+    rho[i] >= outer[i + r] keeps only the windows from which outer is still
+    reachable, and r = 0 forces rho = outer.
+    """
+    lam, width = shape.outer.window, shape.params.width
+    states = {shape.inner.window: {(): 1}}
+    for r in reversed(range(num_vars)):
+        floor = [shape.outer.part(i + r) for i in range(len(lam))]
+        successors = {}
+        for nu, prefixes in states.items():
+            size = sum(nu)
+            ranges = [
+                range(a if a > f else f, (b if b < c else c) + 1)
+                for a, f, b, c in zip(nu, floor, lam, (nu[-1] + width,) + nu[:-1])
+            ]
+            for rho in product(*ranges):
+                d = (sum(rho) - size,)
+                chains = successors.setdefault(rho, {})
+                for ex, c in prefixes.items():
+                    ex += d
+                    chains[ex] = chains.get(ex, 0) + c
+        states = successors
+    return SparsePolynomial(num_vars, states.get(lam))
+
+
+def _pair_sum_per_shape(shapes, vx, vy):
+    acc = {}
+    for sx, sy in shapes:
+        ys = schur_poly_per_shape(sy, vy).terms()
+        for ex, cx in schur_poly_per_shape(sx, vx).terms():
+            for ey, cy in ys:
+                e = ex + ey
+                acc[e] = acc.get(e, 0) + cx * cy
+    return SparsePolynomial(vx + vy, acc)
+
+
+def cauchy_sides_per_shape(alpha, beta, max_degree, vx, vy):
+    """Reference Cauchy sides: one DP per mu and per lam, summed pair by pair."""
+    lhs_shapes = [
+        (SkewShape(alpha, mu), SkewShape(beta, mu))
+        for j in range(max_degree + 1)
+        for mu in enumerate_inner(alpha, beta, j)
+    ]
+    rhs_shapes = [
+        (SkewShape(lam, beta), SkewShape(lam, alpha))
+        for j in range(max_degree + 1)
+        for lam in enumerate_outer(alpha, beta, j)
+    ]
+    return _pair_sum_per_shape(lhs_shapes, vx, vy), _pair_sum_per_shape(rhs_shapes, vx, vy)
+
+
+def oneschur_sides_per_shape(alpha, max_degree, num_vars):
+    """Reference one-shape sides: one DP per mu and per lam, summed term by term."""
+    lhs, rhs = Counter(), Counter()
+    for j in range(max_degree + 1):
+        for mu in enumerate_inner(alpha, alpha, j):
+            lhs.update(dict(schur_poly_per_shape(SkewShape(alpha, mu), num_vars).terms()))
+        for lam in enumerate_outer(alpha, alpha, j):
+            rhs.update(dict(schur_poly_per_shape(SkewShape(lam, alpha), num_vars).terms()))
+    return SparsePolynomial(num_vars, lhs), SparsePolynomial(num_vars, rhs)
 
 
 def iter_tableaux(params, max_boxes, letters):

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product, zip_longest
 
 import pytest
 
@@ -9,13 +9,25 @@ from cyltab.enumeration import (
     enumerate_regular_ssyt,
     enumerate_tableaux_with_inner,
     enumerate_tableaux_with_outer,
+    regular_normalize,
     regular_partitions_of,
     skew_reduction_cross_check,
+    skew_reduction_embedding_params,
+    skew_reduction_embedding_sides,
+    verify_oneschur,
 )
 from cyltab.errors import CyltabError
-from cyltab.polynomials import SparsePolynomial
+from cyltab.polynomials import IdentityReport, SparsePolynomial
 
-from sweeps import anchored_partitions, iter_params, iter_shapes, schur_poly_by_enumeration
+from sweeps import (
+    anchored_partitions,
+    cauchy_sides_per_shape,
+    iter_params,
+    iter_shapes,
+    oneschur_sides_per_shape,
+    schur_poly_by_enumeration,
+    schur_poly_per_shape,
+)
 
 K2N4 = ct.CylParams(2, 4)
 
@@ -61,6 +73,15 @@ def filtered_outer(alpha, beta, m):
     hi = [b + m for b in beta.window]
     fits = (w for w in _windows(lo, hi, alpha.params) if sum(w) - sum(beta.window) == m)
     return sorted(fits)
+
+
+def excess(a, b):
+    """Boxes of a outside b, window by window."""
+    return sum(max(0, x - y) for x, y in zip(a.window, b.window))
+
+
+def excess_regular(a, b):
+    return sum(max(0, x - y) for x, y in zip_longest(a, b, fillvalue=0))
 
 
 class TestShapeEnumeration:
@@ -190,6 +211,28 @@ class TestSchurPolynomials:
                     cases += 1
         assert cases == 1985
 
+    def test_matches_per_shape_dp_sweep(self):
+        # past the enumeration sweep: k <= 4, width <= 3, at most 7 boxes, 5 letters
+        cases = 0
+        for params in iter_params(max_k=4, max_width=3):
+            for sh in iter_shapes(params, 7):
+                assert ct.schur_poly(sh, 5) == schur_poly_per_shape(sh, 5), sh
+                cases += 1
+        assert cases == 1258
+
+    def test_symmetric_in_the_variables(self):
+        # cylindric skew Schur polynomials are symmetric (Postnikov 2005), on the
+        # same 1,985 cases as the enumeration sweep
+        cases = asymmetric = 0
+        for params in iter_params(max_k=3, max_width=3):
+            for sh in iter_shapes(params, 6):
+                for v in range(5):
+                    poly = ct.schur_poly(sh, v)
+                    for e, c in poly.terms():
+                        asymmetric += any(poly.coefficient(p) != c for p in set(permutations(e)))
+                    cases += 1
+        assert (cases, asymmetric) == (1985, 0)
+
     def test_no_letters(self):
         assert ct.schur_poly(shape((0, 0), (0, 0)), 0) == SparsePolynomial.one(0)
         assert ct.schur_poly(shape((1, 0), (0, 0)), 0).is_zero()
@@ -221,6 +264,54 @@ class TestIdentities:
         lhs, rhs = cauchy_sides(part((1, 0)), part((0, 0)), 2, 2, 2)
         assert not lhs.is_zero()
         assert lhs == rhs
+
+    def test_sides_match_per_shape_oracles(self):
+        # windows anchored at 0 and shifted by -1; Cauchy pairs at most one box
+        # apart each way, and every anchored window for the one-shape identity
+        budgets = [(d, vx, vy) for d in range(4) for vx, vy in ((0, 2), (1, 1), (2, 2), (3, 1))]
+        cases = 0
+        for k, n in ((1, 3), (2, 4), (2, 5), (3, 5), (3, 6), (4, 7)):
+            anchored = anchored_partitions(ct.CylParams(k, n))
+            windows = anchored + [w.shifted(-1) for w in anchored]
+            for alpha in anchored:
+                for d, v in product(range(4), range(4)):
+                    report = verify_oneschur(alpha, d, v)
+                    assert (report.lhs, report.rhs) == oneschur_sides_per_shape(alpha, d, v)
+                    cases += 1
+                for beta in windows:
+                    if excess(alpha, beta) + excess(beta, alpha) > 1:
+                        continue
+                    for d, vx, vy in budgets:
+                        got = cauchy_sides(alpha, beta, d, vx, vy)
+                        assert got == cauchy_sides_per_shape(alpha, beta, d, vx, vy), (
+                            alpha, beta, d, vx, vy,
+                        )
+                        cases += 1
+        assert cases == 3504
+
+    def test_cauchy_degree_eight_matches_per_shape_oracle(self):
+        params = ct.CylParams(3, 6)
+        alpha, beta = part((1, 0, -1), params), part((0, 0, -1), params)
+        lhs, rhs = cauchy_sides(alpha, beta, 8, 4, 4)
+        assert (lhs, rhs) == cauchy_sides_per_shape(alpha, beta, 8, 4, 4)
+        assert lhs == rhs and len(lhs.terms()) == 6864
+
+    def test_embedding_sides_match_per_shape_oracle(self):
+        # the regular pairs of the skew cross-check, at most degree - 1 boxes apart
+        regular = ((), (1,), (2,), (1, 1), (3,), (2, 1))
+        cases = 0
+        for d in range(1, 4):
+            for a in regular:
+                for b in regular:
+                    if max(excess_regular(a, b), excess_regular(b, a)) >= d:
+                        continue
+                    params = skew_reduction_embedding_params(a, b, d)
+                    alpha = ct.cyl_embed(regular_normalize(a), params)
+                    beta = ct.cyl_embed(regular_normalize(b), params)
+                    sides = skew_reduction_embedding_sides(a, b, d, 2)
+                    assert sides == cauchy_sides_per_shape(alpha, beta, d, 2, 2), (a, b, d)
+                    cases += 1
+        assert cases == 60
 
     def test_oneschur(self):
         assert ct.verify_oneschur(part((0, 0)), 0, 2).equal
@@ -263,6 +354,34 @@ class TestIdentities:
         assert ct.verify_fcount(part((1, 0)), part((0, -1)), 0) == (0, 0)
         lhs, rhs = ct.verify_fcount(part((1, 0)), part((0, 0)), 3)
         assert lhs == rhs
+
+
+class TestIdentityReport:
+    def test_equal_report_has_no_mismatches(self):
+        lhs = SparsePolynomial(2, {(1, 0): 1, (0, 1): 2})
+        report = IdentityReport(lhs, SparsePolynomial(2, {(0, 1): 2, (1, 0): 1}))
+        assert report.equal and report.mismatches == ()
+
+    def test_unequal_report_lists_every_mismatch_in_order(self):
+        lhs = SparsePolynomial(2, {(2, 0): 3, (0, 1): 2, (1, 0): 1})
+        rhs = SparsePolynomial(2, {(0, 2): 5, (1, 0): 4, (0, 1): 2})
+        report = IdentityReport(lhs, rhs)
+        assert not report.equal
+        assert report.mismatches == (((0, 2), 0, 5), ((1, 0), 1, 4), ((2, 0), 3, 0))
+
+    def test_reversed_variables_mismatch(self):
+        # one side's variables reversed: the terms that differ, in exponent order
+        lhs, rhs = cauchy_sides(part((1, 0)), part((0, 0)), 2, 1, 2)
+        report = IdentityReport(lhs, SparsePolynomial(3, {e[::-1]: c for e, c in rhs.terms()}))
+        assert not report.equal
+        assert report.mismatches == (
+            ((0, 0, 1), 0, 1),
+            ((0, 1, 2), 0, 1),
+            ((1, 0, 0), 1, 0),
+            ((1, 0, 2), 0, 1),
+            ((2, 0, 1), 1, 0),
+            ((2, 1, 0), 1, 0),
+        )
 
 
 class TestRegular:
