@@ -77,10 +77,6 @@ def _partition(args, window: tuple[int, ...]) -> CylPartition:
     return CylPartition(CylParams(args.k, args.n), window)
 
 
-def _routes_doc(routes) -> list:
-    return [[[p.x, p.y] for p in r.points] for r in routes]
-
-
 def _report_doc(report: IdentityReport) -> dict:
     return {
         "equal": report.equal,
@@ -90,75 +86,101 @@ def _report_doc(report: IdentityReport) -> dict:
     }
 
 
+# One document builder per operation, printed by its command and replayed by
+# `fixtures run`, so the golden fixtures check what the commands print.
+
+
+def _queues_doc(res, new_set: str, routes: bool) -> dict:
+    doc = {
+        "tableau": ser.serialize_tableau(res.tableau),
+        new_set: ser.serialize_boxes(getattr(res, new_set)),
+        "queues": [[[x, r] for x, r in q.items] for q in res.queues],
+    }
+    if routes:
+        doc["routes"] = [[[p.x, p.y] for p in r.points] for r in res.routes]
+    return doc
+
+
+def _insert_doc(t, boxes, seed_row: int, routes: bool) -> dict:
+    from . import insertion
+
+    return _queues_doc(insertion.full_multi(t, boxes, seed_row=seed_row), "new_set", routes)
+
+
+def _reverse_doc(t, boxes, seed_row: int, routes: bool) -> dict:
+    from . import reverse
+
+    res = reverse.reverse_full_multi(t, boxes, seed_row=seed_row)
+    return _queues_doc(res, "reverse_new_set", routes)
+
+
+def _crsk_doc(t, u) -> dict:
+    from .crsk import crsk as run_crsk
+
+    out = run_crsk(t, u)
+    return {
+        "p": ser.serialize_tableau(out.p),
+        "q": ser.serialize_tableau(out.q),
+        "lambda": ser.serialize_partition(out.lam),
+    }
+
+
+def _crsk_inverse_doc(p, q) -> dict:
+    from .crsk import crsk_inverse as run_crsk_inverse
+
+    out = run_crsk_inverse(p, q)
+    return {
+        "t": ser.serialize_tableau(out.t),
+        "u": ser.serialize_tableau(out.u),
+        "mu": ser.serialize_partition(out.mu),
+    }
+
+
+def _encode_doc(t, letters: int | None) -> dict:
+    from . import marbles
+
+    return {"game": ser.serialize_game(marbles.tableau_to_game(t, letters))}
+
+
+def _decode_doc(mu, game_doc) -> dict:
+    """The game document is read on mu's cylinder, so it is parsed here."""
+    from . import marbles
+
+    game = ser.parse_game(game_doc, mu.params)
+    return {"tableau": ser.serialize_tableau(marbles.game_to_tableau(mu, game))}
+
+
+def _critical_doc(res) -> dict:
+    from .words import monovariant
+
+    return {
+        "critical_words": [list(w) for w in res.critical_words],
+        "monovariants": [monovariant(w) for w in res.critical_words],
+    }
+
+
 def cmd_validate(args) -> int:
     ser.parse_tableau(_load(args.file))
     _emit({"valid": True})
     return 0
 
 
-def cmd_insert(args) -> int:
-    from . import insertion
-
+def cmd_queues(args) -> int:
     t = ser.parse_tableau(_load(args.tableau))
     boxes = ser.parse_boxes(_load(args.boxes))
-    res = insertion.full_multi(t, boxes, seed_row=args.seed_row)
-    doc = {
-        "tableau": ser.serialize_tableau(res.tableau),
-        "new_set": ser.serialize_boxes(res.new_set),
-        "queues": [[[x, r] for x, r in q.items] for q in res.queues],
-    }
-    if args.trace:
-        doc["routes"] = _routes_doc(res.routes)
-    _emit(doc)
-    return 0
-
-
-def cmd_reverse(args) -> int:
-    from . import reverse
-
-    t = ser.parse_tableau(_load(args.tableau))
-    boxes = ser.parse_boxes(_load(args.boxes))
-    res = reverse.reverse_full_multi(t, boxes, seed_row=args.seed_row)
-    doc = {
-        "tableau": ser.serialize_tableau(res.tableau),
-        "reverse_new_set": ser.serialize_boxes(res.reverse_new_set),
-        "queues": [[[x, r] for x, r in q.items] for q in res.queues],
-    }
-    if args.trace:
-        doc["routes"] = _routes_doc(res.routes)
-    _emit(doc)
+    _emit(args.build(t, boxes, args.seed_row, args.trace))
     return 0
 
 
 def cmd_crsk(args) -> int:
-    from .crsk import crsk as run_crsk
-
     t = ser.parse_tableau(_load(args.t))
-    u = ser.parse_tableau(_load(args.u))
-    out = run_crsk(t, u)
-    _emit(
-        {
-            "p": ser.serialize_tableau(out.p),
-            "q": ser.serialize_tableau(out.q),
-            "lambda": ser.serialize_partition(out.lam),
-        }
-    )
+    _emit(_crsk_doc(t, ser.parse_tableau(_load(args.u))))
     return 0
 
 
 def cmd_crsk_inv(args) -> int:
-    from .crsk import crsk_inverse as run_crsk_inverse
-
     p = ser.parse_tableau(_load(args.p))
-    q = ser.parse_tableau(_load(args.q))
-    out = run_crsk_inverse(p, q)
-    _emit(
-        {
-            "t": ser.serialize_tableau(out.t),
-            "u": ser.serialize_tableau(out.u),
-            "mu": ser.serialize_partition(out.mu),
-        }
-    )
+    _emit(_crsk_inverse_doc(p, ser.parse_tableau(_load(args.q))))
     return 0
 
 
@@ -207,17 +229,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_marble(args) -> int:
-    from . import marbles
-
     if args.direction == "encode":
-        t = ser.parse_tableau(_load(args.tableau))
-        game = marbles.tableau_to_game(t, args.letters)
-        _emit({"game": ser.serialize_game(game)})
+        _emit(_encode_doc(ser.parse_tableau(_load(args.tableau)), args.letters))
         return 0
     mu = ser.parse_partition(_load(args.mu))
-    game = ser.parse_game(_load(args.game), mu.params)
-    t = marbles.game_to_tableau(mu, game)
-    _emit({"tableau": ser.serialize_tableau(t)})
+    _emit(_decode_doc(mu, _load(args.game)))
     return 0
 
 
@@ -230,8 +246,7 @@ def cmd_knuth(args) -> int:
             {
                 "certificate": ser.serialize_certificate(res.certificate),
                 "switch_positions": list(res.switch_positions),
-                "critical_words": [list(w) for w in res.critical_words],
-                "monovariants": [words.monovariant(w) for w in res.critical_words],
+                **_critical_doc(res),
             }
         )
         return 0
@@ -244,107 +259,13 @@ def cmd_knuth(args) -> int:
     return 0
 
 
-FIXTURE_OPS = {}
-
-
-def _fixture_op(name):
-    def wrap(fn):
-        FIXTURE_OPS[name] = fn
-        return fn
-
-    return wrap
-
-
-@_fixture_op("insert")
-def _fx_insert(payload):
-    from . import insertion
-
-    t = ser.parse_tableau(payload["tableau"])
-    res = insertion.full_multi(
-        t, ser.parse_boxes(payload["boxes"]), seed_row=payload.get("seed_row", 0)
-    )
-    return {
-        "tableau": ser.serialize_tableau(res.tableau),
-        "new_set": ser.serialize_boxes(res.new_set),
-        "queues": [[[x, r] for x, r in q.items] for q in res.queues],
-        "routes": _routes_doc(res.routes),
-    }
-
-
-@_fixture_op("reverse")
-def _fx_reverse(payload):
-    from . import reverse
-
-    t = ser.parse_tableau(payload["tableau"])
-    res = reverse.reverse_full_multi(
-        t, ser.parse_boxes(payload["boxes"]), seed_row=payload.get("seed_row", 0)
-    )
-    return {
-        "tableau": ser.serialize_tableau(res.tableau),
-        "reverse_new_set": ser.serialize_boxes(res.reverse_new_set),
-        "queues": [[[x, r] for x, r in q.items] for q in res.queues],
-    }
-
-
-@_fixture_op("crsk")
-def _fx_crsk(payload):
-    from .crsk import crsk as run_crsk
-
-    out = run_crsk(
-        ser.parse_tableau(payload["t"]), ser.parse_tableau(payload["u"])
-    )
-    return {
-        "p": ser.serialize_tableau(out.p),
-        "q": ser.serialize_tableau(out.q),
-        "lambda": ser.serialize_partition(out.lam),
-    }
-
-
-@_fixture_op("crsk_inverse")
-def _fx_crsk_inverse(payload):
-    from .crsk import crsk_inverse as run_crsk_inverse
-
-    out = run_crsk_inverse(
-        ser.parse_tableau(payload["p"]), ser.parse_tableau(payload["q"])
-    )
-    return {
-        "t": ser.serialize_tableau(out.t),
-        "u": ser.serialize_tableau(out.u),
-        "mu": ser.serialize_partition(out.mu),
-    }
-
-
-@_fixture_op("marble_encode")
-def _fx_marble_encode(payload):
-    from . import marbles
-
-    t = ser.parse_tableau(payload["tableau"])
-    game = marbles.tableau_to_game(t, payload.get("letters"))
-    return {"game": ser.serialize_game(game)}
-
-
-@_fixture_op("marble_decode")
-def _fx_marble_decode(payload):
-    from . import marbles
-
-    mu = ser.parse_partition(payload["mu"])
-    game = ser.parse_game(payload["game"], mu.params)
-    return {"tableau": ser.serialize_tableau(marbles.game_to_tableau(mu, game))}
-
-
-@_fixture_op("knuth_transform")
 def _fx_knuth_transform(payload):
     from . import words
 
     res = words.word_transform(tuple(payload["word"]))
-    return {
-        "end": list(res.certificate.end),
-        "critical_words": [list(w) for w in res.critical_words],
-        "monovariants": [words.monovariant(w) for w in res.critical_words],
-    }
+    return {"end": list(res.certificate.end), **_critical_doc(res)}
 
 
-@_fixture_op("lift_word")
 def _fx_lift_word(payload):
     from . import words
 
@@ -352,14 +273,12 @@ def _fx_lift_word(payload):
     return {"permutation": list(lifted.permutation), "anchor": lifted.anchor}
 
 
-@_fixture_op("tableau_word")
 def _fx_tableau_word(payload):
     from . import tableau
 
     return {"word": list(tableau.tableau_word(ser.parse_tableau(payload["tableau"])))}
 
 
-@_fixture_op("weight")
 def _fx_weight(payload):
     from . import tableau
 
@@ -367,6 +286,26 @@ def _fx_weight(payload):
     w = tableau.weight(t)
     top = max(w, default=0)
     return {"weight": [w.get(i, 0) for i in range(1, top + 1)]}
+
+
+# The golden files fix the documents: `insert` fixtures hold the routes, the
+# `reverse` fixture does not.
+FIXTURE_OPS = {
+    "insert": lambda p: _insert_doc(
+        ser.parse_tableau(p["tableau"]), ser.parse_boxes(p["boxes"]), p.get("seed_row", 0), True
+    ),
+    "reverse": lambda p: _reverse_doc(
+        ser.parse_tableau(p["tableau"]), ser.parse_boxes(p["boxes"]), p.get("seed_row", 0), False
+    ),
+    "crsk": lambda p: _crsk_doc(ser.parse_tableau(p["t"]), ser.parse_tableau(p["u"])),
+    "crsk_inverse": lambda p: _crsk_inverse_doc(ser.parse_tableau(p["p"]), ser.parse_tableau(p["q"])),
+    "marble_encode": lambda p: _encode_doc(ser.parse_tableau(p["tableau"]), p.get("letters")),
+    "marble_decode": lambda p: _decode_doc(ser.parse_partition(p["mu"]), p["game"]),
+    "knuth_transform": _fx_knuth_transform,
+    "lift_word": _fx_lift_word,
+    "tableau_word": _fx_tableau_word,
+    "weight": _fx_weight,
+}
 
 
 def run_fixtures(emit=print) -> int:
@@ -405,13 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(fn=cmd_validate)
 
-    for name, fn in (("insert", cmd_insert), ("reverse", cmd_reverse)):
+    for name, build in (("insert", _insert_doc), ("reverse", _reverse_doc)):
         p = sub.add_parser(name)
         p.add_argument("--tableau", required=True)
         p.add_argument("--boxes", required=True)
         p.add_argument("--trace", action="store_true")
         p.add_argument("--seed-row", type=int, default=0, dest="seed_row")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_queues, build=build)
 
     p = sub.add_parser("crsk")
     p.add_argument("--t", required=True)

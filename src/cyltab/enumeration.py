@@ -393,70 +393,35 @@ def regular_skew_schur(
     return SparsePolynomial(num_vars, counts)
 
 
+def _partitions_between(
+    total: int, lower: tuple[int, ...], upper: tuple[int, ...]
+) -> list[tuple[int, ...]]:
+    """Partitions nu of total with lower[i] <= nu[i] <= upper[i] on len(upper) rows.
+
+    Parts of lower past its end are 0.  Largest first: in decreasing
+    lexicographic order, with trailing zeros dropped.
+    """
+    nrows = len(upper)
+    out: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+
+    def rec(i: int, prev: int, left: int) -> None:
+        if i == nrows:
+            if left == 0:
+                out.append(tuple(v for v in prefix if v))
+            return
+        for v in range(min(prev, upper[i], left), _regular_part(lower, i) - 1, -1):
+            prefix.append(v)
+            rec(i + 1, v, left - v)
+            prefix.pop()
+
+    rec(0, total, total)
+    return out
+
+
 def regular_partitions_of(size: int, max_rows: int | None = None) -> list[tuple[int, ...]]:
     """All partitions of the given size, optionally with bounded row count."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, cap: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        if max_rows is not None and len(prefix) == max_rows:
-            return
-        for v in range(min(cap, remaining), 0, -1):
-            prefix.append(v)
-            rec(remaining - v, v, prefix)
-            prefix.pop()
-
-    rec(size, size if size else 1, [])
-    return out
-
-
-def _regular_subpartitions(cap: tuple[int, ...], removed_from: tuple[int, ...], j: int) -> list[tuple[int, ...]]:
-    """Partitions mu <= cap componentwise with |removed_from| - |mu| = j."""
-    target = sum(removed_from) - j
-    if target < 0:
-        return []
-    nrows = len(cap)
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, prev: int, acc: int, prefix: list[int]) -> None:
-        if acc > target:
-            return
-        if i == nrows:
-            if acc == target:
-                out.append(regular_normalize(prefix))
-            return
-        for v in range(min(prev, cap[i]), -1, -1):
-            prefix.append(v)
-            rec(i + 1, v, acc + v, prefix)
-            prefix.pop()
-
-    rec(0, cap[0] if nrows else 0, 0, [])
-    return out
-
-
-def _regular_superpartitions(base: tuple[int, ...], over: tuple[int, ...], j: int) -> list[tuple[int, ...]]:
-    """Partitions lam >= base componentwise with |lam| - |over| = j."""
-    target = sum(over) + j
-    nrows = len(base) + j
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, prev: int, acc: int, prefix: list[int]) -> None:
-        if acc > target:
-            return
-        if i == nrows:
-            if acc == target:
-                out.append(regular_normalize(prefix))
-            return
-        lo = _regular_part(base, i)
-        for v in range(min(prev, target - acc), lo - 1, -1):
-            prefix.append(v)
-            rec(i + 1, v, acc + v, prefix)
-            prefix.pop()
-
-    rec(0, target, 0, [])
-    return list(dict.fromkeys(out))
+    return _partitions_between(size, (), (size,) * (size if max_rows is None else max_rows))
 
 
 def skew_reduction_sides(
@@ -474,7 +439,7 @@ def skew_reduction_sides(
     )
     pair_sum = SparsePolynomial.zero(arity)
     for j in range(max_degree + 1):
-        for mu in _regular_subpartitions(cap, a, j):
+        for mu in _partitions_between(sum(a) - j, (), cap):
             pair_sum = pair_sum + regular_skew_schur(a, mu, v).embed(
                 arity, 0
             ) * regular_skew_schur(b, mu, v).embed(arity, v)
@@ -490,7 +455,8 @@ def skew_reduction_sides(
     )
     rhs = SparsePolynomial.zero(arity)
     for j in range(max_degree + 1):
-        for lam in _regular_superpartitions(base, b, j):
+        size = sum(b) + j
+        for lam in _partitions_between(size, base, (size,) * (len(base) + j)):
             rhs = rhs + regular_skew_schur(lam, b, v).embed(
                 arity, 0
             ) * regular_skew_schur(lam, a, v).embed(arity, v)

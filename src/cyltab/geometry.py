@@ -130,9 +130,6 @@ class CylPartition:
         r = m % k
         return self.window[r] - ((m - r) // k) * self.params.width
 
-    def contains_box(self, b: Box) -> bool:
-        return b.col <= self.window[b.row]
-
     def contains_point(self, p: Point) -> bool:
         return p.y <= self.part(p.x)
 
@@ -227,13 +224,3 @@ def is_horizontal_strip(shape: SkewShape) -> bool:
     lam, mu = shape.outer, shape.inner
     k = shape.params.k
     return all(mu.window[i] >= lam.part(i + 1) for i in range(k))
-
-
-def same_column(a: Box, b: Box, params: CylParams) -> bool:
-    """Whether two boxes lie in the same cylinder column."""
-    return (a.col - b.col) % params.width == 0
-
-
-def flip_shape(shape: SkewShape) -> SkewShape:
-    """The 180-degree rotation of a shape: (outer, inner) -> (Flip inner, Flip outer)."""
-    return SkewShape(flip_partition(shape.inner), flip_partition(shape.outer))

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import CyltabError
 
@@ -202,6 +203,33 @@ def _switch_moves(w: Word, i: int) -> list[Move]:
     return [_ROTATE, Move(KPRIME_INV, 0)] + [_ROTATE] * (m - 2)
 
 
+def _switches(p: Word) -> Iterator[tuple[int, list[Move], Word]]:
+    """(position, moves, word after) for each leftmost switch sorting p to 1 2 .. m.
+
+    p is anchored with 1 first.  A switch at i != 1 is followed by one at
+    i - 1 or i - 2, so a run of non-anchor switches is at most m - 1 long;
+    one longer than m means the scan has stopped making progress.
+    """
+    m = len(p)
+    identity = tuple(range(1, m + 1))
+    start, run = 1, 0
+    while p != identity:
+        i = _find_switch(p, start)
+        if i is None:
+            raise AssertionError(f"no switch available on {p}")
+        moves = _switch_moves(p, i)
+        if i == 1:
+            p = (1,) + p[2:] + (p[1],)
+            run = 0
+        else:
+            p = p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :]
+            run += 1
+            if run > m:
+                raise AssertionError("switch scan failed to make progress")
+        yield i, moves, p
+        start = 1 if i == m - 1 else max(1, i - 2)
+
+
 def word_transform(w: Word) -> TransformResult:
     """Sort a permutation to 1 2 .. m by leftmost catalyzed adjacent switches.
 
@@ -212,8 +240,6 @@ def word_transform(w: Word) -> TransformResult:
     """
     w = tuple(w)
     _check_permutation(w)
-    m = len(w)
-    identity = tuple(range(1, m + 1))
     moves: list[Move] = []
     cur = w
     while cur and cur[0] != 1:
@@ -222,24 +248,11 @@ def word_transform(w: Word) -> TransformResult:
     positions: list[int] = []
     words: list[Word] = []
     critical: list[bool] = []
-    guard = 0
-    start = 1
-    while cur != identity:
-        guard += 1
-        if guard > (m + 1) ** (m + 1):
-            raise AssertionError("switch scan failed to make progress")
-        i = _find_switch(cur, start)
-        if i is None:
-            raise AssertionError(f"no switch available on {cur}")
-        moves.extend(_switch_moves(cur, i))
-        if i == 1:
-            cur = (1,) + cur[2:] + (cur[1],)
-        else:
-            cur = cur[: i - 1] + (cur[i], cur[i - 1]) + cur[i + 1 :]
+    for i, switch, cur in _switches(cur):
+        moves += switch
         positions.append(i)
         words.append(cur)
         critical.append(i == 1)
-        start = 1 if i == m - 1 else max(1, i - 2)
     return TransformResult(
         Certificate(w, tuple(moves), cur),
         tuple(positions),
@@ -301,7 +314,6 @@ def _sorting_moves(w: Word) -> tuple[Move, ...]:
     u = w
     m = len(w)
     target = tuple(sorted(w))
-    identity = tuple(range(1, m + 1))
     moves: list[Move] = []
     prev_phi: int | None = None
     while True:
@@ -314,22 +326,13 @@ def _sorting_moves(w: Word) -> tuple[Move, ...]:
         if prev_phi is not None and phi >= prev_phi:
             raise AssertionError("lift monovariant failed to decrease")
         prev_phi = phi
-        critical = False
-        start = 1
-        while p != identity:
-            i = _find_switch(p, start)
-            if i is None:
-                raise AssertionError(f"no switch available on {p}")
-            switch = _switch_moves(p, i)
+        # A stretch ends at its first anchor-pair switch, or the sort is done.
+        for i, switch, _ in _switches(p):
             u = _replay(u, switch)
             moves += switch
             if i == 1:
-                p = (1,) + p[2:] + (p[1],)
-                critical = True
                 break
-            p = p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :]
-            start = 1 if i == m - 1 else max(1, i - 2)
-        if not critical:
+        else:
             break
     if u != target:
         raise AssertionError(f"sorting {w} ended at {u}")

@@ -8,24 +8,41 @@ translation.
 from collections import Counter, defaultdict
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-import cyltab as ct
 from cyltab import words
-from cyltab.enumeration import enumerate_inner, enumerate_outer
-from cyltab.geometry import SkewShape
+from cyltab.enumeration import (
+    _regular_part,
+    enumerate_inner,
+    enumerate_outer,
+    enumerate_ssct,
+    regular_normalize,
+)
+from cyltab.geometry import (
+    Box,
+    CylParams,
+    CylPartition,
+    SkewShape,
+    is_horizontal_strip,
+    lift,
+    project,
+    skew_boxes,
+)
 from cyltab.insertion import (
+    BumpingRoute,
     InsertionEvent,
+    InsertionQueue,
     TableauState,
     _check_strip_into_inner,
     point_order_lt,
 )
 from cyltab.polynomials import SparsePolynomial
-from cyltab.reverse import _check_strip_from_outer
+from cyltab.reverse import ReverseQueue, _check_strip_from_outer
+from cyltab.tableau import weight
 
 
 def iter_params(max_k=3, max_width=3):
     for k in range(1, max_k + 1):
         for width in range(1, max_width + 1):
-            yield ct.CylParams(k, k + width)
+            yield CylParams(k, k + width)
 
 
 def anchored_partitions(params):
@@ -36,7 +53,7 @@ def anchored_partitions(params):
     def rec(prefix):
         if len(prefix) == k:
             if prefix[-1] >= -width:
-                out.append(ct.CylPartition(params, tuple(prefix)))
+                out.append(CylPartition(params, tuple(prefix)))
             return
         for v in range(-width, prefix[-1] + 1):
             rec(prefix + [v])
@@ -49,24 +66,24 @@ def outer_partitions(mu, max_boxes):
     """All lam containing mu with at most max_boxes boxes in lam/mu."""
     out = []
     for m in range(max_boxes + 1):
-        out.extend(ct.enumerate_outer(mu, mu, m))
+        out.extend(enumerate_outer(mu, mu, m))
     return out
 
 
 def iter_shapes(params, max_boxes):
     for mu in anchored_partitions(params):
         for lam in outer_partitions(mu, max_boxes):
-            yield ct.SkewShape(lam, mu)
+            yield SkewShape(lam, mu)
 
 
 def schur_poly_by_enumeration(shape, num_vars):
     """Reference Schur polynomial: sum of weight monomials over enumerate_ssct."""
-    poly = ct.SparsePolynomial.zero(num_vars)
-    for t in ct.enumerate_ssct(shape, num_vars):
+    poly = SparsePolynomial.zero(num_vars)
+    for t in enumerate_ssct(shape, num_vars):
         exps = [0] * num_vars
-        for a, c in ct.weight(t).items():
+        for a, c in weight(t).items():
             exps[a - 1] = c
-        poly = poly + ct.SparsePolynomial.monomial(tuple(exps))
+        poly = poly + SparsePolynomial.monomial(tuple(exps))
     return poly
 
 
@@ -136,19 +153,91 @@ def oneschur_sides_per_shape(alpha, max_degree, num_vars):
     return SparsePolynomial(num_vars, lhs), SparsePolynomial(num_vars, rhs)
 
 
+# Regular partitions between bounds, as the enumeration module listed them
+# before one enumerator served the skew reduction identity: one recursion for
+# the partitions of a size, one for the mu below the cap and one for the lam
+# above the base.
+
+
+def regular_partitions_of_oracle(size: int, max_rows: int | None = None) -> list[tuple[int, ...]]:
+    """All partitions of the given size, optionally with bounded row count."""
+    out: list[tuple[int, ...]] = []
+
+    def rec(remaining: int, cap: int, prefix: list[int]) -> None:
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        if max_rows is not None and len(prefix) == max_rows:
+            return
+        for v in range(min(cap, remaining), 0, -1):
+            prefix.append(v)
+            rec(remaining - v, v, prefix)
+            prefix.pop()
+
+    rec(size, size if size else 1, [])
+    return out
+
+
+def regular_subpartitions_oracle(cap: tuple[int, ...], removed_from: tuple[int, ...], j: int) -> list[tuple[int, ...]]:
+    """Partitions mu <= cap componentwise with |removed_from| - |mu| = j."""
+    target = sum(removed_from) - j
+    if target < 0:
+        return []
+    nrows = len(cap)
+    out: list[tuple[int, ...]] = []
+
+    def rec(i: int, prev: int, acc: int, prefix: list[int]) -> None:
+        if acc > target:
+            return
+        if i == nrows:
+            if acc == target:
+                out.append(regular_normalize(prefix))
+            return
+        for v in range(min(prev, cap[i]), -1, -1):
+            prefix.append(v)
+            rec(i + 1, v, acc + v, prefix)
+            prefix.pop()
+
+    rec(0, cap[0] if nrows else 0, 0, [])
+    return out
+
+
+def regular_superpartitions_oracle(base: tuple[int, ...], over: tuple[int, ...], j: int) -> list[tuple[int, ...]]:
+    """Partitions lam >= base componentwise with |lam| - |over| = j."""
+    target = sum(over) + j
+    nrows = len(base) + j
+    out: list[tuple[int, ...]] = []
+
+    def rec(i: int, prev: int, acc: int, prefix: list[int]) -> None:
+        if acc > target:
+            return
+        if i == nrows:
+            if acc == target:
+                out.append(regular_normalize(prefix))
+            return
+        lo = _regular_part(base, i)
+        for v in range(min(prev, target - acc), lo - 1, -1):
+            prefix.append(v)
+            rec(i + 1, v, acc + v, prefix)
+            prefix.pop()
+
+    rec(0, target, 0, [])
+    return list(dict.fromkeys(out))
+
+
 def iter_tableaux(params, max_boxes, letters):
     for shape in iter_shapes(params, max_boxes):
-        yield from ct.enumerate_ssct(shape, letters)
+        yield from enumerate_ssct(shape, letters)
 
 
 def addable_strips(inner, max_size):
     """Horizontal strips that can be absorbed into the inner shape."""
     strips = []
     for m in range(max_size + 1):
-        for nu in ct.enumerate_outer(inner, inner, m):
-            shape = ct.SkewShape(nu, inner)
-            if ct.is_horizontal_strip(shape):
-                strips.append(frozenset(ct.skew_boxes(shape)))
+        for nu in enumerate_outer(inner, inner, m):
+            shape = SkewShape(nu, inner)
+            if is_horizontal_strip(shape):
+                strips.append(frozenset(skew_boxes(shape)))
     return strips
 
 
@@ -156,10 +245,10 @@ def removable_strips(outer, max_size):
     """Horizontal strips that can be peeled off the outer shape."""
     strips = []
     for m in range(max_size + 1):
-        for xi in ct.enumerate_inner(outer, outer, m):
-            shape = ct.SkewShape(outer, xi)
-            if ct.is_horizontal_strip(shape):
-                strips.append(frozenset(ct.skew_boxes(shape)))
+        for xi in enumerate_inner(outer, outer, m):
+            shape = SkewShape(outer, xi)
+            if is_horizontal_strip(shape):
+                strips.append(frozenset(skew_boxes(shape)))
     return strips
 
 
@@ -169,7 +258,7 @@ def sweep_pairs(max_k=3, max_width=3, max_boxes=4, letters=3, strip_size=3):
         for mu in anchored_partitions(params):
             strips = addable_strips(mu, strip_size)
             for lam in outer_partitions(mu, max_boxes):
-                for t in ct.enumerate_ssct(ct.SkewShape(lam, mu), letters):
+                for t in enumerate_ssct(SkewShape(lam, mu), letters):
                     yield t, strips
 
 
@@ -179,7 +268,7 @@ def removal_pairs(max_k=3, max_width=3, max_boxes=4, letters=3, strip_size=3):
         for mu in anchored_partitions(params):
             for lam in outer_partitions(mu, max_boxes):
                 strips = removable_strips(lam, strip_size)
-                for t in ct.enumerate_ssct(ct.SkewShape(lam, mu), letters):
+                for t in enumerate_ssct(SkewShape(lam, mu), letters):
                     yield t, strips
 
 
@@ -218,7 +307,7 @@ def _check_uniqueness(routes, params):
         for p in route.points:
             assert p not in seen_points, "point on two routes"
             seen_points.add(p)
-            bx = ct.project(p, params)
+            bx = project(p, params)
             assert bx not in boxes_on_route, "box repeated within a cylindric route"
             boxes_on_route.add(bx)
             assert box_owner.setdefault(bx, idx) == idx, "box on two cylindric routes"
@@ -240,10 +329,10 @@ def _check_row_sequences(events, increasing):
 def check_forward_call(t, strip, res):
     """All row-bumping conclusions for one multi-insertion call."""
     params = t.params
-    assert ct.weight(res.tableau) == ct.weight(t)
-    grown = ct.SkewShape(res.tableau.outer, t.outer)
-    assert set(res.new_set) == set(ct.skew_boxes(grown))
-    assert ct.is_horizontal_strip(grown), "new set is not a horizontal strip"
+    assert weight(res.tableau) == weight(t)
+    grown = SkewShape(res.tableau.outer, t.outer)
+    assert set(res.new_set) == set(skew_boxes(grown))
+    assert is_horizontal_strip(grown), "new set is not a horizontal strip"
     max_letter = t.max_entry()
     for route in res.routes:
         assert _route_rows_consecutive(route, 1)
@@ -259,10 +348,10 @@ def check_forward_call(t, strip, res):
 def check_reverse_call(t, strip, res):
     """Mirrored conclusions for one reverse multi-insertion call."""
     params = t.params
-    assert ct.weight(res.tableau) == ct.weight(t)
-    shed = ct.SkewShape(t.inner, res.tableau.inner)
-    assert set(res.reverse_new_set) == set(ct.skew_boxes(shed))
-    assert ct.is_horizontal_strip(shed), "reverse new set is not a horizontal strip"
+    assert weight(res.tableau) == weight(t)
+    shed = SkewShape(t.inner, res.tableau.inner)
+    assert set(res.reverse_new_set) == set(skew_boxes(shed))
+    assert is_horizontal_strip(shed), "reverse new set is not a horizontal strip"
     min_letter = min(t.entries(), default=0)
     max_letter = t.max_entry()
     for route in res.routes:
@@ -280,10 +369,10 @@ def check_retrace(forward_res, reverse_res):
     """Reverse routes must retrace forward routes boxwise, in reverse order."""
     params = forward_res.tableau.params
     fwd = Counter(
-        tuple(ct.project(p, params) for p in r.points) for r in forward_res.routes
+        tuple(project(p, params) for p in r.points) for r in forward_res.routes
     )
     bwd = Counter(
-        tuple(ct.project(p, params) for p in reversed(r.points))
+        tuple(project(p, params) for p in reversed(r.points))
         for r in reverse_res.routes
     )
     assert fwd == bwd, "reverse routes do not retrace the forward routes"
@@ -315,7 +404,7 @@ class _Tracker:
 
     def routes(self):
         return tuple(
-            ct.BumpingRoute(tuple(ps), tuple(ss))
+            BumpingRoute(tuple(ps), tuple(ss))
             for ps, ss in zip(self.route_points, self.route_steps)
         )
 
@@ -340,7 +429,7 @@ def full_multi_oracle(t, boxes, seed_row=0):
     for h in range(seed_row, seed_row + k):
         r = h % k
         for b in sorted((b for b in bs if b.row == r), key=lambda b: b.col):
-            rid = tr.new_route(ct.lift(b, h, params))
+            rid = tr.new_route(lift(b, h, params))
             if b.col <= st.lam[r]:
                 x = st.rows[r].pop(0)
                 st.mu[r] += 1
@@ -350,7 +439,7 @@ def full_multi_oracle(t, boxes, seed_row=0):
                 st.mu[r] += 1
                 st.lam[r] += 1
                 tr.emit("seed_out", b, None, None)
-    queues = [ct.InsertionQueue(tuple((x, r) for x, r, _, _ in queue), k)]
+    queues = [InsertionQueue(tuple((x, r) for x, r, _, _ in queue), k)]
     while queue:
         nxt = []
         for x, r, plane, rid in queue:
@@ -358,21 +447,21 @@ def full_multi_oracle(t, boxes, seed_row=0):
             if not row or x >= row[-1]:
                 st.lam[r] += 1
                 row.append(x)
-                box = ct.Box(r, st.lam[r])
-                tr.extend(rid, ct.lift(box, plane, params))
+                box = Box(r, st.lam[r])
+                tr.extend(rid, lift(box, plane, params))
                 tr.emit("land", box, x, None)
             else:
                 idx = _leftmost_greater(row, x)
-                box = ct.Box(r, st.mu[r] + 1 + idx)
+                box = Box(r, st.mu[r] + 1 + idx)
                 bumped = row[idx]
                 row[idx] = x
                 nxt.append((bumped, (r + 1) % k, plane + 1, rid))
-                tr.extend(rid, ct.lift(box, plane, params))
+                tr.extend(rid, lift(box, plane, params))
                 tr.emit("bump", box, x, bumped)
         queue = nxt
-        queues.append(ct.InsertionQueue(tuple((x, r) for x, r, _, _ in queue), k))
+        queues.append(InsertionQueue(tuple((x, r) for x, r, _, _ in queue), k))
     result = st.to_tableau()
-    new_set = frozenset(ct.skew_boxes(ct.SkewShape(result.outer, t.outer)))
+    new_set = frozenset(skew_boxes(SkewShape(result.outer, t.outer)))
     return result, new_set, tr.routes(), tuple(queues), tuple(tr.events)
 
 
@@ -388,7 +477,7 @@ def reverse_full_multi_oracle(t, boxes, seed_row=0):
     for h in range(seed_row, seed_row - k, -1):
         r = h % k
         for b in sorted((b for b in bs if b.row == r), key=lambda b: -b.col):
-            rid = tr.new_route(ct.lift(b, h, params))
+            rid = tr.new_route(lift(b, h, params))
             if b.col > st.mu[r]:
                 x = st.rows[r].pop()
                 st.lam[r] -= 1
@@ -398,29 +487,29 @@ def reverse_full_multi_oracle(t, boxes, seed_row=0):
                 st.mu[r] -= 1
                 st.lam[r] -= 1
                 tr.emit("seed_out", b, None, None)
-    queues = [ct.ReverseQueue(tuple((x, r) for x, r, _, _ in queue), k)]
+    queues = [ReverseQueue(tuple((x, r) for x, r, _, _ in queue), k)]
     while queue:
         nxt = []
         for x, r, plane, rid in queue:
             row = st.rows[r]
             if not row or x <= row[0]:
-                box = ct.Box(r, st.mu[r])
+                box = Box(r, st.mu[r])
                 st.mu[r] -= 1
                 row.insert(0, x)
-                tr.extend(rid, ct.lift(box, plane, params))
+                tr.extend(rid, lift(box, plane, params))
                 tr.emit("land", box, x, None)
             else:
                 idx = _rightmost_less(row, x)
-                box = ct.Box(r, st.mu[r] + 1 + idx)
+                box = Box(r, st.mu[r] + 1 + idx)
                 bumped = row[idx]
                 row[idx] = x
                 nxt.append((bumped, (r - 1) % k, plane - 1, rid))
-                tr.extend(rid, ct.lift(box, plane, params))
+                tr.extend(rid, lift(box, plane, params))
                 tr.emit("bump", box, x, bumped)
         queue = nxt
-        queues.append(ct.ReverseQueue(tuple((x, r) for x, r, _, _ in queue), k))
+        queues.append(ReverseQueue(tuple((x, r) for x, r, _, _ in queue), k))
     result = st.to_tableau()
-    shed = frozenset(ct.skew_boxes(ct.SkewShape(t.inner, result.inner)))
+    shed = frozenset(skew_boxes(SkewShape(t.inner, result.inner)))
     return result, shed, tr.routes(), tuple(queues), tuple(tr.events)
 
 

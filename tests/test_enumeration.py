@@ -2,22 +2,42 @@ from itertools import permutations, product, zip_longest
 
 import pytest
 
-import cyltab as ct
 from cyltab.enumeration import (
+    _partitions_between,
+    _regular_part,
     _windows,
     cauchy_sides,
+    count_standard,
+    enumerate_inner,
+    enumerate_outer,
     enumerate_regular_ssyt,
+    enumerate_ssct,
     enumerate_tableaux_with_inner,
     enumerate_tableaux_with_outer,
     regular_normalize,
     regular_partitions_of,
+    regular_skew_schur,
+    schur_poly,
     skew_reduction_cross_check,
     skew_reduction_embedding_params,
     skew_reduction_embedding_sides,
+    verify_cauchy,
+    verify_fcount,
     verify_oneschur,
+    verify_skew_reduction,
 )
 from cyltab.errors import CyltabError
+from cyltab.geometry import (
+    CylParams,
+    CylPartition,
+    GeometryError,
+    SkewShape,
+    cyl_embed,
+    flip_partition,
+    partition_contains,
+)
 from cyltab.polynomials import IdentityReport, SparsePolynomial
+from cyltab.tableau import is_standard
 
 from sweeps import (
     anchored_partitions,
@@ -25,19 +45,22 @@ from sweeps import (
     iter_params,
     iter_shapes,
     oneschur_sides_per_shape,
+    regular_partitions_of_oracle,
+    regular_subpartitions_oracle,
+    regular_superpartitions_oracle,
     schur_poly_by_enumeration,
     schur_poly_per_shape,
 )
 
-K2N4 = ct.CylParams(2, 4)
+K2N4 = CylParams(2, 4)
 
 
 def part(window, params=K2N4):
-    return ct.CylPartition(params, window)
+    return CylPartition(params, window)
 
 
 def shape(outer, inner, params=K2N4):
-    return ct.SkewShape(part(outer, params), part(inner, params))
+    return SkewShape(part(outer, params), part(inner, params))
 
 
 def brute_inner(alpha, beta, m, span=6):
@@ -47,12 +70,12 @@ def brute_inner(alpha, beta, m, span=6):
     found = set()
     for w in product(range(min(alpha.window) - span, max(alpha.window) + 1), repeat=k):
         try:
-            mu = ct.CylPartition(params, w)
-        except ct.geometry.GeometryError:
+            mu = CylPartition(params, w)
+        except GeometryError:
             continue
         if (
-            ct.partition_contains(mu, alpha)
-            and ct.partition_contains(mu, beta)
+            partition_contains(mu, alpha)
+            and partition_contains(mu, beta)
             and sum(alpha.window[i] - w[i] for i in range(k)) == m
         ):
             found.add(w)
@@ -86,19 +109,19 @@ def excess_regular(a, b):
 
 class TestShapeEnumeration:
     def test_inner_examples(self):
-        assert [p.window for p in ct.enumerate_inner(part((0, 0)), part((0, 0)), 1)] == [(0, -1)]
-        assert ct.enumerate_inner(part((0, 0)), part((0, 0)), 0) == [part((0, 0))]
-        assert ct.enumerate_inner(part((1, 0)), part((0, 0)), 0) == []
+        assert [p.window for p in enumerate_inner(part((0, 0)), part((0, 0)), 1)] == [(0, -1)]
+        assert enumerate_inner(part((0, 0)), part((0, 0)), 0) == [part((0, 0))]
+        assert enumerate_inner(part((1, 0)), part((0, 0)), 0) == []
 
     def test_inner_against_brute_force(self):
         for m in range(4):
-            got = {p.window for p in ct.enumerate_inner(part((1, 0)), part((0, 0)), m)}
+            got = {p.window for p in enumerate_inner(part((1, 0)), part((0, 0)), m)}
             assert got == brute_inner(part((1, 0)), part((0, 0)), m)
 
     def test_outer_examples(self):
-        assert [p.window for p in ct.enumerate_outer(part((0, 0)), part((0, 0)), 1)] == [(1, 0)]
-        assert ct.enumerate_outer(part((0, 0)), part((0, 0)), 0) == [part((0, 0))]
-        got = ct.enumerate_outer(part((1, 0)), part((0, 0)), 1)
+        assert [p.window for p in enumerate_outer(part((0, 0)), part((0, 0)), 1)] == [(1, 0)]
+        assert enumerate_outer(part((0, 0)), part((0, 0)), 0) == [part((0, 0))]
+        got = enumerate_outer(part((1, 0)), part((0, 0)), 1)
         assert [p.window for p in got] == [(1, 0)]
 
     def test_pruned_enumeration_matches_filtered_sweep(self):
@@ -110,30 +133,30 @@ class TestShapeEnumeration:
             for alpha in parts:
                 for beta in betas:
                     for m in range(6):
-                        inner = [p.window for p in ct.enumerate_inner(alpha, beta, m)]
+                        inner = [p.window for p in enumerate_inner(alpha, beta, m)]
                         assert inner == filtered_inner(alpha, beta, m), (alpha, beta, m)
-                        outer = [p.window for p in ct.enumerate_outer(alpha, beta, m)]
+                        outer = [p.window for p in enumerate_outer(alpha, beta, m)]
                         assert outer == filtered_outer(alpha, beta, m), (alpha, beta, m)
                         cases += 2
         assert cases == 15336
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
-            ct.enumerate_inner(part((0, 0)), part((0, 0)), -1)
+            enumerate_inner(part((0, 0)), part((0, 0)), -1)
         with pytest.raises(ValueError):
-            ct.enumerate_outer(part((0, 0)), part((0, 0)), -1)
+            enumerate_outer(part((0, 0)), part((0, 0)), -1)
 
     def test_outer_mirrors_inner_under_flip(self):
         alpha, beta = part((1, 0)), part((0, -1))
         for m in range(4):
             flipped = {
-                ct.flip_partition(p).window
-                for p in ct.enumerate_outer(alpha, beta, m)
+                flip_partition(p).window
+                for p in enumerate_outer(alpha, beta, m)
             }
             direct = {
                 p.window
-                for p in ct.enumerate_inner(
-                    ct.flip_partition(beta), ct.flip_partition(alpha), m
+                for p in enumerate_inner(
+                    flip_partition(beta), flip_partition(alpha), m
                 )
             }
             assert flipped == direct
@@ -141,63 +164,63 @@ class TestShapeEnumeration:
 
 class TestTableauEnumeration:
     def test_examples(self):
-        assert len(ct.enumerate_ssct(shape((1, 0), (0, 0)), 2)) == 2
-        assert len(ct.enumerate_ssct(shape((1, 1), (0, 0)), 2)) == 1
-        fillings = ct.enumerate_ssct(shape((2, 0), (0, 0)), 2)
+        assert len(enumerate_ssct(shape((1, 0), (0, 0)), 2)) == 2
+        assert len(enumerate_ssct(shape((1, 1), (0, 0)), 2)) == 1
+        fillings = enumerate_ssct(shape((2, 0), (0, 0)), 2)
         assert [t.rows[0] for t in fillings] == [(1, 1), (1, 2), (2, 2)]
 
     def test_count_matches_all_ones_evaluation(self):
         for sh in [shape((2, 1), (0, 0)), shape((2, 0), (0, -1))]:
             for v in (2, 3):
-                assert len(ct.enumerate_ssct(sh, v)) == ct.schur_poly(sh, v).coefficient_sum()
+                assert len(enumerate_ssct(sh, v)) == schur_poly(sh, v).coefficient_sum()
 
     def test_wrap_constraints_respected(self):
         # single-row cylinder: width-separated entries must strictly increase
-        params = ct.CylParams(1, 3)
+        params = CylParams(1, 3)
         sh = shape((3,), (0,), params)
-        for t in ct.enumerate_ssct(sh, 3):
+        for t in enumerate_ssct(sh, 3):
             row = t.rows[0]
             assert row[0] < row[2]
 
 
 class TestStandardCounts:
     def test_examples(self):
-        assert ct.count_standard(shape((1, 0), (0, 0))) == 1
-        assert ct.count_standard(shape((1, 1), (0, 0))) == 1
-        assert ct.count_standard(shape((2, 0), (0, 0))) == 1
+        assert count_standard(shape((1, 0), (0, 0))) == 1
+        assert count_standard(shape((1, 1), (0, 0))) == 1
+        assert count_standard(shape((2, 0), (0, 0))) == 1
 
     def test_against_filtered_enumeration(self):
         shapes = [
             shape((2, 1), (0, 0)),
             shape((2, 0), (0, -1)),
             shape((2, 2), (1, 0)),
-            shape((1, 0, 0), (0, 0, 0), ct.CylParams(3, 6)),
+            shape((1, 0, 0), (0, 0, 0), CylParams(3, 6)),
         ]
         for sh in shapes:
             m = sh.size()
-            oracle = sum(1 for t in ct.enumerate_ssct(sh, m) if ct.is_standard(t))
-            assert ct.count_standard(sh) == oracle
+            oracle = sum(1 for t in enumerate_ssct(sh, m) if is_standard(t))
+            assert count_standard(sh) == oracle
 
     def test_equals_distinct_monomial_coefficient(self):
         sh = shape((2, 1), (0, 0))
         m = sh.size()
-        poly = ct.schur_poly(sh, m)
-        assert ct.count_standard(sh) == poly.coefficient((1,) * m)
+        poly = schur_poly(sh, m)
+        assert count_standard(sh) == poly.coefficient((1,) * m)
 
 
 class TestSchurPolynomials:
     def test_single_box(self):
-        assert ct.schur_poly(shape((1, 0), (0, 0)), 2) == SparsePolynomial(
+        assert schur_poly(shape((1, 0), (0, 0)), 2) == SparsePolynomial(
             2, {(1, 0): 1, (0, 1): 1}
         )
 
     def test_two_in_a_row(self):
-        assert ct.schur_poly(shape((2, 0), (0, 0)), 2) == SparsePolynomial(
+        assert schur_poly(shape((2, 0), (0, 0)), 2) == SparsePolynomial(
             2, {(2, 0): 1, (1, 1): 1, (0, 2): 1}
         )
 
     def test_empty_shape(self):
-        assert ct.schur_poly(shape((0, 0), (0, 0)), 2) == SparsePolynomial.one(2)
+        assert schur_poly(shape((0, 0), (0, 0)), 2) == SparsePolynomial.one(2)
 
     def test_strip_chain_dp_matches_enumeration_sweep(self):
         # every shape with k <= 3, width <= 3, at most 6 boxes, over 0..4 letters
@@ -205,7 +228,7 @@ class TestSchurPolynomials:
         for params in iter_params(max_k=3, max_width=3):
             for sh in iter_shapes(params, 6):
                 for v in range(5):
-                    got = ct.schur_poly(sh, v)
+                    got = schur_poly(sh, v)
                     assert got.terms() == schur_poly_by_enumeration(sh, v).terms(), (sh, v)
                     assert got.arity == v
                     cases += 1
@@ -216,7 +239,7 @@ class TestSchurPolynomials:
         cases = 0
         for params in iter_params(max_k=4, max_width=3):
             for sh in iter_shapes(params, 7):
-                assert ct.schur_poly(sh, 5) == schur_poly_per_shape(sh, 5), sh
+                assert schur_poly(sh, 5) == schur_poly_per_shape(sh, 5), sh
                 cases += 1
         assert cases == 1258
 
@@ -227,35 +250,35 @@ class TestSchurPolynomials:
         for params in iter_params(max_k=3, max_width=3):
             for sh in iter_shapes(params, 6):
                 for v in range(5):
-                    poly = ct.schur_poly(sh, v)
+                    poly = schur_poly(sh, v)
                     for e, c in poly.terms():
                         asymmetric += any(poly.coefficient(p) != c for p in set(permutations(e)))
                     cases += 1
         assert (cases, asymmetric) == (1985, 0)
 
     def test_no_letters(self):
-        assert ct.schur_poly(shape((0, 0), (0, 0)), 0) == SparsePolynomial.one(0)
-        assert ct.schur_poly(shape((1, 0), (0, 0)), 0).is_zero()
+        assert schur_poly(shape((0, 0), (0, 0)), 0) == SparsePolynomial.one(0)
+        assert schur_poly(shape((1, 0), (0, 0)), 0).is_zero()
 
     def test_negative_variable_count_rejected(self):
         with pytest.raises(ValueError):
-            ct.schur_poly(shape((0, 0), (0, 0)), -1)
+            schur_poly(shape((0, 0), (0, 0)), -1)
 
     def test_homogeneous_of_box_degree(self):
         sh = shape((2, 1), (0, -1))
-        poly = ct.schur_poly(sh, 3)
+        poly = schur_poly(sh, 3)
         assert all(sum(e) == sh.size() for e, _ in poly.terms())
 
 
 class TestIdentities:
     def test_cauchy_degree_zero(self):
-        same = ct.verify_cauchy(part((0, 0)), part((0, 0)), 0, 2, 2)
+        same = verify_cauchy(part((0, 0)), part((0, 0)), 0, 2, 2)
         assert same.equal and same.lhs == SparsePolynomial.one(4)
-        diff = ct.verify_cauchy(part((1, 0)), part((0, -1)), 0, 2, 2)
+        diff = verify_cauchy(part((1, 0)), part((0, -1)), 0, 2, 2)
         assert diff.equal and diff.lhs.is_zero()
 
     def test_cauchy_small(self):
-        report = ct.verify_cauchy(part((0, 0)), part((0, 0)), 3, 2, 2)
+        report = verify_cauchy(part((0, 0)), part((0, 0)), 3, 2, 2)
         assert report.equal
         assert not report.mismatches
 
@@ -271,7 +294,7 @@ class TestIdentities:
         budgets = [(d, vx, vy) for d in range(4) for vx, vy in ((0, 2), (1, 1), (2, 2), (3, 1))]
         cases = 0
         for k, n in ((1, 3), (2, 4), (2, 5), (3, 5), (3, 6), (4, 7)):
-            anchored = anchored_partitions(ct.CylParams(k, n))
+            anchored = anchored_partitions(CylParams(k, n))
             windows = anchored + [w.shifted(-1) for w in anchored]
             for alpha in anchored:
                 for d, v in product(range(4), range(4)):
@@ -290,7 +313,7 @@ class TestIdentities:
         assert cases == 3504
 
     def test_cauchy_degree_eight_matches_per_shape_oracle(self):
-        params = ct.CylParams(3, 6)
+        params = CylParams(3, 6)
         alpha, beta = part((1, 0, -1), params), part((0, 0, -1), params)
         lhs, rhs = cauchy_sides(alpha, beta, 8, 4, 4)
         assert (lhs, rhs) == cauchy_sides_per_shape(alpha, beta, 8, 4, 4)
@@ -306,29 +329,29 @@ class TestIdentities:
                     if max(excess_regular(a, b), excess_regular(b, a)) >= d:
                         continue
                     params = skew_reduction_embedding_params(a, b, d)
-                    alpha = ct.cyl_embed(regular_normalize(a), params)
-                    beta = ct.cyl_embed(regular_normalize(b), params)
+                    alpha = cyl_embed(regular_normalize(a), params)
+                    beta = cyl_embed(regular_normalize(b), params)
                     sides = skew_reduction_embedding_sides(a, b, d, 2)
                     assert sides == cauchy_sides_per_shape(alpha, beta, d, 2, 2), (a, b, d)
                     cases += 1
         assert cases == 60
 
     def test_oneschur(self):
-        assert ct.verify_oneschur(part((0, 0)), 0, 2).equal
-        assert ct.verify_oneschur(part((0, 0)), 2, 2).equal
-        assert ct.verify_oneschur(part((1, 0)), 2, 2).equal
+        assert verify_oneschur(part((0, 0)), 0, 2).equal
+        assert verify_oneschur(part((0, 0)), 2, 2).equal
+        assert verify_oneschur(part((1, 0)), 2, 2).equal
 
     def test_negative_budgets_rejected(self):
         alpha = part((0, 0))
         for call in (
-            lambda: ct.verify_cauchy(alpha, alpha, -1, 0, 0),
-            lambda: ct.verify_cauchy(alpha, alpha, 1, -1, 2),
-            lambda: ct.verify_cauchy(alpha, alpha, 1, 2, -1),
-            lambda: ct.verify_oneschur(alpha, -1, 2),
-            lambda: ct.verify_oneschur(alpha, 1, -1),
-            lambda: ct.verify_fcount(alpha, alpha, -1),
-            lambda: ct.verify_skew_reduction((), (), -1, 2),
-            lambda: ct.verify_skew_reduction((), (), 1, -1),
+            lambda: verify_cauchy(alpha, alpha, -1, 0, 0),
+            lambda: verify_cauchy(alpha, alpha, 1, -1, 2),
+            lambda: verify_cauchy(alpha, alpha, 1, 2, -1),
+            lambda: verify_oneschur(alpha, -1, 2),
+            lambda: verify_oneschur(alpha, 1, -1),
+            lambda: verify_fcount(alpha, alpha, -1),
+            lambda: verify_skew_reduction((), (), -1, 2),
+            lambda: verify_skew_reduction((), (), 1, -1),
             lambda: skew_reduction_cross_check((), (), 1, -1),
         ):
             with pytest.raises(ValueError):
@@ -337,22 +360,22 @@ class TestIdentities:
     def test_negative_counts_are_cyltab_errors(self):
         alpha = part((0, 0))
         for call in (
-            lambda: ct.enumerate_inner(alpha, alpha, -1),
-            lambda: ct.enumerate_outer(alpha, alpha, -1),
-            lambda: ct.schur_poly(shape((0, 0), (0, 0)), -1),
-            lambda: ct.verify_cauchy(alpha, alpha, 1, 2, -1),
-            lambda: ct.verify_oneschur(alpha, -1, 2),
-            lambda: ct.verify_fcount(alpha, alpha, -1),
-            lambda: ct.verify_skew_reduction((), (), 1, -1),
+            lambda: enumerate_inner(alpha, alpha, -1),
+            lambda: enumerate_outer(alpha, alpha, -1),
+            lambda: schur_poly(shape((0, 0), (0, 0)), -1),
+            lambda: verify_cauchy(alpha, alpha, 1, 2, -1),
+            lambda: verify_oneschur(alpha, -1, 2),
+            lambda: verify_fcount(alpha, alpha, -1),
+            lambda: verify_skew_reduction((), (), 1, -1),
         ):
             with pytest.raises(CyltabError, match="must be nonnegative"):
                 call()
 
     def test_fcount(self):
-        assert ct.verify_fcount(part((0, 0)), part((0, 0)), 1) == (1, 1)
-        assert ct.verify_fcount(part((0, 0)), part((0, 0)), 0) == (1, 1)
-        assert ct.verify_fcount(part((1, 0)), part((0, -1)), 0) == (0, 0)
-        lhs, rhs = ct.verify_fcount(part((1, 0)), part((0, 0)), 3)
+        assert verify_fcount(part((0, 0)), part((0, 0)), 1) == (1, 1)
+        assert verify_fcount(part((0, 0)), part((0, 0)), 0) == (1, 1)
+        assert verify_fcount(part((1, 0)), part((0, -1)), 0) == (0, 0)
+        lhs, rhs = verify_fcount(part((1, 0)), part((0, 0)), 3)
         assert lhs == rhs
 
 
@@ -386,17 +409,17 @@ class TestIdentityReport:
 
 class TestRegular:
     def test_skew_schur_examples(self):
-        assert ct.regular_skew_schur((1,), (), 2) == SparsePolynomial(2, {(1, 0): 1, (0, 1): 1})
-        assert ct.regular_skew_schur((2,), (), 2) == SparsePolynomial(
+        assert regular_skew_schur((1,), (), 2) == SparsePolynomial(2, {(1, 0): 1, (0, 1): 1})
+        assert regular_skew_schur((2,), (), 2) == SparsePolynomial(
             2, {(2, 0): 1, (1, 1): 1, (0, 2): 1}
         )
-        assert ct.regular_skew_schur((1, 1), (), 2) == SparsePolynomial(2, {(1, 1): 1})
+        assert regular_skew_schur((1, 1), (), 2) == SparsePolynomial(2, {(1, 1): 1})
 
     def test_ssyt_enumeration_counts(self):
         # hook shape (2,1): standard count 2 over exactly 3 letters with all distinct
         fillings = list(enumerate_regular_ssyt((2, 1), (), 3))
         assert len(fillings) == 8
-        assert ct.regular_skew_schur((2, 1), (), 3).coefficient((1, 1, 1)) == 2
+        assert regular_skew_schur((2, 1), (), 3).coefficient((1, 1, 1)) == 2
 
     def test_inner_not_contained_is_a_cyltab_error(self):
         with pytest.raises(CyltabError, match="inner not contained in outer"):
@@ -407,14 +430,38 @@ class TestRegular:
         assert regular_partitions_of(0) == [()]
         assert regular_partitions_of(3, max_rows=2) == [(3,), (2, 1)]
 
+    def test_one_enumerator_matches_the_three_it_replaced(self):
+        # the mu and lam lists of skew_reduction_sides for every pair of
+        # partitions inside (3, 2, 1) and j = 0..3, and the partitions of
+        # each size 0..8 with at most None, 1, 2 or 3 rows
+        inside = sorted({regular_normalize(p) for p in product(range(4), range(3), range(2)) if p[0] >= p[1] >= p[2]})
+        assert len(inside) == 14
+        cases = 0
+        for a, b in product(inside, repeat=2):
+            rows = range(max(len(a), len(b)))
+            cap = tuple(min(_regular_part(a, i), _regular_part(b, i)) for i in rows)
+            base = tuple(max(_regular_part(a, i), _regular_part(b, i)) for i in rows)
+            for j in range(4):
+                size = sum(b) + j
+                assert _partitions_between(sum(a) - j, (), cap) == regular_subpartitions_oracle(cap, a, j)
+                assert _partitions_between(size, base, (size,) * (len(base) + j)) == (
+                    regular_superpartitions_oracle(base, b, j)
+                )
+                cases += 1
+        for size in range(9):
+            for max_rows in (None, 1, 2, 3):
+                assert regular_partitions_of(size, max_rows) == regular_partitions_of_oracle(size, max_rows)
+                cases += 1
+        assert cases == 14 * 14 * 4 + 9 * 4
+
     def test_skew_reduction(self):
-        assert ct.verify_skew_reduction((), (), 1, 2).equal
-        assert ct.verify_skew_reduction((), (), 0, 2).equal
-        assert ct.verify_skew_reduction((1,), (), 2, 2).equal
+        assert verify_skew_reduction((), (), 1, 2).equal
+        assert verify_skew_reduction((), (), 0, 2).equal
+        assert verify_skew_reduction((1,), (), 2, 2).equal
 
     def test_non_partition_is_a_geometry_error(self):
-        with pytest.raises(ct.geometry.GeometryError):
-            ct.verify_skew_reduction((1, 2), (), 1, 2)
+        with pytest.raises(GeometryError):
+            verify_skew_reduction((1, 2), (), 1, 2)
 
     def test_skew_reduction_cross_check(self):
         lhs_rep, rhs_rep = skew_reduction_cross_check((1,), (), 1, 2)

@@ -2,24 +2,38 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import cyltab as ct
 from cyltab.geometry import (
+    Box,
+    CylParams,
+    CylPartition,
+    GeometryError,
     LiftRowMismatch,
     ParamsMismatch,
     PartTooWide,
+    Point,
+    SkewShape,
     TooManyParts,
     WindowNotDecreasing,
     WrapViolated,
+    cyl_embed,
+    flip_box,
+    flip_partition,
+    is_horizontal_strip,
+    lift,
+    partition_contains,
+    partition_validate,
+    project,
+    skew_boxes,
 )
 
-K2N4 = ct.CylParams(2, 4)
-K3N6 = ct.CylParams(3, 6)
+K2N4 = CylParams(2, 4)
+K3N6 = CylParams(3, 6)
 
 
 def orbit(p, params, span=4):
     """Shift-orbit oracle: all representatives of a point within +-span periods."""
     return {
-        ct.Point(p.x - m * params.k, p.y + m * params.width)
+        Point(p.x - m * params.k, p.y + m * params.width)
         for m in range(-span, span + 1)
     }
 
@@ -29,44 +43,44 @@ small_ints = st.integers(-20, 20)
 
 class TestProjectLift:
     def test_examples(self):
-        assert ct.project(ct.Point(2, 0), K2N4) == ct.Box(0, 2)
-        assert ct.project(ct.Point(0, 1), K2N4) == ct.Box(0, 1)
+        assert project(Point(2, 0), K2N4) == Box(0, 2)
+        assert project(Point(0, 1), K2N4) == Box(0, 1)
         # derived via the orbit oracle
-        target = ct.project(ct.Point(-3, 0), K3N6)
-        assert any(q.x == 0 and q.y == target.col for q in orbit(ct.Point(-3, 0), K3N6))
-        assert target == ct.Box(0, -3)
+        target = project(Point(-3, 0), K3N6)
+        assert any(q.x == 0 and q.y == target.col for q in orbit(Point(-3, 0), K3N6))
+        assert target == Box(0, -3)
 
     def test_lift_examples(self):
-        assert ct.lift(ct.Box(0, 1), 2, K2N4) == ct.Point(2, -1)
-        assert ct.lift(ct.Box(0, 1), 0, K2N4) == ct.Point(0, 1)
+        assert lift(Box(0, 1), 2, K2N4) == Point(2, -1)
+        assert lift(Box(0, 1), 0, K2N4) == Point(0, 1)
         with pytest.raises(LiftRowMismatch):
-            ct.lift(ct.Box(0, 1), 1, K2N4)
+            lift(Box(0, 1), 1, K2N4)
 
     @given(small_ints, small_ints, st.integers(1, 4), st.integers(1, 4), st.integers(-3, 3))
     def test_projection_invariant_under_shift(self, x, y, k, width, m):
-        params = ct.CylParams(k, k + width)
-        p = ct.Point(x, y)
-        q = ct.Point(x - m * k, y + m * width)
-        assert ct.project(p, params) == ct.project(q, params)
+        params = CylParams(k, k + width)
+        p = Point(x, y)
+        q = Point(x - m * k, y + m * width)
+        assert project(p, params) == project(q, params)
 
     @given(small_ints, small_ints, st.integers(1, 4), st.integers(1, 4))
     def test_lift_inverts_project(self, x, y, k, width):
-        params = ct.CylParams(k, k + width)
-        p = ct.Point(x, y)
-        assert ct.lift(ct.project(p, params), p.x, params) == p
+        params = CylParams(k, k + width)
+        p = Point(x, y)
+        assert lift(project(p, params), p.x, params) == p
 
 
 class TestPartition:
     def test_validate(self):
-        assert ct.partition_validate([0, 0], K2N4).window == (0, 0)
-        assert ct.partition_validate([3, 1], K2N4).window == (3, 1)
+        assert partition_validate([0, 0], K2N4).window == (0, 0)
+        assert partition_validate([3, 1], K2N4).window == (3, 1)
         with pytest.raises(WrapViolated):
-            ct.partition_validate([2, -1], K2N4)
+            partition_validate([2, -1], K2N4)
         with pytest.raises(WindowNotDecreasing):
-            ct.partition_validate([0, 1], K2N4)
+            partition_validate([0, 1], K2N4)
 
     def test_part_extends_periodically(self):
-        lam = ct.CylPartition(K3N6, (4, 3, 1))
+        lam = CylPartition(K3N6, (4, 3, 1))
         # three periods materialized must be weakly decreasing
         seq = [lam.part(m) for m in range(-3, 7)]
         assert all(a >= b for a, b in zip(seq, seq[1:]))
@@ -74,17 +88,17 @@ class TestPartition:
         assert lam.part(3) == 4 - 3
 
     def test_contains(self):
-        assert ct.partition_contains(ct.CylPartition(K2N4, (0, 0)), ct.CylPartition(K2N4, (1, 0)))
-        assert not ct.partition_contains(ct.CylPartition(K2N4, (1, 0)), ct.CylPartition(K2N4, (0, 0)))
-        mu = ct.CylPartition(K2N4, (0, -1))
-        lam = ct.CylPartition(K2N4, (1, 1))
-        assert ct.partition_contains(mu, lam)
+        assert partition_contains(CylPartition(K2N4, (0, 0)), CylPartition(K2N4, (1, 0)))
+        assert not partition_contains(CylPartition(K2N4, (1, 0)), CylPartition(K2N4, (0, 0)))
+        mu = CylPartition(K2N4, (0, -1))
+        lam = CylPartition(K2N4, (1, 1))
+        assert partition_contains(mu, lam)
         # window check agrees with a three-period materialization
         assert all(mu.part(m) <= lam.part(m) for m in range(-2, 5))
 
     def test_contains_params_mismatch(self):
         with pytest.raises(ParamsMismatch):
-            ct.partition_contains(ct.CylPartition(K2N4, (0, 0)), ct.CylPartition(K3N6, (0, 0, 0)))
+            partition_contains(CylPartition(K2N4, (0, 0)), CylPartition(K3N6, (0, 0, 0)))
 
     @given(
         st.integers(1, 3),
@@ -94,11 +108,11 @@ class TestPartition:
     def test_validation_matches_materialized_sequence(self, k, width, values):
         # accepted iff three materialized periods are weakly decreasing
         window = tuple(values[:k]) + tuple(values[-1:]) * (k - len(values[:k]))
-        params = ct.CylParams(k, k + width)
+        params = CylParams(k, k + width)
         try:
-            ct.partition_validate(window, params)
+            partition_validate(window, params)
             accepted = True
-        except ct.geometry.GeometryError:
+        except GeometryError:
             accepted = False
         seq = [window[m % k] - ((m - m % k) // k) * width for m in range(-k, 2 * k + 1)]
         assert accepted == all(a >= b for a, b in zip(seq, seq[1:]))
@@ -106,46 +120,46 @@ class TestPartition:
 
 class TestSkewShape:
     def test_skew_boxes(self):
-        shape = ct.SkewShape(ct.CylPartition(K2N4, (1, 0)), ct.CylPartition(K2N4, (0, 0)))
-        assert ct.skew_boxes(shape) == frozenset({ct.Box(0, 1)})
-        empty = ct.SkewShape(ct.CylPartition(K2N4, (0, 0)), ct.CylPartition(K2N4, (0, 0)))
-        assert ct.skew_boxes(empty) == frozenset()
+        shape = SkewShape(CylPartition(K2N4, (1, 0)), CylPartition(K2N4, (0, 0)))
+        assert skew_boxes(shape) == frozenset({Box(0, 1)})
+        empty = SkewShape(CylPartition(K2N4, (0, 0)), CylPartition(K2N4, (0, 0)))
+        assert skew_boxes(empty) == frozenset()
 
     def test_weight_example_has_six_boxes(self):
         # two-row tableau window drawn with horizontal period 3
-        params = ct.CylParams(2, 5)
-        shape = ct.SkewShape(
-            ct.CylPartition(params, (7, 6)), ct.CylPartition(params, (4, 3))
+        params = CylParams(2, 5)
+        shape = SkewShape(
+            CylPartition(params, (7, 6)), CylPartition(params, (4, 3))
         )
         assert shape.size() == 6
-        assert len(ct.skew_boxes(shape)) == 6
+        assert len(skew_boxes(shape)) == 6
 
     def test_horizontal_strip_examples(self):
         def shape(outer, inner):
-            return ct.SkewShape(ct.CylPartition(K2N4, outer), ct.CylPartition(K2N4, inner))
+            return SkewShape(CylPartition(K2N4, outer), CylPartition(K2N4, inner))
 
-        assert ct.is_horizontal_strip(shape((1, 0), (0, 0)))
-        assert not ct.is_horizontal_strip(shape((1, 1), (0, 0)))
-        assert ct.is_horizontal_strip(shape((2, 0), (0, 0)))
+        assert is_horizontal_strip(shape((1, 0), (0, 0)))
+        assert not is_horizontal_strip(shape((1, 1), (0, 0)))
+        assert is_horizontal_strip(shape((2, 0), (0, 0)))
 
     def test_horizontal_strip_matches_column_collision_oracle(self):
         from sweeps import iter_params, iter_shapes
 
         for params in iter_params(max_k=3, max_width=4):
             for shape in iter_shapes(params, max_boxes=8):
-                boxes = list(ct.skew_boxes(shape))
+                boxes = list(skew_boxes(shape))
                 cols = [b.col % params.width for b in boxes]
                 collision_free = len(set(cols)) == len(cols)
-                assert ct.is_horizontal_strip(shape) == collision_free
+                assert is_horizontal_strip(shape) == collision_free
 
 
 class TestFlip:
     def test_flip_partition_examples(self):
-        assert ct.flip_partition(ct.CylPartition(K2N4, (1, 0))).window == (-2, -3)
-        lam = ct.CylPartition(K2N4, (0, -2))
-        assert ct.flip_partition(ct.flip_partition(lam)) == lam
-        one = ct.CylParams(1, 2)
-        assert ct.flip_partition(ct.CylPartition(one, (5,))).window == (-6,)
+        assert flip_partition(CylPartition(K2N4, (1, 0))).window == (-2, -3)
+        lam = CylPartition(K2N4, (0, -2))
+        assert flip_partition(flip_partition(lam)) == lam
+        one = CylParams(1, 2)
+        assert flip_partition(CylPartition(one, (5,))).window == (-6,)
 
     def test_flip_partition_involution_sweep(self):
         from sweeps import anchored_partitions, iter_params, outer_partitions
@@ -153,33 +167,33 @@ class TestFlip:
         for params in iter_params():
             for mu in anchored_partitions(params):
                 for lam in outer_partitions(mu, 3):
-                    assert ct.flip_partition(ct.flip_partition(lam)) == lam
+                    assert flip_partition(flip_partition(lam)) == lam
 
     def test_flip_partition_complements_box_sets(self):
         # a point is in Flip(lam) iff its rotation image is not in lam
-        lam = ct.CylPartition(K3N6, (4, 3, 1))
-        flipped = ct.flip_partition(lam)
+        lam = CylPartition(K3N6, (4, 3, 1))
+        flipped = flip_partition(lam)
         for x in range(-4, 8):
             for y in range(-8, 8):
-                rotated = ct.Point(-x, -y)
-                assert flipped.contains_point(ct.Point(x, y)) != lam.contains_point(rotated)
+                rotated = Point(-x, -y)
+                assert flipped.contains_point(Point(x, y)) != lam.contains_point(rotated)
 
     def test_flip_box(self):
-        assert ct.flip_box(ct.Box(0, 1), K2N4) == ct.Box(0, -1)
+        assert flip_box(Box(0, 1), K2N4) == Box(0, -1)
         # derived: rotation image of a lift, canonicalized by the orbit oracle
-        expected = ct.project(ct.Point(-1, 0), K2N4)
-        assert expected in {ct.project(q, K2N4) for q in orbit(ct.Point(-1, 0), K2N4)}
-        assert ct.flip_box(ct.Box(1, 0), K2N4) == expected
-        assert expected == ct.Box(1, -2)
-        for b in [ct.Box(0, 3), ct.Box(1, -2), ct.Box(2, 0)]:
-            assert ct.flip_box(ct.flip_box(b, K3N6), K3N6) == b
+        expected = project(Point(-1, 0), K2N4)
+        assert expected in {project(q, K2N4) for q in orbit(Point(-1, 0), K2N4)}
+        assert flip_box(Box(1, 0), K2N4) == expected
+        assert expected == Box(1, -2)
+        for b in [Box(0, 3), Box(1, -2), Box(2, 0)]:
+            assert flip_box(flip_box(b, K3N6), K3N6) == b
 
 
 class TestEmbed:
     def test_examples(self):
-        assert ct.cyl_embed((2, 1), ct.CylParams(5, 10)).window == (2, 1, 0, 0, 0)
-        assert ct.cyl_embed((), K3N6).window == (0, 0, 0)
+        assert cyl_embed((2, 1), CylParams(5, 10)).window == (2, 1, 0, 0, 0)
+        assert cyl_embed((), K3N6).window == (0, 0, 0)
         with pytest.raises(PartTooWide):
-            ct.cyl_embed((3, 1), K2N4)
+            cyl_embed((3, 1), K2N4)
         with pytest.raises(TooManyParts):
-            ct.cyl_embed((1, 1, 1), K2N4)
+            cyl_embed((1, 1, 1), K2N4)

@@ -1,39 +1,45 @@
 import pytest
 
-import cyltab as ct
+from cyltab.geometry import Box, CylParams, CylPartition, SkewShape
 from cyltab.insertion import (
+    InsertionQueue,
     NotInsideCocorner,
     PreconditionViolated,
     QueueNotRegular,
     TableauState,
+    full_multi,
     inside_cocorners,
+    internal_insert,
+    one_step_multi,
+    seed_multi,
 )
+from cyltab.tableau import empty_tableau, tableau_validate
 from sweeps import addable_strips, check_forward_call, iter_params, iter_tableaux
 
-K2N4 = ct.CylParams(2, 4)
-K3N5 = ct.CylParams(3, 5)
-K3N6 = ct.CylParams(3, 6)
+K2N4 = CylParams(2, 4)
+K3N5 = CylParams(3, 5)
+K3N6 = CylParams(3, 6)
 
 
 def shape(params, outer, inner):
-    return ct.SkewShape(ct.CylPartition(params, outer), ct.CylPartition(params, inner))
+    return SkewShape(CylPartition(params, outer), CylPartition(params, inner))
 
 
 # The running three-row example: insert the box holding 1 in the top row.
-CHAIN_INPUT = ct.tableau_validate(
+CHAIN_INPUT = tableau_validate(
     shape(K3N5, (5, 5, 5), (3, 2, 2)), [[1, 4], [2, 5, 6], [3, 7, 7]]
 )
 
 # The multi-insertion example tableau and its strip of three boxes.
-MULTI_INPUT = ct.tableau_validate(
+MULTI_INPUT = tableau_validate(
     shape(K3N6, (7, 5, 4), (4, 3, 1)), [[2, 3, 5], [2, 6], [1, 2, 4]]
 )
-MULTI_STRIP = [ct.Box(1, 4), ct.Box(2, 2), ct.Box(2, 3)]
+MULTI_STRIP = [Box(1, 4), Box(2, 2), Box(2, 3)]
 
 
 class TestInternalInsert:
     def test_worked_chain(self):
-        out, route = ct.internal_insert(CHAIN_INPUT, ct.Box(0, 4))
+        out, route = internal_insert(CHAIN_INPUT, Box(0, 4))
         assert out.inner.window == (4, 2, 2)
         assert out.outer.window == (6, 5, 5)
         assert out.rows == ((3, 7), (1, 4, 6), (2, 5, 7))
@@ -42,27 +48,27 @@ class TestInternalInsert:
         ]
 
     def test_degenerate_branch(self):
-        t = ct.empty_tableau(ct.CylPartition(K2N4, (0, 0)))
-        out, route = ct.internal_insert(t, ct.Box(0, 1))
+        t = empty_tableau(CylPartition(K2N4, (0, 0)))
+        out, route = internal_insert(t, Box(0, 1))
         assert out.inner.window == (1, 0) and out.outer.window == (1, 0)
         assert out.size() == 0
         assert len(route.points) == 1
 
     def test_two_box_trace(self):
-        t = ct.tableau_validate(shape(K2N4, (1, 1), (0, 0)), [[1], [2]])
-        out, _ = ct.internal_insert(t, ct.Box(0, 1))
+        t = tableau_validate(shape(K2N4, (1, 1), (0, 0)), [[1], [2]])
+        out, _ = internal_insert(t, Box(0, 1))
         assert out.inner.window == (1, 0) and out.outer.window == (2, 1)
-        assert out.entry(ct.Box(1, 1)) == 1
-        assert out.entry(ct.Box(0, 2)) == 2
+        assert out.entry(Box(1, 1)) == 1
+        assert out.entry(Box(0, 2)) == 2
 
     def test_rejects_non_cocorner(self):
         with pytest.raises(NotInsideCocorner):
-            ct.internal_insert(MULTI_INPUT, ct.Box(0, 7))
+            internal_insert(MULTI_INPUT, Box(0, 7))
 
 
 class TestOneStepMulti:
     def seeded(self):
-        state, q0 = ct.seed_multi(MULTI_INPUT, MULTI_STRIP, seed_row=0)
+        state, q0 = seed_multi(MULTI_INPUT, MULTI_STRIP, seed_row=0)
         return state, q0
 
     def test_seed_queue(self):
@@ -72,36 +78,36 @@ class TestOneStepMulti:
 
     def test_first_step(self):
         state, q0 = self.seeded()
-        state, q1 = ct.one_step_multi(state, q0)
+        state, q1 = one_step_multi(state, q0)
         assert q1.items == ((4, 0), (2, 1), (3, 1))
         assert state.rows == [[1, 2, 5], [6], [2]]
 
     def test_second_step(self):
         state, q0 = self.seeded()
-        state, q1 = ct.one_step_multi(state, q0)
-        state, q2 = ct.one_step_multi(state, q1)
+        state, q1 = one_step_multi(state, q0)
+        state, q2 = one_step_multi(state, q1)
         assert q2.items == ((5, 1), (6, 2))
 
     def test_empty_queue(self):
         state, _ = self.seeded()
         before = state.copy()
-        after, q = ct.one_step_multi(state, ct.InsertionQueue((), 3))
+        after, q = one_step_multi(state, InsertionQueue((), 3))
         assert not q.items and after.rows == before.rows
 
     def test_rejects_irregular_queue(self):
         state, _ = self.seeded()
         with pytest.raises(QueueNotRegular):
-            ct.one_step_multi(state, ct.InsertionQueue(((2, 0), (1, 0)), 3))
+            one_step_multi(state, InsertionQueue(((2, 0), (1, 0)), 3))
 
     def test_rows_canonicalized(self):
         # (3, 5) and (2, 2) address the same row when k = 3
-        q = ct.InsertionQueue.build([(3, 5), (2, 2)], 3)
+        q = InsertionQueue.build([(3, 5), (2, 2)], 3)
         assert not q.is_regular()
 
 
 class TestFullMulti:
     def test_worked_example(self):
-        res = ct.full_multi(MULTI_INPUT, MULTI_STRIP)
+        res = full_multi(MULTI_INPUT, MULTI_STRIP)
         assert [q.items for q in res.queues] == [
             ((2, 2), (1, 0), (2, 0)),
             ((4, 0), (2, 1), (3, 1)),
@@ -111,43 +117,43 @@ class TestFullMulti:
         assert res.tableau.rows == ((1, 2, 4), (2, 3, 5), (2, 6))
         assert res.tableau.inner.window == (4, 4, 3)
         assert res.tableau.outer.window == (7, 7, 5)
-        assert res.new_set == frozenset({ct.Box(1, 6), ct.Box(1, 7), ct.Box(2, 5)})
+        assert res.new_set == frozenset({Box(1, 6), Box(1, 7), Box(2, 5)})
 
     def test_empty_strip(self):
-        res = ct.full_multi(MULTI_INPUT, [])
+        res = full_multi(MULTI_INPUT, [])
         assert res.tableau == MULTI_INPUT and not res.new_set
 
     def test_rejects_bad_strips(self):
         with pytest.raises(PreconditionViolated):
-            ct.full_multi(MULTI_INPUT, [ct.Box(1, 5)])  # gap after the inner frontier
+            full_multi(MULTI_INPUT, [Box(1, 5)])  # gap after the inner frontier
         with pytest.raises(PreconditionViolated):
-            ct.full_multi(MULTI_INPUT, [ct.Box(0, 4)])  # already inside the inner shape
+            full_multi(MULTI_INPUT, [Box(0, 4)])  # already inside the inner shape
 
     def test_singleton_matches_internal_insert(self):
         for params in iter_params(max_k=3, max_width=3):
             for t in iter_tableaux(params, max_boxes=4, letters=3):
                 for b in inside_cocorners(t):
-                    direct, route = ct.internal_insert(t, b)
-                    multi = ct.full_multi(t, [b])
+                    direct, route = internal_insert(t, b)
+                    multi = full_multi(t, [b])
                     assert multi.tableau == direct
                     assert multi.routes[0].points == route.points
 
     def test_seed_row_independence(self):
         for seed in range(3):
-            res = ct.full_multi(MULTI_INPUT, MULTI_STRIP, seed_row=seed)
+            res = full_multi(MULTI_INPUT, MULTI_STRIP, seed_row=seed)
             assert res.tableau.rows == ((1, 2, 4), (2, 3, 5), (2, 6))
-            assert res.new_set == frozenset({ct.Box(1, 6), ct.Box(1, 7), ct.Box(2, 5)})
+            assert res.new_set == frozenset({Box(1, 6), Box(1, 7), Box(2, 5)})
 
     def test_route_properties_on_worked_example(self):
-        res = ct.full_multi(MULTI_INPUT, MULTI_STRIP)
+        res = full_multi(MULTI_INPUT, MULTI_STRIP)
         check_forward_call(MULTI_INPUT, MULTI_STRIP, res)
 
     def test_route_properties_small_sweep(self):
         # focused sweep; the acceptance suite runs the full space
-        params = ct.CylParams(2, 4)
+        params = CylParams(2, 4)
         for t in iter_tableaux(params, max_boxes=3, letters=2):
             for strip in addable_strips(t.inner, 2):
-                res = ct.full_multi(t, strip)
+                res = full_multi(t, strip)
                 check_forward_call(t, strip, res)
 
 

@@ -1,12 +1,19 @@
 import pytest
 
-import cyltab as ct
+from cyltab.geometry import Box, CylParams, CylPartition, SkewShape, flip_box, project
+from cyltab.insertion import full_multi, internal_insert
 from cyltab.reverse import (
     NotOutsideCorner,
     QueueNotReverseRegular,
     ReversePreconditionViolated,
+    ReverseQueue,
     outside_corners,
+    reverse_full_multi,
+    reverse_insert,
+    reverse_one_step_multi,
+    seed_reverse_multi,
 )
+from cyltab.tableau import empty_tableau, flip_tableau, tableau_validate
 from sweeps import (
     addable_strips,
     check_retrace,
@@ -15,59 +22,59 @@ from sweeps import (
     removable_strips,
 )
 
-K2N4 = ct.CylParams(2, 4)
-K3N5 = ct.CylParams(3, 5)
-K3N6 = ct.CylParams(3, 6)
+K2N4 = CylParams(2, 4)
+K3N5 = CylParams(3, 5)
+K3N6 = CylParams(3, 6)
 
 
 def shape(params, outer, inner):
-    return ct.SkewShape(ct.CylPartition(params, outer), ct.CylPartition(params, inner))
+    return SkewShape(CylPartition(params, outer), CylPartition(params, inner))
 
 
 # Result of the forward multi-insertion example; peeling its new set undoes it.
-GROWN = ct.tableau_validate(
+GROWN = tableau_validate(
     shape(K3N6, (7, 7, 5), (4, 4, 3)), [[1, 2, 4], [2, 3, 5], [2, 6]]
 )
-GROWN_STRIP = [ct.Box(1, 6), ct.Box(1, 7), ct.Box(2, 5)]
+GROWN_STRIP = [Box(1, 6), Box(1, 7), Box(2, 5)]
 
-ORIGINAL = ct.tableau_validate(
+ORIGINAL = tableau_validate(
     shape(K3N6, (7, 5, 4), (4, 3, 1)), [[2, 3, 5], [2, 6], [1, 2, 4]]
 )
 
 
 class TestReverseInsert:
     def test_retraces_the_insertion_chain(self):
-        start = ct.tableau_validate(
+        start = tableau_validate(
             shape(K3N5, (6, 5, 5), (4, 2, 2)), [[3, 7], [1, 4, 6], [2, 5, 7]]
         )
-        out, route = ct.reverse_insert(start, ct.Box(0, 6))
+        out, route = reverse_insert(start, Box(0, 6))
         assert out.rows == ((1, 4), (2, 5, 6), (3, 7, 7))
         assert out.inner.window == (3, 2, 2) and out.outer.window == (5, 5, 5)
-        fwd, fwd_route = ct.internal_insert(out, ct.Box(0, 4))
+        fwd, fwd_route = internal_insert(out, Box(0, 4))
         assert fwd == start
-        projected = [ct.project(p, K3N5) for p in route.points]
-        assert projected == [ct.project(p, K3N5) for p in reversed(fwd_route.points)]
+        projected = [project(p, K3N5) for p in route.points]
+        assert projected == [project(p, K3N5) for p in reversed(fwd_route.points)]
 
     def test_degenerate_branch(self):
-        t = ct.empty_tableau(ct.CylPartition(K2N4, (1, 0)))
-        out, route = ct.reverse_insert(t, ct.Box(0, 1))
+        t = empty_tableau(CylPartition(K2N4, (1, 0)))
+        out, route = reverse_insert(t, Box(0, 1))
         assert out.inner.window == (0, 0) and out.outer.window == (0, 0)
         assert len(route.points) == 1
 
     def test_inverts_two_box_example(self):
-        t = ct.tableau_validate(shape(K2N4, (2, 1), (1, 0)), [[2], [1]])
-        out, _ = ct.reverse_insert(t, ct.Box(0, 2))
+        t = tableau_validate(shape(K2N4, (2, 1), (1, 0)), [[2], [1]])
+        out, _ = reverse_insert(t, Box(0, 2))
         assert out.inner.window == (0, 0) and out.outer.window == (1, 1)
         assert out.rows == ((1,), (2,))
 
     def test_rejects_non_corner(self):
         with pytest.raises(NotOutsideCorner):
-            ct.reverse_insert(GROWN, ct.Box(0, 7))
+            reverse_insert(GROWN, Box(0, 7))
 
 
 class TestReverseOneStep:
     def seeded(self):
-        return ct.seed_reverse_multi(GROWN, GROWN_STRIP, seed_row=1)
+        return seed_reverse_multi(GROWN, GROWN_STRIP, seed_row=1)
 
     def test_seed_queue(self):
         state, q0 = self.seeded()
@@ -75,49 +82,49 @@ class TestReverseOneStep:
 
     def test_first_step(self):
         state, q0 = self.seeded()
-        state, q1 = ct.reverse_one_step_multi(state, q0)
+        state, q1 = reverse_one_step_multi(state, q0)
         assert q1.items == ((4, 2), (2, 2), (2, 0))
         assert state.rows == [[1, 3, 5], [6], [2]]
 
     def test_second_step(self):
         state, q0 = self.seeded()
-        state, q1 = ct.reverse_one_step_multi(state, q0)
-        state, q2 = ct.reverse_one_step_multi(state, q1)
+        state, q1 = reverse_one_step_multi(state, q0)
+        state, q2 = reverse_one_step_multi(state, q1)
         assert q2.items == ((2, 1), (1, 2))
 
     def test_empty_queue(self):
         state, _ = self.seeded()
-        after, q = ct.reverse_one_step_multi(state, ct.ReverseQueue((), 3))
+        after, q = reverse_one_step_multi(state, ReverseQueue((), 3))
         assert not q.items
 
     def test_rejects_irregular(self):
         state, _ = self.seeded()
         with pytest.raises(QueueNotReverseRegular):
-            ct.reverse_one_step_multi(state, ct.ReverseQueue(((1, 0), (2, 0)), 3))
+            reverse_one_step_multi(state, ReverseQueue(((1, 0), (2, 0)), 3))
 
 
 class TestReverseFullMulti:
     def test_worked_example(self):
-        res = ct.reverse_full_multi(GROWN, GROWN_STRIP, seed_row=1)
+        res = reverse_full_multi(GROWN, GROWN_STRIP, seed_row=1)
         assert res.tableau == ORIGINAL
         assert res.reverse_new_set == frozenset(
-            {ct.Box(1, 4), ct.Box(2, 2), ct.Box(2, 3)}
+            {Box(1, 4), Box(2, 2), Box(2, 3)}
         )
 
     def test_empty_strip(self):
-        res = ct.reverse_full_multi(GROWN, [])
+        res = reverse_full_multi(GROWN, [])
         assert res.tableau == GROWN and not res.reverse_new_set
 
     def test_rejects_bad_strip(self):
         with pytest.raises(ReversePreconditionViolated):
-            ct.reverse_full_multi(GROWN, [ct.Box(1, 6)])  # leaves a gap at the edge
+            reverse_full_multi(GROWN, [Box(1, 6)])  # leaves a gap at the edge
 
     def test_round_trip_small_sweep(self):
-        params = ct.CylParams(2, 4)
+        params = CylParams(2, 4)
         for t in iter_tableaux(params, max_boxes=3, letters=2):
             for strip in addable_strips(t.inner, 2):
-                fwd = ct.full_multi(t, strip)
-                back = ct.reverse_full_multi(fwd.tableau, fwd.new_set)
+                fwd = full_multi(t, strip)
+                back = reverse_full_multi(fwd.tableau, fwd.new_set)
                 assert back.tableau == t
                 assert back.reverse_new_set == frozenset(strip)
                 check_reverse_call(fwd.tableau, fwd.new_set, back)
@@ -125,19 +132,19 @@ class TestReverseFullMulti:
 
     def test_flip_conjugation_small_sweep(self):
         # removing a strip equals flip, insert the flipped strip, flip back
-        params = ct.CylParams(2, 4)
+        params = CylParams(2, 4)
         bound = 2
         for t in iter_tableaux(params, max_boxes=3, letters=bound):
             for strip in removable_strips(t.outer, 2):
-                direct = ct.reverse_full_multi(t, strip)
-                ft = ct.flip_tableau(t, alphabet_bound=bound)
-                fstrip = [ct.flip_box(b, params) for b in strip]
-                via_flip = ct.full_multi(ft, fstrip)
-                assert ct.flip_tableau(via_flip.tableau, alphabet_bound=bound) == direct.tableau
-                assert {ct.flip_box(b, params) for b in via_flip.new_set} == set(
+                direct = reverse_full_multi(t, strip)
+                ft = flip_tableau(t, alphabet_bound=bound)
+                fstrip = [flip_box(b, params) for b in strip]
+                via_flip = full_multi(ft, fstrip)
+                assert flip_tableau(via_flip.tableau, alphabet_bound=bound) == direct.tableau
+                assert {flip_box(b, params) for b in via_flip.new_set} == set(
                     direct.reverse_new_set
                 )
 
     def test_corner_enumeration(self):
-        assert ct.Box(1, 7) in outside_corners(GROWN)
-        assert ct.Box(0, 7) not in outside_corners(GROWN)
+        assert Box(1, 7) in outside_corners(GROWN)
+        assert Box(0, 7) not in outside_corners(GROWN)

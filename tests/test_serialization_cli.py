@@ -3,6 +3,7 @@ import os
 import string
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,36 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
+
+
+# Each fixture operation that a command prints: the command, and the option
+# that takes each payload field (a file for a document, the value for an int).
+COMMANDS = {
+    "insert": (["insert", "--trace"], {"tableau": "--tableau", "boxes": "--boxes", "seed_row": "--seed-row"}),
+    "reverse": (["reverse"], {"tableau": "--tableau", "boxes": "--boxes", "seed_row": "--seed-row"}),
+    "crsk": (["crsk"], {"t": "--t", "u": "--u"}),
+    "crsk_inverse": (["crsk-inv"], {"p": "--p", "q": "--q"}),
+    "marble_encode": (["marble", "encode"], {"tableau": "--tableau", "letters": "--letters"}),
+    "marble_decode": (["marble", "decode"], {"mu": "--mu", "game": "--game"}),
+}
+FIXTURE_DIR = resources.files("cyltab").joinpath("fixtures")
+FIXTURES = (json.loads(e.read_text()) for e in FIXTURE_DIR.iterdir() if e.name.endswith(".json"))
+GOLDEN = sorted((doc for doc in FIXTURES if doc["operation"] in COMMANDS), key=lambda doc: doc["name"])
+
+
+@pytest.mark.parametrize("doc", GOLDEN, ids=[doc["name"] for doc in GOLDEN])
+def test_command_prints_the_golden_document(doc, tmp_path, capsys):
+    argv, options = COMMANDS[doc["operation"]]
+    argv = list(argv)
+    for field, value in doc["payload"].items():
+        if isinstance(value, int):
+            argv += [options[field], str(value)]
+        else:
+            path = tmp_path / f"{field}.json"
+            path.write_text(json.dumps(value))
+            argv += [options[field], str(path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ser.canonical_json(doc["expected"]) + "\n"
 
 
 class TestBadVerifyInputs:

@@ -5,7 +5,8 @@ criterion-2 sweep they must equal what the eager implementation built as it
 went, and the queues must equal the seed-then-one-step sequence.
 """
 
-import cyltab as ct
+from cyltab.insertion import full_multi, one_step_multi, seed_multi
+from cyltab.reverse import reverse_full_multi, reverse_one_step_multi, seed_reverse_multi
 from sweeps import (
     full_multi_oracle,
     removal_pairs,
@@ -31,9 +32,9 @@ def test_forward_log_matches_oracle_and_step_api():
     cases = 0
     for t, strips in sweep_pairs():
         for strip in strips:
-            res = ct.full_multi(t, strip)
+            res = full_multi(t, strip)
             assert _fields(res, res.new_set) == full_multi_oracle(t, strip)
-            assert res.queues == _step_queues(ct.seed_multi, ct.one_step_multi, t, strip)
+            assert res.queues == _step_queues(seed_multi, one_step_multi, t, strip)
             cases += 1
     assert cases == 8756
 
@@ -42,10 +43,10 @@ def test_reverse_log_matches_oracle_and_step_api():
     cases = 0
     for t, strips in removal_pairs():
         for strip in strips:
-            res = ct.reverse_full_multi(t, strip)
+            res = reverse_full_multi(t, strip)
             assert _fields(res, res.reverse_new_set) == reverse_full_multi_oracle(t, strip)
             assert res.queues == _step_queues(
-                ct.seed_reverse_multi, ct.reverse_one_step_multi, t, strip
+                seed_reverse_multi, reverse_one_step_multi, t, strip
             )
             cases += 1
     assert cases == 8756
@@ -55,9 +56,9 @@ def test_seed_rows_match_oracle():
     for t, strips in sweep_pairs(max_k=3, max_width=2, max_boxes=3, strip_size=2):
         for strip in strips:
             for seed in range(t.params.k):
-                fwd = ct.full_multi(t, strip, seed_row=seed)
+                fwd = full_multi(t, strip, seed_row=seed)
                 assert _fields(fwd, fwd.new_set) == full_multi_oracle(t, strip, seed)
-                rev = ct.reverse_full_multi(fwd.tableau, fwd.new_set, seed_row=seed)
+                rev = reverse_full_multi(fwd.tableau, fwd.new_set, seed_row=seed)
                 assert _fields(rev, rev.reverse_new_set) == reverse_full_multi_oracle(
                     fwd.tableau, fwd.new_set, seed
                 )

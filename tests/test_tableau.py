@@ -2,23 +2,35 @@ from itertools import product
 
 import pytest
 
-import cyltab as ct
-from cyltab.tableau import ColumnNotStrictlyIncreasing, RowLengthMismatch, shift_rows
+from cyltab.enumeration import enumerate_ssct
+from cyltab.geometry import Box, CylParams, CylPartition, GeometryError, SkewShape, flip_box
+from cyltab.tableau import (
+    ColumnNotStrictlyIncreasing,
+    RowLengthMismatch,
+    empty_tableau,
+    flip_tableau,
+    is_standard,
+    shift_rows,
+    tableau_validate,
+    tableau_word,
+    weight,
+    weight_monomial,
+)
 
-K2N4 = ct.CylParams(2, 4)
-K2N5 = ct.CylParams(2, 5)
-K3N6 = ct.CylParams(3, 6)
+K2N4 = CylParams(2, 4)
+K2N5 = CylParams(2, 5)
+K3N6 = CylParams(3, 6)
 
 
 def shape(params, outer, inner):
-    return ct.SkewShape(ct.CylPartition(params, outer), ct.CylPartition(params, inner))
+    return SkewShape(CylPartition(params, outer), CylPartition(params, inner))
 
 
-WEIGHT_EXAMPLE = ct.tableau_validate(
+WEIGHT_EXAMPLE = tableau_validate(
     shape(K2N5, (7, 6), (4, 3)), [[1, 2, 3], [2, 2, 5]]
 )
 
-STANDARD_EXAMPLE = ct.tableau_validate(
+STANDARD_EXAMPLE = tableau_validate(
     shape(K3N6, (7, 5, 4), (4, 3, 3)), [[1, 4, 6], [2, 3], [5]]
 )
 
@@ -58,30 +70,30 @@ class TestValidate:
         assert WEIGHT_EXAMPLE.size() == 6
 
     def test_empty(self):
-        t = ct.empty_tableau(ct.CylPartition(K2N4, (0, 0)))
+        t = empty_tableau(CylPartition(K2N4, (0, 0)))
         assert t.size() == 0
 
     def test_column_violation_across_rows(self):
         with pytest.raises(ColumnNotStrictlyIncreasing):
-            ct.tableau_validate(shape(K2N4, (1, 1), (0, 0)), [[2], [1]])
+            tableau_validate(shape(K2N4, (1, 1), (0, 0)), [[2], [1]])
 
     def test_row_length_mismatch(self):
         with pytest.raises(RowLengthMismatch):
-            ct.tableau_validate(shape(K2N4, (1, 0), (0, 0)), [[1, 2], []])
+            tableau_validate(shape(K2N4, (1, 0), (0, 0)), [[1, 2], []])
 
     def test_wrap_column_violation(self):
         # one-row cylinder: the wrap forces strict increase at distance width
-        params = ct.CylParams(1, 2)
+        params = CylParams(1, 2)
         sh = shape(params, (2,), (0,))
-        ct.tableau_validate(sh, [[1, 2]])
+        tableau_validate(sh, [[1, 2]])
         with pytest.raises(ColumnNotStrictlyIncreasing):
-            ct.tableau_validate(sh, [[1, 1]])
+            tableau_validate(sh, [[1, 1]])
 
     def test_agrees_with_plane_oracle(self):
         shapes = [
             shape(K2N4, (2, 1), (0, 0)),
             shape(K2N4, (2, 0), (0, -1)),
-            shape(ct.CylParams(1, 3), (2,), (0,)),
+            shape(CylParams(1, 3), (2,), (0,)),
             shape(K3N6, (1, 0, 0), (0, 0, -1)),
         ]
         for sh in shapes:
@@ -94,54 +106,54 @@ class TestValidate:
                     i += s
                 expected = plane_check(sh, rows)
                 try:
-                    ct.tableau_validate(sh, rows)
+                    tableau_validate(sh, rows)
                     got = True
-                except ct.geometry.GeometryError:
+                except GeometryError:
                     got = False
                 assert got == expected, (sh, rows)
 
 
 class TestWeight:
     def test_weight_example(self):
-        w = ct.weight(WEIGHT_EXAMPLE)
+        w = weight(WEIGHT_EXAMPLE)
         assert [w.get(i, 0) for i in range(1, 6)] == [1, 3, 1, 0, 1]
 
     def test_weight_monomial(self):
-        assert ct.weight_monomial(WEIGHT_EXAMPLE) == {1: 1, 2: 3, 3: 1, 5: 1}
-        assert ct.weight_monomial(ct.empty_tableau(ct.CylPartition(K2N4, (0, 0)))) == {}
+        assert weight_monomial(WEIGHT_EXAMPLE) == {1: 1, 2: 3, 3: 1, 5: 1}
+        assert weight_monomial(empty_tableau(CylPartition(K2N4, (0, 0)))) == {}
 
     def test_direct_count(self):
-        t = ct.tableau_validate(shape(K2N4, (2, 0), (0, 0)), [[1, 2], []])
-        assert ct.weight_monomial(t) == {1: 1, 2: 1}
+        t = tableau_validate(shape(K2N4, (2, 0), (0, 0)), [[1, 2], []])
+        assert weight_monomial(t) == {1: 1, 2: 1}
 
     def test_weight_total_is_box_count(self):
-        assert sum(ct.weight(STANDARD_EXAMPLE).values()) == STANDARD_EXAMPLE.size()
+        assert sum(weight(STANDARD_EXAMPLE).values()) == STANDARD_EXAMPLE.size()
 
 
 class TestStandard:
     def test_standard_example(self):
-        assert ct.is_standard(STANDARD_EXAMPLE)
+        assert is_standard(STANDARD_EXAMPLE)
 
     def test_empty_is_standard(self):
-        assert ct.is_standard(ct.empty_tableau(ct.CylPartition(K2N4, (0, 0))))
+        assert is_standard(empty_tableau(CylPartition(K2N4, (0, 0))))
 
     def test_repeat_not_standard(self):
-        t = ct.tableau_validate(shape(K2N4, (2, 0), (0, 0)), [[1, 1], []])
-        assert not ct.is_standard(t)
+        t = tableau_validate(shape(K2N4, (2, 0), (0, 0)), [[1, 1], []])
+        assert not is_standard(t)
 
 
 class TestFlipTableau:
     def test_single_box_derived(self):
-        t = ct.tableau_validate(shape(K2N4, (1, 0), (0, 0)), [[3], []])
-        f = ct.flip_tableau(t, alphabet_bound=5)
+        t = tableau_validate(shape(K2N4, (1, 0), (0, 0)), [[3], []])
+        f = flip_tableau(t, alphabet_bound=5)
         assert f.outer.window == (-1, -3) and f.inner.window == (-2, -3)
-        assert f.entry(ct.Box(0, -1)) == 5 + 1 - 3
+        assert f.entry(Box(0, -1)) == 5 + 1 - 3
         # derived expectation cross-checked against the box rotation
-        assert set(f.boxes()) == {ct.flip_box(b, K2N4) for b in t.boxes()}
+        assert set(f.boxes()) == {flip_box(b, K2N4) for b in t.boxes()}
 
     def test_empty(self):
-        t = ct.empty_tableau(ct.CylPartition(K2N4, (1, 0)))
-        f = ct.flip_tableau(t, alphabet_bound=1)
+        t = empty_tableau(CylPartition(K2N4, (1, 0)))
+        f = flip_tableau(t, alphabet_bound=1)
         assert f.size() == 0
 
     def test_involution_and_validity_sweep(self):
@@ -149,27 +161,27 @@ class TestFlipTableau:
 
         for params in iter_params(max_k=3, max_width=3):
             for sh in iter_shapes(params, max_boxes=4):
-                for t in ct.enumerate_ssct(sh, 3):
-                    f = ct.flip_tableau(t, alphabet_bound=3)  # validates on build
-                    assert ct.flip_tableau(f, alphabet_bound=3) == t
+                for t in enumerate_ssct(sh, 3):
+                    f = flip_tableau(t, alphabet_bound=3)  # validates on build
+                    assert flip_tableau(f, alphabet_bound=3) == t
 
 
 class TestWord:
     def test_paper_words(self):
-        t1 = ct.tableau_validate(shape(K2N4, (2, 1), (0, 0)), [[1, 2], [3]])
-        t2 = ct.tableau_validate(shape(K2N4, (3, 2), (2, 0)), [[3], [1, 2]])
-        assert ct.tableau_word(t1) == (1, 2, 3)
-        assert ct.tableau_word(t2) == (3, 1, 2)
+        t1 = tableau_validate(shape(K2N4, (2, 1), (0, 0)), [[1, 2], [3]])
+        t2 = tableau_validate(shape(K2N4, (3, 2), (2, 0)), [[3], [1, 2]])
+        assert tableau_word(t1) == (1, 2, 3)
+        assert tableau_word(t2) == (3, 1, 2)
 
     def test_empty_word(self):
-        assert ct.tableau_word(ct.empty_tableau(ct.CylPartition(K2N4, (0, 0)))) == ()
+        assert tableau_word(empty_tableau(CylPartition(K2N4, (0, 0)))) == ()
 
     def test_length_is_box_count(self):
-        assert len(ct.tableau_word(STANDARD_EXAMPLE)) == STANDARD_EXAMPLE.size()
+        assert len(tableau_word(STANDARD_EXAMPLE)) == STANDARD_EXAMPLE.size()
 
     def test_shift_rows_rotates_word(self):
         t = STANDARD_EXAMPLE
         shifted = shift_rows(t, 1)
-        w, ws = ct.tableau_word(t), ct.tableau_word(shifted)
+        w, ws = tableau_word(t), tableau_word(shifted)
         rotations = {w[i:] + w[:i] for i in range(len(w))}
         assert ws in rotations

@@ -5,20 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cyltab as ct
+from cyltab.geometry import CylParams, CylPartition, SkewShape
+from cyltab.tableau import tableau_validate, tableau_word
 from cyltab.words import (
+    Certificate,
     KDPRIME,
     KPRIME,
     MOVE_KINDS,
-    ROTATE,
-    Certificate,
     Move,
     NotAPermutation,
     NotSameMultiset,
     PatternMismatch,
+    ROTATE,
     WordError,
+    _find_switch,
+    _sorting_moves,
+    applicable_moves,
+    apply_move,
+    connect,
     inverse_moves,
     lift_word,
+    monovariant,
+    word_transform,
 )
 from sweeps import (
     apply_move_oracle,
@@ -45,103 +53,123 @@ TRACE_MONOVARIANTS = [
 class TestMoves:
     def test_examples(self):
         w = (3, 3, 4, 6, 3, 5, 4)
-        assert ct.apply_move(w, Move(KPRIME, 2)) == (3, 3, 4, 3, 6, 5, 4)
-        assert ct.apply_move(w, Move(KDPRIME, 4)) == (3, 3, 4, 6, 5, 3, 4)
-        assert ct.apply_move(w, Move(ROTATE)) == (4, 3, 3, 4, 6, 3, 5)
+        assert apply_move(w, Move(KPRIME, 2)) == (3, 3, 4, 3, 6, 5, 4)
+        assert apply_move(w, Move(KDPRIME, 4)) == (3, 3, 4, 6, 5, 3, 4)
+        assert apply_move(w, Move(ROTATE)) == (4, 3, 3, 4, 6, 3, 5)
 
     def test_pattern_mismatch(self):
         with pytest.raises(PatternMismatch):
-            ct.apply_move((1, 2, 3), Move(KPRIME, 0))
+            apply_move((1, 2, 3), Move(KPRIME, 0))
         with pytest.raises(PatternMismatch):
-            ct.apply_move((1, 2), Move(KDPRIME, 0))
+            apply_move((1, 2), Move(KDPRIME, 0))
 
     def test_applicable_moves(self):
-        only_rotate = ct.applicable_moves((1, 2))
+        only_rotate = applicable_moves((1, 2))
         assert only_rotate == [Move(ROTATE)]
-        moves = ct.applicable_moves((3, 3, 4, 6, 3, 5, 4))
+        moves = applicable_moves((3, 3, 4, 6, 3, 5, 4))
         assert Move(KPRIME, 2) in moves
         assert Move(KDPRIME, 4) in moves
-        assert ct.applicable_moves((1, 1, 1)) == [Move(ROTATE)]
+        assert applicable_moves((1, 1, 1)) == [Move(ROTATE)]
 
     def test_k_moves_invert(self):
         words = [w for w in product(range(1, 4), repeat=4)]
         for w in words:
-            for mv in ct.applicable_moves(w):
+            for mv in applicable_moves(w):
                 if mv.kind == ROTATE:
                     continue
                 inv = inverse_moves([mv], len(w))
                 assert len(inv) == 1
-                assert ct.apply_move(ct.apply_move(w, mv), inv[0]) == w
+                assert apply_move(apply_move(w, mv), inv[0]) == w
 
     @given(st.lists(st.integers(1, 5), min_size=1, max_size=6))
     def test_rotation_inverts_after_length_steps(self, letters):
         w = tuple(letters)
         cur = w
         for _ in range(len(w)):
-            cur = ct.apply_move(cur, Move(ROTATE))
+            cur = apply_move(cur, Move(ROTATE))
         assert cur == w
 
     @given(st.lists(st.integers(1, 4), min_size=3, max_size=6))
     def test_moves_preserve_multiset(self, letters):
         w = tuple(letters)
-        for mv in ct.applicable_moves(w):
-            assert Counter(ct.apply_move(w, mv)) == Counter(w)
+        for mv in applicable_moves(w):
+            assert Counter(apply_move(w, mv)) == Counter(w)
 
 
 class TestMonovariant:
     def test_example(self):
-        assert ct.monovariant(TRACE_START) == 164825973
+        assert monovariant(TRACE_START) == 164825973
 
     def test_identity_is_minimum(self):
         for m in range(1, 6):
             ident = tuple(range(1, m + 1))
-            base = ct.monovariant(ident)
+            base = monovariant(ident)
             for w in permutations(range(1, m + 1)):
-                assert ct.monovariant(w) >= base
+                assert monovariant(w) >= base
 
     def test_rejects_non_permutation(self):
         with pytest.raises(NotAPermutation):
-            ct.monovariant((1, 1, 2))
+            monovariant((1, 1, 2))
 
 
 class TestWordTransform:
     def test_printed_trace(self):
-        res = ct.word_transform(TRACE_START)
+        res = word_transform(TRACE_START)
         crits = ["".join(map(str, w)) for w in res.critical_words]
         assert crits == TRACE_CRITICALS
-        assert [ct.monovariant(w) for w in res.critical_words] == TRACE_MONOVARIANTS
+        assert [monovariant(w) for w in res.critical_words] == TRACE_MONOVARIANTS
 
     def test_certificate_replays(self):
-        res = ct.word_transform((2, 4, 1, 3))
+        res = word_transform((2, 4, 1, 3))
         assert res.certificate.replay() == (1, 2, 3, 4)
 
     def test_sorted_input(self):
-        res = ct.word_transform((1, 2, 3, 4))
+        res = word_transform((1, 2, 3, 4))
         assert res.certificate.moves == ()
         assert res.switch_positions == ()
 
     def test_all_permutations_of_four(self):
         for w in permutations(range(1, 5)):
-            res = ct.word_transform(w)
+            res = word_transform(w)
             assert res.certificate.end == (1, 2, 3, 4)
             assert res.certificate.replay() == (1, 2, 3, 4)
 
     def test_monovariant_strictly_decreases(self):
         for w in permutations(range(1, 6)):
-            res = ct.word_transform(w)
-            values = [ct.monovariant(c) for c in res.critical_words]
+            res = word_transform(w)
+            values = [monovariant(c) for c in res.critical_words]
             assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_switch_position_shifts_left_by_one_or_two(self):
         for w in permutations(range(1, 7)):
-            res = ct.word_transform(w)
+            res = word_transform(w)
             for prev, nxt in zip(res.switch_positions, res.switch_positions[1:]):
                 if prev != 1:
                     assert nxt in (prev - 1, prev - 2)
 
+    @pytest.mark.parametrize("m", [4, 9])
+    def test_stalled_switch_scan_is_stopped(self, monkeypatch, m):
+        # 1 2 .. m-2 m m-1 switches only at m - 2; reporting that pair again
+        # and again swaps it back and forth, each swap a valid move, so only
+        # the bound of m non-anchor switches in a row stops the sort.
+        w = tuple(range(1, m - 1)) + (m, m - 1)
+        first, calls = _find_switch(w), []
+        assert first == m - 2
+
+        def stalled(p, start=1):
+            calls.append(p)
+            return first
+
+        monkeypatch.setattr("cyltab.words._find_switch", stalled)
+        for sort in (word_transform, _sorting_moves.__wrapped__):
+            calls.clear()
+            with pytest.raises(AssertionError, match="failed to make progress"):
+                sort(w)
+            assert len(calls) == m + 1
+
     def test_rejects_non_permutation(self):
         with pytest.raises(NotAPermutation):
-            ct.word_transform((2, 2, 1))
+            word_transform((2, 2, 1))
 
 
 class TestLiftWord:
@@ -164,53 +192,53 @@ class TestLiftWord:
 
 class TestConnect:
     def test_identity(self):
-        cert = ct.connect((1, 2), (1, 2))
+        cert = connect((1, 2), (1, 2))
         assert cert.moves == ()
 
     def test_tableau_words(self):
-        cert = ct.connect((1, 2, 3), (3, 1, 2))
+        cert = connect((1, 2, 3), (3, 1, 2))
         assert cert.replay() == (3, 1, 2)
         assert all(m.kind == ROTATE for m in cert.moves)
 
     def test_rejects_different_multisets(self):
         with pytest.raises(NotSameMultiset):
-            ct.connect((1, 2), (2, 2))
+            connect((1, 2), (2, 2))
 
     def test_pairs_of_permutations(self):
         words = list(permutations(range(1, 5)))
         for w in words:
             for v in words:
-                cert = ct.connect(w, v)
+                cert = connect(w, v)
                 cur = w
                 for mv in cert.moves:
-                    cur = ct.apply_move(cur, mv)
+                    cur = apply_move(cur, mv)
                     assert Counter(cur) == Counter(w)
                 assert cur == v
 
     def test_repeated_letter_pairs(self):
         for w in product(range(1, 3), repeat=4):
             for v in set(permutations(w)):
-                cert = ct.connect(w, tuple(v))
+                cert = connect(w, tuple(v))
                 assert cert.replay() == tuple(v)
 
     def test_shifted_tableau_words_rotation_connected(self):
         from cyltab.tableau import shift_rows
 
-        params = ct.CylParams(3, 6)
-        sh = ct.SkewShape(
-            ct.CylPartition(params, (7, 5, 4)), ct.CylPartition(params, (4, 3, 1))
+        params = CylParams(3, 6)
+        sh = SkewShape(
+            CylPartition(params, (7, 5, 4)), CylPartition(params, (4, 3, 1))
         )
-        t = ct.tableau_validate(sh, [[2, 3, 5], [2, 6], [1, 2, 4]])
-        w1 = ct.tableau_word(t)
-        w2 = ct.tableau_word(shift_rows(t, 1))
+        t = tableau_validate(sh, [[2, 3, 5], [2, 6], [1, 2, 4]])
+        w1 = tableau_word(t)
+        w2 = tableau_word(shift_rows(t, 1))
         rotations = {w1[i:] + w1[:i] for i in range(len(w1))}
         assert w2 in rotations
         moves = []
         cur = w1
         while cur != w2:
-            cur = ct.apply_move(cur, Move(ROTATE))
+            cur = apply_move(cur, Move(ROTATE))
             moves.append(Move(ROTATE))
-        cert = ct.Certificate(w1, tuple(moves), w2)
+        cert = Certificate(w1, tuple(moves), w2)
         assert cert.replay() == w2
 
 
@@ -228,7 +256,7 @@ def certificates(draw):
         if choice == 0:
             step = [Move(ROTATE)] * draw(st.integers(1, 2 * len(start) + 1))
         elif choice == 1 and cur is not None:
-            step = [draw(st.sampled_from(ct.applicable_moves(cur)))]
+            step = [draw(st.sampled_from(applicable_moves(cur)))]
         else:
             kind = draw(st.sampled_from(MOVE_KINDS + ("Bogus",)))
             step = [Move(kind, draw(st.integers(-1, len(start))))]
@@ -254,7 +282,7 @@ class TestFastPathsMatchOracles:
     def test_transform_on_criterion_7_permutations(self):
         count = 0
         for w in knuth_permutations():
-            assert ct.word_transform(w) == word_transform_oracle(w)
+            assert word_transform(w) == word_transform_oracle(w)
             count += 1
         assert count == 5913
 
@@ -266,7 +294,7 @@ class TestFastPathsMatchOracles:
                 if w not in sorting:
                     sorting[w] = sorting_moves_oracle(w)
             expected = () if a == b else sorting[a] + tuple(inverse_moves(sorting[b], len(b)))
-            assert ct.connect(a, b).moves == expected
+            assert connect(a, b).moves == expected
             count += 1
         assert count == 5403
 
@@ -277,6 +305,6 @@ class TestFastPathsMatchOracles:
         replayed = _outcome(Certificate(start, moves, start).replay)
         assert replayed == _outcome(replay_oracle, start, moves)
         if moves:
-            assert _outcome(ct.apply_move, start, moves[0]) == _outcome(
+            assert _outcome(apply_move, start, moves[0]) == _outcome(
                 apply_move_oracle, start, moves[0]
             )
