@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .geometry import Box, CylPartition
 from .insertion import InsertionError, full_multi
 from .reverse import reverse_full_multi
-from .tableau import CylTableau, boxes_by_letter, empty_tableau, from_box_entries
+from .tableau import CylTableau, boxes_by_letter, from_box_entries
 
 
 class MismatchedInnerShapes(InsertionError):
@@ -46,8 +46,6 @@ def crsk(t: CylTableau, u: CylTableau) -> CrskOutput:
         )
     alpha = t.outer
     batches = boxes_by_letter(u)
-    if not batches:
-        return CrskOutput(t, empty_tableau(alpha), alpha)
     p = t
     recorded: dict[Box, int] = {}
     for i in sorted(batches):
@@ -68,8 +66,6 @@ def crsk_inverse(p: CylTableau, q: CylTableau) -> CrskInput:
         )
     beta = p.inner
     batches = boxes_by_letter(q)
-    if not batches:
-        return CrskInput(p, empty_tableau(beta), p.inner)
     t = p
     recorded: dict[Box, int] = {}
     for i in sorted(batches, reverse=True):

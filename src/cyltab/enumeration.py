@@ -148,8 +148,6 @@ def count_standard(shape: SkewShape) -> int:
     params = shape.params
     boxes = sorted(skew_boxes(shape), key=lambda b: (b.row, b.col))
     m = len(boxes)
-    if m == 0:
-        return 1
     index = {b: i for i, b in enumerate(boxes)}
     prereq = []
     for b in boxes:

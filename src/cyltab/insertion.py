@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import le
 from typing import Iterable, Sequence
 
 from .geometry import Box, CylParams, CylPartition, Point, SkewShape, lift
@@ -37,29 +38,36 @@ class PreconditionViolated(InsertionError):
 
 
 @dataclass(frozen=True, slots=True)
-class InsertionQueue:
-    """FIFO of (letter, row) pairs; rows are stored canonically in [0, k).
-
-    Regular means that among pairs sharing a row, smaller letters come first.
-    """
+class _Queue:
+    """FIFO of (letter, row) pairs; rows are stored canonically in [0, k)."""
 
     items: tuple[tuple[int, int], ...]
     k: int
 
-    @staticmethod
-    def build(items: Iterable[tuple[int, int]], k: int) -> "InsertionQueue":
-        return InsertionQueue(tuple((x, r % k) for x, r in items), k)
+    @classmethod
+    def build(cls, items: Iterable[tuple[int, int]], k: int):
+        return cls(tuple((x, r % k) for x, r in items), k)
 
-    def is_regular(self) -> bool:
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def _rows_ordered(self, before) -> bool:
+        """True iff before(earlier, later) holds for each two letters sharing a row."""
         seen: dict[int, int] = {}
         for x, r in self.items:
-            if r in seen and x < seen[r]:
+            if r in seen and not before(seen[r], x):
                 return False
             seen[r] = x
         return True
 
-    def __len__(self) -> int:
-        return len(self.items)
+
+class InsertionQueue(_Queue):
+    """Regular means that among pairs sharing a row, smaller letters come first."""
+
+    __slots__ = ()
+
+    def is_regular(self) -> bool:
+        return self._rows_ordered(le)
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,42 +113,6 @@ class InsertionEvent:
 Step = tuple[str, int, int, int, int, int | None, int | None]
 
 
-def _events(log: tuple[Step, ...]) -> tuple[InsertionEvent, ...]:
-    """One event per step, stamped with its log index."""
-    return tuple(
-        InsertionEvent(i, kind, Box(r, c), inserted, bumped)
-        for i, (kind, r, c, _, _, inserted, bumped) in enumerate(log)
-    )
-
-
-def _routes(log: tuple[Step, ...], params: CylParams) -> tuple[BumpingRoute, ...]:
-    """One route per seeded box: the lifts of its steps, stamped with log indices."""
-    points: list[list[Point]] = []
-    stamps: list[list[int]] = []
-    for i, (_, r, c, plane, rid, _, _) in enumerate(log):
-        if rid == len(points):
-            points.append([])
-            stamps.append([])
-        points[rid].append(lift(Box(r, c), plane, params))
-        stamps[rid].append(i)
-    return tuple(BumpingRoute(tuple(p), tuple(s)) for p, s in zip(points, stamps))
-
-
-def _queues(log: tuple[Step, ...], rounds: tuple[int, ...], k: int, shift: int, queue_type):
-    """Queue j holds the letters displaced in log segment j, bound for the next row."""
-    out = []
-    start = 0
-    for end in rounds:
-        items = tuple(
-            (bumped, (r + shift) % k)
-            for _, r, _, _, _, _, bumped in log[start:end]
-            if bumped is not None
-        )
-        out.append(queue_type(items, k))
-        start = end
-    return tuple(out)
-
-
 def _cascade(st: TableauState, queue: list, log: list[Step], one_round) -> tuple[int, ...]:
     """Run queue rounds until every chain lands; return the log length after each."""
     rounds = [len(log)]
@@ -150,8 +122,50 @@ def _cascade(st: TableauState, queue: list, log: list[Step], one_round) -> tuple
     return tuple(rounds)
 
 
+class _LogViews:
+    """Routes, queues and events derived from a result's tableau, log and rounds."""
+
+    __slots__ = ()
+
+    @property
+    def routes(self) -> tuple[BumpingRoute, ...]:
+        """One route per seeded box: the lifts of its steps, stamped with log indices."""
+        params = self.tableau.params
+        points: list[list[Point]] = []
+        stamps: list[list[int]] = []
+        for i, (_, r, c, plane, rid, _, _) in enumerate(self.log):
+            if rid == len(points):
+                points.append([])
+                stamps.append([])
+            points[rid].append(lift(Box(r, c), plane, params))
+            stamps[rid].append(i)
+        return tuple(BumpingRoute(tuple(p), tuple(s)) for p, s in zip(points, stamps))
+
+    @property
+    def queues(self) -> tuple[_Queue, ...]:
+        """Queue j holds the letters displaced in log segment j, bound for the next row."""
+        k = self.tableau.params.k
+        out = []
+        for start, end in zip((0, *self.rounds), self.rounds):
+            items = tuple(
+                (bumped, (r + self._row_shift) % k)
+                for _, r, _, _, _, _, bumped in self.log[start:end]
+                if bumped is not None
+            )
+            out.append(self._queue_type(items, k))
+        return tuple(out)
+
+    @property
+    def events(self) -> tuple[InsertionEvent, ...]:
+        """One event per step, stamped with its log index."""
+        return tuple(
+            InsertionEvent(i, kind, Box(r, c), inserted, bumped)
+            for i, (kind, r, c, _, _, inserted, bumped) in enumerate(self.log)
+        )
+
+
 @dataclass(frozen=True, slots=True)
-class MultiInsertResult:
+class MultiInsertResult(_LogViews):
     """A forward multi-insertion; routes, queues and events are views of its log."""
 
     tableau: CylTableau
@@ -159,17 +173,8 @@ class MultiInsertResult:
     log: tuple[Step, ...]
     rounds: tuple[int, ...]
 
-    @property
-    def routes(self) -> tuple[BumpingRoute, ...]:
-        return _routes(self.log, self.tableau.params)
-
-    @property
-    def queues(self) -> tuple[InsertionQueue, ...]:
-        return _queues(self.log, self.rounds, self.tableau.params.k, 1, InsertionQueue)
-
-    @property
-    def events(self) -> tuple[InsertionEvent, ...]:
-        return _events(self.log)
+    _row_shift = 1
+    _queue_type = InsertionQueue
 
 
 @dataclass

@@ -86,12 +86,10 @@ def apply_turn(arr: Arrangement, turn: tuple[int, ...]) -> Arrangement:
 
 def game_validate(game: MarbleGame) -> bool:
     """True iff every prefix of turns keeps all counts nonnegative."""
-    arr = game.initial
-    for turn in game.turns:
-        try:
-            arr = apply_turn(arr, turn)
-        except MarbleError:
-            return False
+    try:
+        final_arrangement(game)
+    except MarbleError:
+        return False
     return True
 
 

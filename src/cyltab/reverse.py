@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import ge
 from typing import Iterable
 
 # `lift` is no longer called here but stays a module name: bench/tracer.py rebinds it.
@@ -16,13 +17,11 @@ from .geometry import Box, SkewShape, lift  # noqa: F401
 from .insertion import (
     BumpingRoute,
     InsertionError,
-    InsertionEvent,
     Step,
     TableauState,
     _cascade,
-    _events,
-    _queues,
-    _routes,
+    _LogViews,
+    _Queue,
 )
 from .tableau import CylTableau
 
@@ -41,31 +40,17 @@ class ReversePreconditionViolated(InsertionError):
         super().__init__(clause)
 
 
-@dataclass(frozen=True, slots=True)
-class ReverseQueue:
-    """FIFO of (letter, row) pairs; among equal rows, larger letters come first."""
+class ReverseQueue(_Queue):
+    """Reverse-regular means that among pairs sharing a row, larger letters come first."""
 
-    items: tuple[tuple[int, int], ...]
-    k: int
-
-    @staticmethod
-    def build(items: Iterable[tuple[int, int]], k: int) -> "ReverseQueue":
-        return ReverseQueue(tuple((x, r % k) for x, r in items), k)
+    __slots__ = ()
 
     def is_reverse_regular(self) -> bool:
-        seen: dict[int, int] = {}
-        for x, r in self.items:
-            if r in seen and x > seen[r]:
-                return False
-            seen[r] = x
-        return True
-
-    def __len__(self) -> int:
-        return len(self.items)
+        return self._rows_ordered(ge)
 
 
 @dataclass(frozen=True, slots=True)
-class ReverseMultiResult:
+class ReverseMultiResult(_LogViews):
     """A reverse multi-insertion; routes, queues and events are views of its log."""
 
     tableau: CylTableau
@@ -73,17 +58,8 @@ class ReverseMultiResult:
     log: tuple[Step, ...]
     rounds: tuple[int, ...]
 
-    @property
-    def routes(self) -> tuple[BumpingRoute, ...]:
-        return _routes(self.log, self.tableau.params)
-
-    @property
-    def queues(self) -> tuple[ReverseQueue, ...]:
-        return _queues(self.log, self.rounds, self.tableau.params.k, -1, ReverseQueue)
-
-    @property
-    def events(self) -> tuple[InsertionEvent, ...]:
-        return _events(self.log)
+    _row_shift = -1
+    _queue_type = ReverseQueue
 
 
 def outside_corners(t: CylTableau) -> list[Box]:

@@ -35,6 +35,20 @@ def _expect_list(value: Any, path: str) -> list:
     return value
 
 
+def _expect_ints(value: Any, path: str) -> tuple[int, ...]:
+    return tuple(_expect_int(v, f"{path}[{i}]") for i, v in enumerate(_expect_list(value, path)))
+
+
+def _build(path: str, make):
+    """Return make(); a GeometryError it raises is reported as a SchemaError at path."""
+    from .geometry import GeometryError
+
+    try:
+        return make()
+    except GeometryError as e:
+        raise SchemaError(path, str(e)) from e
+
+
 def _expect_obj(value: Any, path: str, keys: set[str]) -> dict:
     if not isinstance(value, dict):
         raise SchemaError(path, f"expected an object, got {type(value).__name__}")
@@ -48,18 +62,15 @@ def _expect_obj(value: Any, path: str, keys: set[str]) -> dict:
 
 
 def parse_partition(doc: Any, path: str = "partition") -> CylPartition:
-    from .geometry import CylParams, CylPartition, GeometryError
+    from .geometry import CylParams, CylPartition
 
     obj = _expect_obj(doc, path, {"k", "n", "window"})
     k = _expect_int(obj["k"], f"{path}.k")
     n = _expect_int(obj["n"], f"{path}.n")
-    window = [_expect_int(v, f"{path}.window[{i}]") for i, v in enumerate(_expect_list(obj["window"], f"{path}.window"))]
+    window = _expect_ints(obj["window"], f"{path}.window")
     if len(window) != k:
         raise SchemaError(f"{path}.window", f"length {len(window)} != k={k}")
-    try:
-        return CylPartition(CylParams(k, n), tuple(window))
-    except GeometryError as e:
-        raise SchemaError(path, str(e)) from e
+    return _build(path, lambda: CylPartition(CylParams(k, n), window))
 
 
 def serialize_partition(p: CylPartition) -> dict:
@@ -78,15 +89,12 @@ def serialize_box(b: Box) -> dict:
 
 
 def parse_shape(doc: Any, path: str = "shape") -> SkewShape:
-    from .geometry import GeometryError, SkewShape
+    from .geometry import SkewShape
 
     obj = _expect_obj(doc, path, {"outer", "inner"})
     outer = parse_partition(obj["outer"], f"{path}.outer")
     inner = parse_partition(obj["inner"], f"{path}.inner")
-    try:
-        return SkewShape(outer, inner)
-    except GeometryError as e:
-        raise SchemaError(path, str(e)) from e
+    return _build(path, lambda: SkewShape(outer, inner))
 
 
 def serialize_shape(s: SkewShape) -> dict:
@@ -94,20 +102,13 @@ def serialize_shape(s: SkewShape) -> dict:
 
 
 def parse_tableau(doc: Any, path: str = "tableau") -> CylTableau:
-    from .geometry import GeometryError
     from .tableau import CylTableau
 
     obj = _expect_obj(doc, path, {"shape", "rows"})
     shape = parse_shape(obj["shape"], f"{path}.shape")
     rows = _expect_list(obj["rows"], f"{path}.rows")
-    parsed = tuple(
-        tuple(_expect_int(v, f"{path}.rows[{r}][{i}]") for i, v in enumerate(_expect_list(row, f"{path}.rows[{r}]")))
-        for r, row in enumerate(rows)
-    )
-    try:
-        return CylTableau(shape, parsed)
-    except GeometryError as e:
-        raise SchemaError(path, str(e)) from e
+    parsed = tuple(_expect_ints(row, f"{path}.rows[{r}]") for r, row in enumerate(rows))
+    return _build(path, lambda: CylTableau(shape, parsed))
 
 
 def serialize_tableau(t: CylTableau) -> dict:
@@ -123,20 +124,12 @@ def serialize_boxes(bs) -> list:
 
 
 def parse_game(doc: Any, params: CylParams, path: str = "game") -> MarbleGame:
-    from .geometry import GeometryError
     from .marbles import Arrangement, MarbleGame
 
     obj = _expect_obj(doc, path, {"initial", "turns"})
-    initial = [_expect_int(v, f"{path}.initial[{i}]") for i, v in enumerate(_expect_list(obj["initial"], f"{path}.initial"))]
-    turns = []
-    for j, turn in enumerate(_expect_list(obj["turns"], f"{path}.turns")):
-        turns.append(
-            tuple(_expect_int(v, f"{path}.turns[{j}][{i}]") for i, v in enumerate(_expect_list(turn, f"{path}.turns[{j}]")))
-        )
-    try:
-        return MarbleGame(Arrangement(params, tuple(initial)), tuple(turns))
-    except GeometryError as e:
-        raise SchemaError(path, str(e)) from e
+    initial = _expect_ints(obj["initial"], f"{path}.initial")
+    turns = tuple(_expect_ints(t, f"{path}.turns[{j}]") for j, t in enumerate(_expect_list(obj["turns"], f"{path}.turns")))
+    return _build(path, lambda: MarbleGame(Arrangement(params, initial), turns))
 
 
 def serialize_game(g: MarbleGame) -> dict:
@@ -161,8 +154,8 @@ def parse_certificate(doc: Any, path: str = "certificate") -> Certificate:
     from .words import Certificate
 
     obj = _expect_obj(doc, path, {"start", "moves", "end"})
-    start = tuple(_expect_int(v, f"{path}.start[{i}]") for i, v in enumerate(_expect_list(obj["start"], f"{path}.start")))
-    end = tuple(_expect_int(v, f"{path}.end[{i}]") for i, v in enumerate(_expect_list(obj["end"], f"{path}.end")))
+    start = _expect_ints(obj["start"], f"{path}.start")
+    end = _expect_ints(obj["end"], f"{path}.end")
     moves = tuple(parse_move(m, f"{path}.moves[{i}]") for i, m in enumerate(_expect_list(obj["moves"], f"{path}.moves")))
     return Certificate(start, moves, end)
 

@@ -334,14 +334,15 @@ def check_forward_call(t, strip, res):
     assert set(res.new_set) == set(skew_boxes(grown))
     assert is_horizontal_strip(grown), "new set is not a horizontal strip"
     max_letter = t.max_entry()
-    for route in res.routes:
+    routes = res.routes
+    for route in routes:
         assert _route_rows_consecutive(route, 1)
         assert all(b.y <= a.y for a, b in zip(route.points, route.points[1:])), (
             "forward route fails to trend weakly left"
         )
         assert len(route.points) <= max_letter + 2, "route exceeds the letter bound"
-    _check_route_pairs(res.routes, forward=True)
-    _check_uniqueness(res.routes, params)
+    _check_route_pairs(routes, forward=True)
+    _check_uniqueness(routes, params)
     _check_row_sequences(res.events, increasing=True)
 
 
@@ -354,14 +355,15 @@ def check_reverse_call(t, strip, res):
     assert is_horizontal_strip(shed), "reverse new set is not a horizontal strip"
     min_letter = min(t.entries(), default=0)
     max_letter = t.max_entry()
-    for route in res.routes:
+    routes = res.routes
+    for route in routes:
         assert _route_rows_consecutive(route, -1)
         assert all(b.y >= a.y for a, b in zip(route.points, route.points[1:])), (
             "reverse route fails to trend weakly right"
         )
         assert len(route.points) <= max_letter - min_letter + 3
-    _check_route_pairs(res.routes, forward=False)
-    _check_uniqueness(res.routes, params)
+    _check_route_pairs(routes, forward=False)
+    _check_uniqueness(routes, params)
     _check_row_sequences(res.events, increasing=False)
 
 

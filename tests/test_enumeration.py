@@ -189,6 +189,10 @@ class TestStandardCounts:
         assert count_standard(shape((1, 1), (0, 0))) == 1
         assert count_standard(shape((2, 0), (0, 0))) == 1
 
+    @pytest.mark.parametrize("window", [(0, 0), (2, 1)])
+    def test_empty_shape_has_one_filling(self, window):
+        assert count_standard(shape(window, window)) == 1
+
     def test_against_filtered_enumeration(self):
         shapes = [
             shape((2, 1), (0, 0)),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import cyltab as ct
 from cyltab import enumeration, serialization as ser
 from cyltab.cli import main, run_fixtures
+from cyltab.geometry import CylParams
 from cyltab.serialization import SchemaError
 
 
@@ -76,6 +77,98 @@ class TestSchemas:
         cert = ct.connect((3, 1, 2), (1, 2, 3))
         doc = ser.serialize_certificate(cert)
         assert ser.parse_certificate(doc) == cert
+
+
+def _window(window, k=2, n=4):
+    return {"k": k, "n": n, "window": window}
+
+
+def _tableau_doc(outer, rows):
+    return {"shape": {"outer": _window(outer), "inner": _window([0, 0])}, "rows": rows}
+
+
+def _parse_game_k2n4(doc):
+    return ser.parse_game(doc, CylParams(2, 4))
+
+
+# The exact report of each reader: a nested path, then each invariant that a
+# constructor checks and the reader reports at the path of the whole value.
+SCHEMA_ERRORS = {
+    "nested-tableau-row": (
+        ser.parse_tableau,
+        _tableau_doc([2, 1], [[1, 2], ["x"]]),
+        "tableau.rows[1][0]: expected an integer, got 'x'",
+    ),
+    "nested-game-turn": (
+        _parse_game_k2n4,
+        {"initial": [1, 1], "turns": [[0, 0], [1, 0], [0, True]]},
+        "game.turns[2][1]: expected an integer, got True",
+    ),
+    "nested-certificate-end": (
+        ser.parse_certificate,
+        {"start": [1, 2], "moves": [], "end": [1.5]},
+        "certificate.end[0]: expected an integer, got 1.5",
+    ),
+    "increasing-window": (
+        ser.parse_partition,
+        _window([0, 1]),
+        "partition: window (0, 1) increases at index 0",
+    ),
+    "bad-cylinder": (
+        ser.parse_partition,
+        _window([0, 0], n=1),
+        "partition: n must exceed k, got n=1, k=2",
+    ),
+    "inner-not-inside-outer": (
+        ser.parse_shape,
+        {"outer": _window([1, 0]), "inner": _window([2, 0])},
+        "shape: inner (2, 0) not contained in outer (1, 0)",
+    ),
+    "column-not-increasing": (
+        ser.parse_tableau,
+        _tableau_doc([1, 1], [[2], [1]]),
+        "tableau: column 1 is not strictly increasing",
+    ),
+    "marble-total": (
+        _parse_game_k2n4,
+        {"initial": [1, 2], "turns": []},
+        "game: counts (1, 2) total 3, expected 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SCHEMA_ERRORS.values(), ids=SCHEMA_ERRORS.keys())
+def test_schema_error_text(case):
+    parse, doc, message = case
+    with pytest.raises(SchemaError) as info:
+        parse(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "argv, files, stderr",
+    [
+        (
+            ["validate"],
+            [(None, _tableau_doc([2, 1], [[1, 2], ["x"]]))],
+            """{"detail":"tableau.rows[1][0]: expected an integer, got 'x'","error":"SchemaError"}\n""",
+        ),
+        (
+            ["marble", "decode"],
+            [("--mu", _window([0, 0])), ("--game", {"initial": [1, 2], "turns": []})],
+            '{"detail":"game: counts (1, 2) total 3, expected 2","error":"SchemaError"}\n',
+        ),
+    ],
+    ids=["validate", "marble-decode"],
+)
+def test_schema_error_report_on_stderr(argv, files, stderr, tmp_path, capsys):
+    argv = list(argv)
+    for i, (flag, doc) in enumerate(files):
+        path = tmp_path / f"in{i}.json"
+        path.write_text(json.dumps(doc))
+        argv += [str(path)] if flag is None else [flag, str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", stderr)
 
 
 class TestCli:

@@ -5,8 +5,17 @@ criterion-2 sweep they must equal what the eager implementation built as it
 went, and the queues must equal the seed-then-one-step sequence.
 """
 
-from cyltab.insertion import full_multi, one_step_multi, seed_multi
-from cyltab.reverse import reverse_full_multi, reverse_one_step_multi, seed_reverse_multi
+from dataclasses import FrozenInstanceError
+
+import pytest
+
+from cyltab.insertion import InsertionQueue, full_multi, one_step_multi, seed_multi
+from cyltab.reverse import (
+    ReverseQueue,
+    reverse_full_multi,
+    reverse_one_step_multi,
+    seed_reverse_multi,
+)
 from sweeps import (
     full_multi_oracle,
     removal_pairs,
@@ -63,3 +72,24 @@ def test_seed_rows_match_oracle():
                     fwd.tableau, fwd.new_set, seed
                 )
 
+
+
+@pytest.mark.parametrize("cls", [InsertionQueue, ReverseQueue])
+def test_queue_build_keeps_its_class_and_takes_rows_mod_k(cls):
+    q = cls.build([(3, 5), (2, -1), (4, 1)], 3)
+    assert type(q) is cls
+    assert q == cls(((3, 2), (2, 2), (4, 1)), 3)
+    assert hash(q) == hash(cls(((3, 2), (2, 2), (4, 1)), 3))
+    assert len(q) == 3 and len(cls((), 3)) == 0
+    assert repr(q) == f"{cls.__name__}(items=((3, 2), (2, 2), (4, 1)), k=3)"
+    with pytest.raises(FrozenInstanceError):
+        q.items = ()
+
+
+def test_forward_and_reverse_queues_are_distinct_types():
+    up, down, tie = ((1, 0), (3, 1), (2, 0)), ((2, 0), (3, 1), (1, 0)), ((2, 0), (2, 0))
+    assert InsertionQueue(up, 2) != ReverseQueue(up, 2)
+    assert ReverseQueue(up, 2) != InsertionQueue(up, 2)
+    assert InsertionQueue(up, 2).is_regular() and not ReverseQueue(up, 2).is_reverse_regular()
+    assert ReverseQueue(down, 2).is_reverse_regular() and not InsertionQueue(down, 2).is_regular()
+    assert InsertionQueue(tie, 2).is_regular() and ReverseQueue(tie, 2).is_reverse_regular()
