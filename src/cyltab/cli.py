@@ -188,22 +188,6 @@ def cmd_verify(args) -> int:
     from . import enumeration
     from .polynomials import IdentityReport
 
-    if args.identity == "cauchy":
-        report = enumeration.verify_cauchy(
-            _partition(args, _parse_window(args.alpha)),
-            _partition(args, _parse_window(args.beta)),
-            args.degree,
-            args.xvars,
-            args.yvars,
-        )
-        _emit(_report_doc(report))
-        return 0 if report.equal else 1
-    if args.identity == "oneschur":
-        report = enumeration.verify_oneschur(
-            _partition(args, _parse_window(args.alpha)), args.degree, args.vars
-        )
-        _emit(_report_doc(report))
-        return 0 if report.equal else 1
     if args.identity == "fcount":
         lhs, rhs = enumeration.verify_fcount(
             _partition(args, _parse_window(args.alpha)),
@@ -212,20 +196,33 @@ def cmd_verify(args) -> int:
         )
         _emit({"lhs": lhs, "rhs": rhs, "equal": lhs == rhs})
         return 0 if lhs == rhs else 1
-    alpha, beta = _parse_window(args.alpha), _parse_window(args.beta)
-    lhs, rhs = enumeration.skew_reduction_sides(alpha, beta, args.degree, args.vars)
-    report = IdentityReport(lhs, rhs)
-    doc = _report_doc(report)
-    ok = report.equal
-    if args.cross_check:
-        lhs_cyl, rhs_cyl = enumeration.skew_reduction_embedding_sides(
-            alpha, beta, args.degree, args.vars
+    checks = {}
+    if args.identity == "cauchy":
+        report = enumeration.verify_cauchy(
+            _partition(args, _parse_window(args.alpha)),
+            _partition(args, _parse_window(args.beta)),
+            args.degree,
+            args.xvars,
+            args.yvars,
         )
-        doc["embedding_lhs_equal"] = IdentityReport(lhs, lhs_cyl).equal
-        doc["embedding_rhs_equal"] = IdentityReport(rhs, rhs_cyl).equal
-        ok = ok and doc["embedding_lhs_equal"] and doc["embedding_rhs_equal"]
-    _emit(doc)
-    return 0 if ok else 1
+    elif args.identity == "oneschur":
+        report = enumeration.verify_oneschur(
+            _partition(args, _parse_window(args.alpha)), args.degree, args.vars
+        )
+    else:
+        alpha, beta = _parse_window(args.alpha), _parse_window(args.beta)
+        if not args.cross_check:
+            report = enumeration.verify_skew_reduction(alpha, beta, args.degree, args.vars)
+        else:
+            lhs_check, rhs_check = enumeration.skew_reduction_cross_check(
+                alpha, beta, args.degree, args.vars
+            )
+            report = IdentityReport(lhs_check.lhs, rhs_check.lhs)
+            checks = {"embedding_lhs_equal": lhs_check.equal, "embedding_rhs_equal": rhs_check.equal}
+    if report.lhs.is_zero() and report.rhs.is_zero():
+        raise CliError("both sides are zero: nothing was compared")
+    _emit({**_report_doc(report), **checks})
+    return 0 if report.equal and all(checks.values()) else 1
 
 
 def cmd_marble(args) -> int:

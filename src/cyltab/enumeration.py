@@ -39,21 +39,24 @@ def _require_nonnegative(**counts: int) -> None:
 
 
 def _windows(
-    lo: Sequence[int], hi: Sequence[int], params: CylParams, total: int | None = None
+    lo: Sequence[int], hi: Sequence[int], width: int, total: int | None = None
 ) -> Iterator[tuple[int, ...]]:
-    """All valid partition windows w with lo[i] <= w[i] <= hi[i], in lexicographic order.
+    """All valid windows w with lo[i] <= w[i] <= hi[i], in lexicographic order.
 
-    With a total, only windows with sum(w) == total: each part's range is
-    clamped so that the parts after it can still make up the total.
+    w has k = len(lo) parts and period width. A regular partition with at most k
+    rows is a window for any width at least its largest part: the wrap never binds.
+    With a total, only windows with sum(w) == total: each part's range is clamped
+    so that the parts after it can still make up the total.
     """
-    k, width = params.k, params.width
+    k = len(lo)
     tail_lo = [sum(lo[i + 1 :]) for i in range(k)]
     tail_hi = [sum(hi[i + 1 :]) for i in range(k)]
     prefix: list[int] = []
 
     def rec(i: int, acc: int) -> Iterator[tuple[int, ...]]:
         if i == k:
-            yield tuple(prefix)
+            if total is None or acc == total:
+                yield tuple(prefix)
             return
         upper = min(hi[i], prefix[i - 1]) if i else hi[i]
         lower = lo[i]
@@ -67,7 +70,7 @@ def _windows(
             yield from rec(i + 1, acc + v)
             prefix.pop()
 
-    # For k == 1 the wrap constraint w[0] >= w[0] - width always holds.
+    # For k == 1 the wrap bound always holds; for k == 0 only the leaf test checks the total.
     yield from rec(0, 0)
 
 
@@ -81,7 +84,7 @@ def enumerate_inner(
     params = alpha.params
     lo = [alpha.window[i] - m for i in range(params.k)]
     hi = [min(a, b) for a, b in zip(alpha.window, beta.window)]
-    return [CylPartition(params, w) for w in _windows(lo, hi, params, sum(alpha.window) - m)]
+    return [CylPartition(params, w) for w in _windows(lo, hi, params.width, sum(alpha.window) - m)]
 
 
 def enumerate_outer(
@@ -94,7 +97,7 @@ def enumerate_outer(
     params = alpha.params
     lo = [max(a, b) for a, b in zip(alpha.window, beta.window)]
     hi = [beta.window[i] + m for i in range(params.k)]
-    return [CylPartition(params, w) for w in _windows(lo, hi, params, sum(beta.window) + m)]
+    return [CylPartition(params, w) for w in _windows(lo, hi, params.width, sum(beta.window) + m)]
 
 
 def enumerate_ssct(shape: SkewShape, num_letters: int) -> list[CylTableau]:
@@ -307,7 +310,7 @@ def enumerate_tableaux_with_inner(
     lo = list(mu.window)
     hi = [mu.part(i - num_letters) for i in range(k)]
     out = []
-    for w in _windows(lo, hi, params):
+    for w in _windows(lo, hi, params.width):
         lam = CylPartition(params, w)
         out.extend(enumerate_ssct(SkewShape(lam, mu), num_letters))
     return out
@@ -322,7 +325,7 @@ def enumerate_tableaux_with_outer(
     lo = [lam.part(i + num_letters) for i in range(k)]
     hi = list(lam.window)
     out = []
-    for w in _windows(lo, hi, params):
+    for w in _windows(lo, hi, params.width):
         mu = CylPartition(params, w)
         out.extend(enumerate_ssct(SkewShape(lam, mu), num_letters))
     return out
@@ -341,40 +344,37 @@ def regular_normalize(parts: Iterable[int]) -> tuple[int, ...]:
     return ps
 
 
-def _regular_part(parts: tuple[int, ...], i: int) -> int:
-    return parts[i] if i < len(parts) else 0
-
-
 def enumerate_regular_ssyt(
     outer: tuple[int, ...], inner: tuple[int, ...], num_letters: int
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Row fillings of a regular skew shape: rows weakly, columns strictly increase."""
     outer = regular_normalize(outer)
     inner = regular_normalize(inner)
-    if any(_regular_part(inner, i) > _regular_part(outer, i) for i in range(len(outer))):
+    if len(inner) > len(outer) or any(p > q for p, q in zip(inner, outer)):
         raise EnumerationError("inner not contained in outer")
     nrows = len(outer)
+    inner += (0,) * (nrows + 1 - len(inner))
     rows: list[list[int]] = [[] for _ in range(nrows)]
 
     def rec(r: int, c: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         if r == nrows:
             yield tuple(tuple(row) for row in rows)
             return
-        lo, hi = _regular_part(inner, r), outer[r]
+        lo, hi = inner[r], outer[r]
         if c > hi:
-            yield from rec(r + 1, _regular_part(inner, r + 1) + 1 if r + 1 < nrows else 0)
+            yield from rec(r + 1, inner[r + 1] + 1)
             return
         lower = 1
         if c > lo + 1:
             lower = rows[r][-1]
-        if r > 0 and _regular_part(inner, r - 1) < c <= outer[r - 1]:
-            lower = max(lower, rows[r - 1][c - _regular_part(inner, r - 1) - 1] + 1)
+        if r > 0 and inner[r - 1] < c <= outer[r - 1]:
+            lower = max(lower, rows[r - 1][c - inner[r - 1] - 1] + 1)
         for val in range(lower, num_letters + 1):
             rows[r].append(val)
             yield from rec(r, c + 1)
             rows[r].pop()
 
-    yield from rec(0, _regular_part(inner, 0) + 1)
+    yield from rec(0, inner[0] + 1)
 
 
 def regular_skew_schur(
@@ -391,35 +391,10 @@ def regular_skew_schur(
     return SparsePolynomial(num_vars, counts)
 
 
-def _partitions_between(
-    total: int, lower: tuple[int, ...], upper: tuple[int, ...]
-) -> list[tuple[int, ...]]:
-    """Partitions nu of total with lower[i] <= nu[i] <= upper[i] on len(upper) rows.
-
-    Parts of lower past its end are 0.  Largest first: in decreasing
-    lexicographic order, with trailing zeros dropped.
-    """
-    nrows = len(upper)
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def rec(i: int, prev: int, left: int) -> None:
-        if i == nrows:
-            if left == 0:
-                out.append(tuple(v for v in prefix if v))
-            return
-        for v in range(min(prev, upper[i], left), _regular_part(lower, i) - 1, -1):
-            prefix.append(v)
-            rec(i + 1, v, left - v)
-            prefix.pop()
-
-    rec(0, total, total)
-    return out
-
-
 def regular_partitions_of(size: int, max_rows: int | None = None) -> list[tuple[int, ...]]:
-    """All partitions of the given size, optionally with bounded row count."""
-    return _partitions_between(size, (), (size,) * (size if max_rows is None else max_rows))
+    """All partitions of the given size, optionally with bounded row count, largest first."""
+    k = size if max_rows is None else max_rows
+    return [regular_normalize(w) for w in _windows((0,) * k, (size,) * k, size, size)][::-1]
 
 
 def skew_reduction_sides(
@@ -429,15 +404,15 @@ def skew_reduction_sides(
     _require_nonnegative(max_degree=max_degree, num_vars=num_vars)
     a = regular_normalize(alpha)
     b = regular_normalize(beta)
+    rows = max(len(a), len(b))
+    a, b = (p + (0,) * (rows - len(p)) for p in (a, b))
     v = num_vars
     arity = 2 * v
-    cap = tuple(
-        min(_regular_part(a, i), _regular_part(b, i))
-        for i in range(max(len(a), len(b)))
-    )
+    cap = tuple(map(min, a, b))
     pair_sum = SparsePolynomial.zero(arity)
     for j in range(max_degree + 1):
-        for mu in _partitions_between(sum(a) - j, (), cap):
+        size = sum(a) - j
+        for mu in _windows((0,) * rows, cap, size, size):
             pair_sum = pair_sum + regular_skew_schur(a, mu, v).embed(
                 arity, 0
             ) * regular_skew_schur(b, mu, v).embed(arity, v)
@@ -447,14 +422,11 @@ def skew_reduction_sides(
             s = regular_skew_schur(gamma, (), v)
             diag = diag + s.embed(arity, 0) * s.embed(arity, v)
     lhs = (pair_sum * diag).truncate(max_degree, slice(0, v))
-    base = tuple(
-        max(_regular_part(a, i), _regular_part(b, i))
-        for i in range(max(len(a), len(b)))
-    )
+    base = tuple(map(max, a, b))
     rhs = SparsePolynomial.zero(arity)
     for j in range(max_degree + 1):
         size = sum(b) + j
-        for lam in _partitions_between(size, base, (size,) * (len(base) + j)):
+        for lam in _windows(base + (0,) * j, (size,) * (rows + j), size, size):
             rhs = rhs + regular_skew_schur(lam, b, v).embed(
                 arity, 0
             ) * regular_skew_schur(lam, a, v).embed(arity, v)
@@ -476,7 +448,7 @@ def skew_reduction_embedding_params(
     a = regular_normalize(alpha)
     b = regular_normalize(beta)
     k = max(len(a), len(b)) + 2 * max_degree + 1
-    n = k + max(_regular_part(a, 0), _regular_part(b, 0)) + 2 * max_degree + 1
+    n = k + max(a[:1] + b[:1], default=0) + 2 * max_degree + 1
     return CylParams(k, n)
 
 

@@ -356,12 +356,7 @@ def full_multi(t: CylTableau, boxes: Iterable[Box], seed_row: int = 0) -> MultiI
 
 def internal_insert(t: CylTableau, b: Box) -> tuple[CylTableau, BumpingRoute]:
     """Insert a single inside cocorner, bumping one chain of entries downward."""
-    r = b.row
-    if not (
-        0 <= r < t.params.k
-        and b.col == t.inner.window[r] + 1
-        and b.col <= t.inner.part(r - 1)
-    ):
+    if b not in inside_cocorners(t):
         raise NotInsideCocorner(f"box {b} is not an inside cocorner")
-    res = full_multi(t, [b], seed_row=r)
+    res = full_multi(t, [b], seed_row=b.row)
     return res.tableau, res.routes[0]

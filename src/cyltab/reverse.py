@@ -196,9 +196,7 @@ def reverse_full_multi(
 
 def reverse_insert(t: CylTableau, b: Box) -> tuple[CylTableau, BumpingRoute]:
     """Remove a single outside corner, bumping one chain of entries upward."""
-    r = b.row
-    lam = t.outer
-    if not (0 <= r < t.params.k and b.col == lam.window[r] and b.col > lam.part(r + 1)):
+    if b not in outside_corners(t):
         raise NotOutsideCorner(f"box {b} is not an outside corner")
-    res = reverse_full_multi(t, [b], seed_row=r)
+    res = reverse_full_multi(t, [b], seed_row=b.row)
     return res.tableau, res.routes[0]

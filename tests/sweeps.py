@@ -10,7 +10,6 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 from cyltab import words
 from cyltab.enumeration import (
-    _regular_part,
     enumerate_inner,
     enumerate_outer,
     enumerate_ssct,
@@ -157,6 +156,10 @@ def oneschur_sides_per_shape(alpha, max_degree, num_vars):
 # before one enumerator served the skew reduction identity: one recursion for
 # the partitions of a size, one for the mu below the cap and one for the lam
 # above the base.
+
+
+def _regular_part(parts: tuple[int, ...], i: int) -> int:
+    return parts[i] if i < len(parts) else 0
 
 
 def regular_partitions_of_oracle(size: int, max_rows: int | None = None) -> list[tuple[int, ...]]:

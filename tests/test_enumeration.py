@@ -3,8 +3,6 @@ from itertools import permutations, product, zip_longest
 import pytest
 
 from cyltab.enumeration import (
-    _partitions_between,
-    _regular_part,
     _windows,
     cauchy_sides,
     count_standard,
@@ -86,7 +84,7 @@ def filtered_inner(alpha, beta, m):
     """Every window in the bounding box of enumerate_inner, filtered by size."""
     lo = [a - m for a in alpha.window]
     hi = [min(a, b) for a, b in zip(alpha.window, beta.window)]
-    fits = (w for w in _windows(lo, hi, alpha.params) if sum(alpha.window) - sum(w) == m)
+    fits = (w for w in _windows(lo, hi, alpha.params.width) if sum(alpha.window) - sum(w) == m)
     return sorted(fits)
 
 
@@ -94,7 +92,7 @@ def filtered_outer(alpha, beta, m):
     """Every window in the bounding box of enumerate_outer, filtered by size."""
     lo = [max(a, b) for a, b in zip(alpha.window, beta.window)]
     hi = [b + m for b in beta.window]
-    fits = (w for w in _windows(lo, hi, alpha.params) if sum(w) - sum(beta.window) == m)
+    fits = (w for w in _windows(lo, hi, alpha.params.width) if sum(w) - sum(beta.window) == m)
     return sorted(fits)
 
 
@@ -426,29 +424,42 @@ class TestRegular:
         assert regular_skew_schur((2, 1), (), 3).coefficient((1, 1, 1)) == 2
 
     def test_inner_not_contained_is_a_cyltab_error(self):
-        with pytest.raises(CyltabError, match="inner not contained in outer"):
-            list(enumerate_regular_ssyt((1,), (2,), 2))
+        for outer, inner in (((1,), (2,)), ((2,), (1, 1)), ((), (1,))):
+            with pytest.raises(CyltabError, match="inner not contained in outer"):
+                list(enumerate_regular_ssyt(outer, inner, 2))
 
     def test_partitions_of(self):
         assert regular_partitions_of(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
         assert regular_partitions_of(0) == [()]
         assert regular_partitions_of(3, max_rows=2) == [(3,), (2, 1)]
+        assert regular_partitions_of(3, max_rows=0) == []
+
+    def test_windows_with_no_parts_meet_only_a_zero_total(self):
+        assert list(_windows((), (), 0)) == [()]
+        assert list(_windows((), (), 0, 0)) == [()]
+        assert list(_windows((), (), 0, -1)) == []
+        assert list(_windows((), (), 2, 2)) == []
 
     def test_one_enumerator_matches_the_three_it_replaced(self):
-        # the mu and lam lists of skew_reduction_sides for every pair of
-        # partitions inside (3, 2, 1) and j = 0..3, and the partitions of
-        # each size 0..8 with at most None, 1, 2 or 3 rows
+        # _windows as a regular enumerator: the mu and lam lists of
+        # skew_reduction_sides for every pair of partitions inside (3, 2, 1)
+        # and j = 0..3, and the partitions of each size 0..8 with at most
+        # None, 1, 2 or 3 rows; a window as wide as its total never wraps
         inside = sorted({regular_normalize(p) for p in product(range(4), range(3), range(2)) if p[0] >= p[1] >= p[2]})
         assert len(inside) == 14
+
+        def regular(lo, hi, total):
+            return sorted(regular_normalize(w) for w in _windows(lo, hi, total, total))
+
         cases = 0
         for a, b in product(inside, repeat=2):
-            rows = range(max(len(a), len(b)))
-            cap = tuple(min(_regular_part(a, i), _regular_part(b, i)) for i in rows)
-            base = tuple(max(_regular_part(a, i), _regular_part(b, i)) for i in rows)
+            pairs = list(zip_longest(a, b, fillvalue=0))
+            cap = tuple(min(p) for p in pairs)
+            base = tuple(max(p) for p in pairs)
             for j in range(4):
                 size = sum(b) + j
-                assert _partitions_between(sum(a) - j, (), cap) == regular_subpartitions_oracle(cap, a, j)
-                assert _partitions_between(size, base, (size,) * (len(base) + j)) == (
+                assert regular((0,) * len(cap), cap, sum(a) - j) == sorted(regular_subpartitions_oracle(cap, a, j))
+                assert regular(base + (0,) * j, (size,) * (len(base) + j), size) == sorted(
                     regular_superpartitions_oracle(base, b, j)
                 )
                 cases += 1

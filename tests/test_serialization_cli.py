@@ -171,6 +171,22 @@ def test_schema_error_report_on_stderr(argv, files, stderr, tmp_path, capsys):
     assert capsys.readouterr() == ("", stderr)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "skew", "--alpha", "", "--beta", "1", "--degree", "0", "--vars", "0"],
+        ["verify", "cauchy", "--k", "1", "--n", "4", "--alpha", "1", "--beta", "0",
+         "--degree", "2", "--xvars", "0", "--yvars", "0"],
+    ],
+    ids=["skew", "cauchy"],
+)
+def test_verify_with_both_sides_zero_is_an_error(argv, capsys):
+    # an identity whose two sides are both zero compares nothing
+    assert main(argv) == 1
+    stderr = '{"detail":"both sides are zero: nothing was compared","error":"CliError"}\n'
+    assert capsys.readouterr() == ("", stderr)
+
+
 class TestCli:
     def test_validate_ok(self, tmp_path, capsys):
         f = tmp_path / "t.json"
