@@ -8,7 +8,8 @@ identity are compared coefficient by coefficient.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
+from functools import lru_cache
+from itertools import accumulate, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CyltabError
@@ -187,31 +188,61 @@ def _strip_chains(
     going down, it removes one with max(rho[i+1], bound[i]) <= nu[i] <= rho[i],
     rho[k] read as rho[0] - width. These bounds also make each window valid.
     Exponents stay in letter order: going down, each new one is prepended.
+    Only weakly decreasing (dominant) vectors are counted; their prefixes and
+    suffixes are dominant too. That is exact: a window's polynomial is a
+    cylindric skew Schur polynomial, which is symmetric (Gessel-Krattenthaler
+    1997; Postnikov 2005), so _expand recovers its other terms.
     """
     base = sum(start)
     states = {start: {(): 1}}
-    for _ in range(num_vars):
+    for step in range(num_vars):
         successors: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         for cur, prefixes in states.items():
             size = sum(cur)
             slack = budget - abs(size - base)
-            if down:
+            if down:  # each later step removes at least as many boxes as this one
+                slack //= num_vars - step
                 below = zip(cur, cur[1:] + (cur[0] - width,), bound)
                 ranges = [range(max(r, f, c - slack), c + 1) for c, r, f in below]
-            else:
+            else:  # this step adds at most as many boxes as the one before
+                slack = min(slack, max(ex[-1] for ex in prefixes)) if step else slack
                 above = zip(cur, (cur[-1] + width,) + cur[:-1], bound)
                 ranges = [range(c, min(a, b, c + slack) + 1) for c, a, b in above]
             for nxt in product(*ranges):
                 d = abs(sum(nxt) - size)
                 if d > slack:
                     continue
-                letter = (d,)
-                chains = successors.setdefault(nxt, {})
                 for ex, c in prefixes.items():
-                    ex = letter + ex if down else ex + letter
-                    chains[ex] = chains.get(ex, 0) + c
+                    if not ex or (ex[0] <= d if down else d <= ex[-1]):
+                        ex = (d,) + ex if down else ex + (d,)
+                        chains = successors.setdefault(nxt, {})
+                        chains[ex] = chains.get(ex, 0) + c
         states = successors
     return states
+
+
+@lru_cache(maxsize=None)
+def _arrangements(e: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The distinct rearrangements of e: each distinct letter first, then the rest."""
+    rest = {x: e[:i] + e[i + 1 :] for i, x in enumerate(e)}  # e less one x, still sorted
+    return [(x,) + r for x, others in rest.items() for r in _arrangements(others)] or [()]
+
+
+def _expand(dominant: dict[tuple[int, ...], int], blocks: Sequence[int]) -> SparsePolynomial:
+    """The polynomial, symmetric in each block of variables, with these dominant terms.
+
+    Each key, weakly decreasing within each block (consecutive runs of the given
+    lengths), gives its coefficient to every block-wise rearrangement of itself.
+    """
+    cuts = list(accumulate(blocks, initial=0))
+    keys, coeffs = [], []
+    for e, c in dominant.items():
+        rows = [()]
+        for i, j in zip(cuts, cuts[1:]):
+            rows = [r + p for r in rows for p in _arrangements(e[i:j])]
+        keys += rows
+        coeffs += [c] * len(rows)
+    return SparsePolynomial._adopt(cuts[-1], dict(zip(keys, coeffs)))
 
 
 def schur_poly(shape: SkewShape, num_vars: int) -> SparsePolynomial:
@@ -223,7 +254,7 @@ def schur_poly(shape: SkewShape, num_vars: int) -> SparsePolynomial:
     _require_nonnegative(num_vars=num_vars)
     outer = shape.outer.window
     chains = _strip_chains(shape.inner.window, num_vars, shape.params.width, shape.size(), outer, False)
-    return SparsePolynomial(num_vars, chains.get(outer))
+    return _expand(chains.get(outer, {}), (num_vars,))
 
 
 def cauchy_sides(
@@ -236,8 +267,9 @@ def cauchy_sides(
     """Both sides of the cylindric Cauchy identity, truncated by x-degree.
 
     Each family shares one end (every s(alpha/mu) ends at alpha, every
-    s(lam/beta) starts at beta), so it is one strip-chain DP from there; a
-    side pairs its x and y families on the windows mu (or lam) both reach.
+    s(lam/beta) starts at beta), so it is one strip-chain DP from there. A side
+    pairs its families' dominant x and y terms on the windows mu (or lam) both
+    reach, then expands once, since each product is symmetric in x and in y.
     """
     _require_nonnegative(max_degree=max_degree, num_vars_x=num_vars_x, num_vars_y=num_vars_y)
     if alpha.params != beta.params:
@@ -255,7 +287,7 @@ def cauchy_sides(
                 for ex, cx in xterms.items():
                     e = ex + ey
                     acc[e] = acc.get(e, 0) + cx * cy
-        sides.append(SparsePolynomial(vx + vy, acc))
+        sides.append(_expand(acc, (vx, vy)))
     return sides[0], sides[1]
 
 
@@ -285,7 +317,7 @@ def verify_oneschur(alpha: CylPartition, max_degree: int, num_vars: int) -> Iden
         lhs.update(terms)
     for terms in _strip_chains(a, num_vars, width, d, [p + d for p in a], False).values():
         rhs.update(terms)
-    return IdentityReport(SparsePolynomial(num_vars, lhs), SparsePolynomial(num_vars, rhs))
+    return IdentityReport(_expand(lhs, (num_vars,)), _expand(rhs, (num_vars,)))
 
 
 def verify_fcount(alpha: CylPartition, beta: CylPartition, m: int) -> tuple[int, int]:
@@ -301,34 +333,18 @@ def verify_fcount(alpha: CylPartition, beta: CylPartition, m: int) -> tuple[int,
     return lhs, rhs
 
 
-def enumerate_tableaux_with_inner(
-    mu: CylPartition, num_letters: int
-) -> list[CylTableau]:
+def enumerate_tableaux_with_inner(mu: CylPartition, num_letters: int) -> list[CylTableau]:
     """All tableaux with the given inner shape over {1..num_letters}."""
-    params = mu.params
-    k = params.k
-    lo = list(mu.window)
-    hi = [mu.part(i - num_letters) for i in range(k)]
-    out = []
-    for w in _windows(lo, hi, params.width):
-        lam = CylPartition(params, w)
-        out.extend(enumerate_ssct(SkewShape(lam, mu), num_letters))
-    return out
+    hi = [mu.part(i - num_letters) for i in range(mu.params.k)]
+    lams = (CylPartition(mu.params, w) for w in _windows(mu.window, hi, mu.params.width))
+    return [t for lam in lams for t in enumerate_ssct(SkewShape(lam, mu), num_letters)]
 
 
-def enumerate_tableaux_with_outer(
-    lam: CylPartition, num_letters: int
-) -> list[CylTableau]:
+def enumerate_tableaux_with_outer(lam: CylPartition, num_letters: int) -> list[CylTableau]:
     """All tableaux with the given outer shape over {1..num_letters}."""
-    params = lam.params
-    k = params.k
-    lo = [lam.part(i + num_letters) for i in range(k)]
-    hi = list(lam.window)
-    out = []
-    for w in _windows(lo, hi, params.width):
-        mu = CylPartition(params, w)
-        out.extend(enumerate_ssct(SkewShape(lam, mu), num_letters))
-    return out
+    lo = [lam.part(i + num_letters) for i in range(lam.params.k)]
+    mus = (CylPartition(lam.params, w) for w in _windows(lo, lam.window, lam.params.width))
+    return [t for mu in mus for t in enumerate_ssct(SkewShape(lam, mu), num_letters)]
 
 
 # ---------------------------------------------------------------------------

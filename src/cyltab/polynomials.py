@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 from .errors import CyltabError
 
@@ -22,14 +23,16 @@ class SparsePolynomial:
 
     def __init__(self, arity: int, coeffs: dict[tuple[int, ...], int] | None = None):
         self.arity = arity
-        self._coeffs: dict[tuple[int, ...], int] = {}
-        if coeffs:
-            for exps, c in coeffs.items():
-                if c == 0:
-                    continue
-                if len(exps) != arity:
-                    raise PolynomialError(f"exponent vector {exps} has arity != {arity}")
-                self._coeffs[tuple(exps)] = c
+        self._coeffs = {e: c for e, c in coeffs.items() if c} if coeffs else {}
+        if any(map(arity.__ne__, map(len, self._coeffs))):
+            exps = next(e for e in self._coeffs if len(e) != arity)
+            raise PolynomialError(f"exponent vector {exps} has arity != {arity}")
+
+    @classmethod
+    def _adopt(cls, arity: int, coeffs: dict[tuple[int, ...], int]) -> "SparsePolynomial":
+        """Wrap, without copying or checking, nonzero coefficients of this arity."""
+        (poly := cls(arity))._coeffs = coeffs
+        return poly
 
     @staticmethod
     def zero(arity: int) -> "SparsePolynomial":
@@ -73,7 +76,7 @@ class SparsePolynomial:
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s

@@ -3,6 +3,8 @@ from itertools import permutations, product, zip_longest
 import pytest
 
 from cyltab.enumeration import (
+    _expand,
+    _strip_chains,
     _windows,
     cauchy_sides,
     count_standard,
@@ -246,17 +248,43 @@ class TestSchurPolynomials:
         assert cases == 1258
 
     def test_symmetric_in_the_variables(self):
-        # cylindric skew Schur polynomials are symmetric (Postnikov 2005), on the
-        # same 1,985 cases as the enumeration sweep
-        cases = asymmetric = 0
+        # cylindric skew Schur polynomials are symmetric (Gessel-Krattenthaler 1997;
+        # Postnikov 2005); schur_poly is symmetric by construction, so check the
+        # polynomials built without that assumption, on the same 1,985 cases as the
+        # enumeration sweep and on the 1,258 cases of the per-shape DP sweep
+        def asymmetric(poly):
+            return sum(
+                any(poly.coefficient(p) != c for p in set(permutations(e))) for e, c in poly.terms()
+            )
+
+        cases = bad = 0
         for params in iter_params(max_k=3, max_width=3):
             for sh in iter_shapes(params, 6):
                 for v in range(5):
-                    poly = schur_poly(sh, v)
-                    for e, c in poly.terms():
-                        asymmetric += any(poly.coefficient(p) != c for p in set(permutations(e)))
+                    bad += asymmetric(schur_poly_by_enumeration(sh, v))
                     cases += 1
-        assert (cases, asymmetric) == (1985, 0)
+        assert (cases, bad) == (1985, 0)
+        cases = 0
+        for params in iter_params(max_k=4, max_width=3):
+            for sh in iter_shapes(params, 7):
+                bad += asymmetric(schur_poly_per_shape(sh, 5))
+                cases += 1
+        assert (cases, bad) == (1258, 0)
+
+    def test_engine_counts_the_dominant_terms_of_the_per_shape_dp(self):
+        # up from inner to outer and down from outer to inner, on the 1,985 sweep cases
+        cases = 0
+        for params in iter_params(max_k=3, max_width=3):
+            for sh in iter_shapes(params, 6):
+                inner, outer, width = sh.inner.window, sh.outer.window, params.width
+                for v in range(5):
+                    full = schur_poly_per_shape(sh, v).terms()
+                    want = {e: c for e, c in full if list(e) == sorted(e, reverse=True)}
+                    up = _strip_chains(inner, v, width, sh.size(), outer, False)
+                    down = _strip_chains(outer, v, width, sh.size(), inner, True)
+                    assert up.get(outer, {}) == want == down.get(inner, {}), (sh, v)
+                    cases += 1
+        assert cases == 1985
 
     def test_no_letters(self):
         assert schur_poly(shape((0, 0), (0, 0)), 0) == SparsePolynomial.one(0)
@@ -270,6 +298,19 @@ class TestSchurPolynomials:
         sh = shape((2, 1), (0, -1))
         poly = schur_poly(sh, 3)
         assert all(sum(e) == sh.size() for e, _ in poly.terms())
+
+    def test_expand_gives_each_dominant_term_to_its_block_rearrangements(self):
+        dominant = {(2, 1, 1, 0, 3, 3): 5, (1, 0, 0, 0, 2, 0): 7}
+        poly = _expand(dominant, (4, 2))
+        # term counts are products of multinomials: 4!/(1!2!1!) * 2!/2! and 4!/(1!3!) * 2!/(1!1!)
+        assert poly.arity == 6 and len(poly.terms()) == 12 * 1 + 4 * 2
+        assert poly.coefficient((1, 0, 2, 1, 3, 3)) == 5
+        assert poly.coefficient((0, 0, 1, 0, 0, 2)) == 7
+        assert poly.coefficient_sum() == 12 * 5 + 8 * 7
+        empty_x = _expand({(2, 0): 3}, (0, 2))  # the (0, 2) budget: no x variables
+        assert empty_x == SparsePolynomial(2, {(2, 0): 3, (0, 2): 3})
+        assert _expand({(): 4}, (0, 0)) == SparsePolynomial(0, {(): 4})
+        assert _expand({}, (2,)).is_zero()
 
 
 class TestIdentities:
