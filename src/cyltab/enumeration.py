@@ -221,11 +221,11 @@ def _strip_chains(
     return states
 
 
-@lru_cache(maxsize=None)
-def _arrangements(e: tuple[int, ...]) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=1024)  # blocks recur across the keys of an expansion and across calls
+def _arrangements(e: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The distinct rearrangements of e: each distinct letter first, then the rest."""
     rest = {x: e[:i] + e[i + 1 :] for i, x in enumerate(e)}  # e less one x, still sorted
-    return [(x,) + r for x, others in rest.items() for r in _arrangements(others)] or [()]
+    return tuple((x,) + r for x, others in rest.items() for r in _arrangements(others)) or ((),)
 
 
 def _expand(dominant: dict[tuple[int, ...], int], blocks: Sequence[int]) -> SparsePolynomial:
@@ -235,14 +235,13 @@ def _expand(dominant: dict[tuple[int, ...], int], blocks: Sequence[int]) -> Spar
     lengths), gives its coefficient to every block-wise rearrangement of itself.
     """
     cuts = list(accumulate(blocks, initial=0))
-    keys, coeffs = [], []
+    expanded: dict[tuple[int, ...], int] = {}
     for e, c in dominant.items():
         rows = [()]
         for i, j in zip(cuts, cuts[1:]):
             rows = [r + p for r in rows for p in _arrangements(e[i:j])]
-        keys += rows
-        coeffs += [c] * len(rows)
-    return SparsePolynomial._adopt(cuts[-1], dict(zip(keys, coeffs)))
+        expanded.update(dict.fromkeys(rows, c))
+    return SparsePolynomial(cuts[-1], expanded)
 
 
 def schur_poly(shape: SkewShape, num_vars: int) -> SparsePolynomial:
@@ -333,18 +332,34 @@ def verify_fcount(alpha: CylPartition, beta: CylPartition, m: int) -> tuple[int,
     return lhs, rhs
 
 
-def enumerate_tableaux_with_inner(mu: CylPartition, num_letters: int) -> list[CylTableau]:
+def enumerate_tableaux_with_inner(
+    mu: CylPartition, num_letters: int
+) -> list[CylTableau]:
     """All tableaux with the given inner shape over {1..num_letters}."""
-    hi = [mu.part(i - num_letters) for i in range(mu.params.k)]
-    lams = (CylPartition(mu.params, w) for w in _windows(mu.window, hi, mu.params.width))
-    return [t for lam in lams for t in enumerate_ssct(SkewShape(lam, mu), num_letters)]
+    params = mu.params
+    k = params.k
+    lo = list(mu.window)
+    hi = [mu.part(i - num_letters) for i in range(k)]
+    out = []
+    for w in _windows(lo, hi, params.width):
+        lam = CylPartition(params, w)
+        out.extend(enumerate_ssct(SkewShape(lam, mu), num_letters))
+    return out
 
 
-def enumerate_tableaux_with_outer(lam: CylPartition, num_letters: int) -> list[CylTableau]:
+def enumerate_tableaux_with_outer(
+    lam: CylPartition, num_letters: int
+) -> list[CylTableau]:
     """All tableaux with the given outer shape over {1..num_letters}."""
-    lo = [lam.part(i + num_letters) for i in range(lam.params.k)]
-    mus = (CylPartition(lam.params, w) for w in _windows(lo, lam.window, lam.params.width))
-    return [t for mu in mus for t in enumerate_ssct(SkewShape(lam, mu), num_letters)]
+    params = lam.params
+    k = params.k
+    lo = [lam.part(i + num_letters) for i in range(k)]
+    hi = list(lam.window)
+    out = []
+    for w in _windows(lo, hi, params.width):
+        mu = CylPartition(params, w)
+        out.extend(enumerate_ssct(SkewShape(lam, mu), num_letters))
+    return out
 
 
 # ---------------------------------------------------------------------------

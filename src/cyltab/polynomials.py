@@ -23,16 +23,14 @@ class SparsePolynomial:
 
     def __init__(self, arity: int, coeffs: dict[tuple[int, ...], int] | None = None):
         self.arity = arity
-        self._coeffs = {e: c for e, c in coeffs.items() if c} if coeffs else {}
-        if any(map(arity.__ne__, map(len, self._coeffs))):
-            exps = next(e for e in self._coeffs if len(e) != arity)
-            raise PolynomialError(f"exponent vector {exps} has arity != {arity}")
-
-    @classmethod
-    def _adopt(cls, arity: int, coeffs: dict[tuple[int, ...], int]) -> "SparsePolynomial":
-        """Wrap, without copying or checking, nonzero coefficients of this arity."""
-        (poly := cls(arity))._coeffs = coeffs
-        return poly
+        self._coeffs: dict[tuple[int, ...], int] = {}
+        if coeffs:
+            for exps, c in coeffs.items():
+                if c == 0:
+                    continue
+                if len(exps) != arity:
+                    raise PolynomialError(f"exponent vector {exps} has arity != {arity}")
+                self._coeffs[tuple(exps)] = c
 
     @staticmethod
     def zero(arity: int) -> "SparsePolynomial":
