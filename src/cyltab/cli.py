@@ -80,9 +80,9 @@ def _partition(args, window: tuple[int, ...]) -> CylPartition:
 def _report_doc(report: IdentityReport) -> dict:
     return {
         "equal": report.equal,
-        "lhs": report.lhs.to_jsonable(),
-        "rhs": report.rhs.to_jsonable(),
-        "mismatches": [[list(e), lc, rc] for e, lc, rc in report.mismatches],
+        "lhs": report.lhs.terms(),
+        "rhs": report.rhs.terms(),
+        "mismatches": report.mismatches,
     }
 
 

@@ -1,8 +1,9 @@
 """Exhaustive enumerators and exact verification of the Schur-type identities.
 
-Everything here is exact integer combinatorics: shapes are enumerated within
-degree budgets, tableaux by pruned backtracking, and both sides of each
-identity are compared coefficient by coefficient.
+Everything here is exact integer combinatorics: one window enumerator lists
+shapes within degree budgets, one pruned filler lists tableaux (regular ones as
+cylindric ones on a cylinder wider than any part, where the wrap never binds),
+and both sides of each identity are compared coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -101,50 +102,49 @@ def enumerate_outer(
     return [CylPartition(params, w) for w in _windows(lo, hi, params.width, sum(beta.window) + m)]
 
 
-def enumerate_ssct(shape: SkewShape, num_letters: int) -> list[CylTableau]:
-    """All semistandard fillings over the alphabet {1..num_letters}.
+def _fillings(
+    inner: Sequence[int], outer: Sequence[int], width: int, num_letters: int
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Semistandard row fillings of the window outer / inner over {1..num_letters}.
 
-    Cells are filled row-major with pruning; each adjacency (including the
-    periodic wrap) is checked as soon as both of its cells are assigned, so
-    the output order is lexicographic on the row-major entry vector.
+    Row r holds columns inner[r]+1 .. outer[r]. Cells are filled row-major, each
+    bounded by its left neighbour and by whichever column neighbours are already
+    filled: the box above (0, c) is (k-1, c - width) and the box below (k-1, c)
+    is (0, c + width), in the same row when k = 1. The output order is
+    lexicographic on the row-major entry vector. The count is checked at call
+    time; the fillings come lazily.
     """
-    params = shape.params
-    k = params.k
-    cells: list[Box] = []
-    for r in range(k):
-        lo, hi = shape.row_interval(r)
-        cells.extend(Box(r, c) for c in range(lo + 1, hi + 1))
-    in_shape = set(cells)
-    assigned: dict[Box, int] = {}
-    out: list[CylTableau] = []
-    rows: list[list[int]] = [[] for _ in range(k)]
+    _require_nonnegative(num_letters=num_letters)
+    k = len(inner)
+    cells = [(r, c) for r in range(k) for c in range(inner[r] + 1, outer[r] + 1)]
+    index = {cell: i for i, cell in enumerate(cells)}
+    # Flat indices of (left, above, below); index -2 reads 0 and -1 reads
+    # num_letters + 1, so a missing or not yet filled neighbour binds nothing.
+    bounds = []
+    for i, (r, c) in enumerate(cells):
+        above = index.get((r - 1, c) if r else (k - 1, c - width), -2)
+        below = index.get((r + 1, c) if r < k - 1 else (0, c + width), -1)
+        left = i - 1 if c > inner[r] + 1 else -2
+        bounds.append((left, above if above < i else -2, below if below < i else -1))
+    vals = [0] * len(cells) + [0, num_letters + 1]
+    cuts = list(accumulate((hi - lo for lo, hi in zip(inner, outer)), initial=0))
 
-    def ok(b: Box, val: int) -> bool:
-        if rows[b.row] and val < rows[b.row][-1]:
-            return False
-        up = project(Point(b.row - 1, b.col), params)
-        if up in in_shape and up in assigned and assigned[up] >= val:
-            return False
-        down = project(Point(b.row + 1, b.col), params)
-        if down in in_shape and down in assigned and val >= assigned[down]:
-            return False
-        return True
-
-    def rec(i: int) -> None:
+    def rec(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         if i == len(cells):
-            out.append(CylTableau(shape, tuple(tuple(r) for r in rows)))
+            yield tuple(tuple(vals[a:b]) for a, b in zip(cuts, cuts[1:]))
             return
-        b = cells[i]
-        for val in range(1, num_letters + 1):
-            if ok(b, val):
-                assigned[b] = val
-                rows[b.row].append(val)
-                rec(i + 1)
-                rows[b.row].pop()
-                del assigned[b]
+        left, above, below = bounds[i]
+        for v in range(max(vals[left], vals[above] + 1), vals[below]):
+            vals[i] = v
+            yield from rec(i + 1)
 
-    rec(0)
-    return out
+    return rec(0)
+
+
+def enumerate_ssct(shape: SkewShape, num_letters: int) -> list[CylTableau]:
+    """All semistandard fillings over {1..num_letters}, lexicographic row-major."""
+    fillings = _fillings(shape.inner.window, shape.outer.window, shape.params.width, num_letters)
+    return [CylTableau(shape, rows) for rows in fillings]
 
 
 def count_standard(shape: SkewShape) -> int:
@@ -332,36 +332,6 @@ def verify_fcount(alpha: CylPartition, beta: CylPartition, m: int) -> tuple[int,
     return lhs, rhs
 
 
-def enumerate_tableaux_with_inner(
-    mu: CylPartition, num_letters: int
-) -> list[CylTableau]:
-    """All tableaux with the given inner shape over {1..num_letters}."""
-    params = mu.params
-    k = params.k
-    lo = list(mu.window)
-    hi = [mu.part(i - num_letters) for i in range(k)]
-    out = []
-    for w in _windows(lo, hi, params.width):
-        lam = CylPartition(params, w)
-        out.extend(enumerate_ssct(SkewShape(lam, mu), num_letters))
-    return out
-
-
-def enumerate_tableaux_with_outer(
-    lam: CylPartition, num_letters: int
-) -> list[CylTableau]:
-    """All tableaux with the given outer shape over {1..num_letters}."""
-    params = lam.params
-    k = params.k
-    lo = [lam.part(i + num_letters) for i in range(k)]
-    hi = list(lam.window)
-    out = []
-    for w in _windows(lo, hi, params.width):
-        mu = CylPartition(params, w)
-        out.extend(enumerate_ssct(SkewShape(lam, mu), num_letters))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Regular (non-cylindric) partitions, for the skew reduction identity.
 
@@ -378,34 +348,17 @@ def regular_normalize(parts: Iterable[int]) -> tuple[int, ...]:
 def enumerate_regular_ssyt(
     outer: tuple[int, ...], inner: tuple[int, ...], num_letters: int
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Row fillings of a regular skew shape: rows weakly, columns strictly increase."""
+    """Row fillings of a regular skew shape: rows weakly, columns strictly increase.
+
+    The shape is filled as a cylindric window as wide as its first row, so the
+    wrap never binds. Bad input raises at call time; the fillings come lazily.
+    """
     outer = regular_normalize(outer)
     inner = regular_normalize(inner)
     if len(inner) > len(outer) or any(p > q for p, q in zip(inner, outer)):
         raise EnumerationError("inner not contained in outer")
-    nrows = len(outer)
-    inner += (0,) * (nrows + 1 - len(inner))
-    rows: list[list[int]] = [[] for _ in range(nrows)]
-
-    def rec(r: int, c: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if r == nrows:
-            yield tuple(tuple(row) for row in rows)
-            return
-        lo, hi = inner[r], outer[r]
-        if c > hi:
-            yield from rec(r + 1, inner[r + 1] + 1)
-            return
-        lower = 1
-        if c > lo + 1:
-            lower = rows[r][-1]
-        if r > 0 and inner[r - 1] < c <= outer[r - 1]:
-            lower = max(lower, rows[r - 1][c - inner[r - 1] - 1] + 1)
-        for val in range(lower, num_letters + 1):
-            rows[r].append(val)
-            yield from rec(r, c + 1)
-            rows[r].pop()
-
-    yield from rec(0, inner[0] + 1)
+    inner += (0,) * (len(outer) - len(inner))
+    return _fillings(inner, outer, max(outer, default=0), num_letters)
 
 
 def regular_skew_schur(

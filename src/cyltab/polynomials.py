@@ -123,9 +123,6 @@ class SparsePolynomial:
             parts.append(f"{c}" if not mono else (mono if c == 1 else f"{c}*{mono}"))
         return " + ".join(parts)
 
-    def to_jsonable(self) -> list[list]:
-        return [[list(e), c] for e, c in self.terms()]
-
     def _check(self, other: "SparsePolynomial") -> None:
         if self.arity != other.arity:
             raise PolynomialError(f"arity mismatch: {self.arity} vs {other.arity}")

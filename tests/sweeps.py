@@ -10,6 +10,8 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 from cyltab import words
 from cyltab.enumeration import (
+    EnumerationError,
+    _windows,
     enumerate_inner,
     enumerate_outer,
     enumerate_ssct,
@@ -19,6 +21,7 @@ from cyltab.geometry import (
     Box,
     CylParams,
     CylPartition,
+    Point,
     SkewShape,
     is_horizontal_strip,
     lift,
@@ -35,7 +38,7 @@ from cyltab.insertion import (
 )
 from cyltab.polynomials import SparsePolynomial
 from cyltab.reverse import ReverseQueue, _check_strip_from_outer
-from cyltab.tableau import weight
+from cyltab.tableau import CylTableau, weight
 
 
 def iter_params(max_k=3, max_width=3):
@@ -226,6 +229,103 @@ def regular_superpartitions_oracle(base: tuple[int, ...], over: tuple[int, ...],
 
     rec(0, target, 0, [])
     return list(dict.fromkeys(out))
+
+
+def enumerate_tableaux_with_inner(mu, num_letters):
+    """All tableaux with the given inner shape over {1..num_letters}."""
+    k = mu.params.k
+    hi = [mu.part(i - num_letters) for i in range(k)]
+    out = []
+    for w in _windows(mu.window, hi, mu.params.width):
+        out.extend(enumerate_ssct(SkewShape(CylPartition(mu.params, w), mu), num_letters))
+    return out
+
+
+def enumerate_tableaux_with_outer(lam, num_letters):
+    """All tableaux with the given outer shape over {1..num_letters}."""
+    k = lam.params.k
+    lo = [lam.part(i + num_letters) for i in range(k)]
+    out = []
+    for w in _windows(lo, lam.window, lam.params.width):
+        out.extend(enumerate_ssct(SkewShape(lam, CylPartition(lam.params, w)), num_letters))
+    return out
+
+
+# Tableau fillers as the enumeration module had them before one filler served
+# both: the cylindric one projected each neighbour onto the cylinder per check,
+# the regular one indexed the row above directly.
+
+
+def enumerate_ssct_oracle(shape, num_letters):
+    """All semistandard fillings over {1..num_letters}, lexicographic row-major."""
+    params = shape.params
+    k = params.k
+    cells = []
+    for r in range(k):
+        lo, hi = shape.row_interval(r)
+        cells.extend(Box(r, c) for c in range(lo + 1, hi + 1))
+    in_shape = set(cells)
+    assigned = {}
+    out = []
+    rows = [[] for _ in range(k)]
+
+    def ok(b, val):
+        if rows[b.row] and val < rows[b.row][-1]:
+            return False
+        up = project(Point(b.row - 1, b.col), params)
+        if up in in_shape and up in assigned and assigned[up] >= val:
+            return False
+        down = project(Point(b.row + 1, b.col), params)
+        if down in in_shape and down in assigned and val >= assigned[down]:
+            return False
+        return True
+
+    def rec(i):
+        if i == len(cells):
+            out.append(CylTableau(shape, tuple(tuple(r) for r in rows)))
+            return
+        b = cells[i]
+        for val in range(1, num_letters + 1):
+            if ok(b, val):
+                assigned[b] = val
+                rows[b.row].append(val)
+                rec(i + 1)
+                rows[b.row].pop()
+                del assigned[b]
+
+    rec(0)
+    return out
+
+
+def enumerate_regular_ssyt_oracle(outer, inner, num_letters):
+    """Row fillings of a regular skew shape: rows weakly, columns strictly increase."""
+    outer = regular_normalize(outer)
+    inner = regular_normalize(inner)
+    if len(inner) > len(outer) or any(p > q for p, q in zip(inner, outer)):
+        raise EnumerationError("inner not contained in outer")
+    nrows = len(outer)
+    inner += (0,) * (nrows + 1 - len(inner))
+    rows = [[] for _ in range(nrows)]
+
+    def rec(r, c):
+        if r == nrows:
+            yield tuple(tuple(row) for row in rows)
+            return
+        lo, hi = inner[r], outer[r]
+        if c > hi:
+            yield from rec(r + 1, inner[r + 1] + 1)
+            return
+        lower = 1
+        if c > lo + 1:
+            lower = rows[r][-1]
+        if r > 0 and inner[r - 1] < c <= outer[r - 1]:
+            lower = max(lower, rows[r - 1][c - inner[r - 1] - 1] + 1)
+        for val in range(lower, num_letters + 1):
+            rows[r].append(val)
+            yield from rec(r, c + 1)
+            rows[r].pop()
+
+    yield from rec(0, inner[0] + 1)
 
 
 def iter_tableaux(params, max_boxes, letters):

@@ -11,8 +11,6 @@ from cyltab.enumeration import (
     enumerate_inner,
     enumerate_outer,
     enumerate_ssct,
-    enumerate_tableaux_with_inner,
-    enumerate_tableaux_with_outer,
     skew_reduction_cross_check,
     verify_cauchy,
     verify_fcount,
@@ -36,6 +34,8 @@ from sweeps import (
     check_forward_call,
     check_retrace,
     check_reverse_call,
+    enumerate_tableaux_with_inner,
+    enumerate_tableaux_with_outer,
     iter_params,
     removal_pairs,
     sweep_pairs,

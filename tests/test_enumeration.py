@@ -12,8 +12,6 @@ from cyltab.enumeration import (
     enumerate_outer,
     enumerate_regular_ssyt,
     enumerate_ssct,
-    enumerate_tableaux_with_inner,
-    enumerate_tableaux_with_outer,
     regular_normalize,
     regular_partitions_of,
     regular_skew_schur,
@@ -42,6 +40,10 @@ from cyltab.tableau import is_standard
 from sweeps import (
     anchored_partitions,
     cauchy_sides_per_shape,
+    enumerate_regular_ssyt_oracle,
+    enumerate_ssct_oracle,
+    enumerate_tableaux_with_inner,
+    enumerate_tableaux_with_outer,
     iter_params,
     iter_shapes,
     oneschur_sides_per_shape,
@@ -181,6 +183,16 @@ class TestTableauEnumeration:
         for t in enumerate_ssct(sh, 3):
             row = t.rows[0]
             assert row[0] < row[2]
+
+    def test_matches_the_oracle_sweep(self):
+        # same tableaux in the same order: k <= 4, width <= 4, at most 6 boxes, 0-3 letters
+        cases = 0
+        for params in iter_params(max_k=4, max_width=4):
+            for sh in iter_shapes(params, 6):
+                for v in range(4):
+                    assert enumerate_ssct(sh, v) == enumerate_ssct_oracle(sh, v), (sh, v)
+                    cases += 1
+        assert cases == 11004
 
 
 class TestStandardCounts:
@@ -410,6 +422,8 @@ class TestIdentities:
             lambda: verify_oneschur(alpha, -1, 2),
             lambda: verify_fcount(alpha, alpha, -1),
             lambda: verify_skew_reduction((), (), 1, -1),
+            lambda: enumerate_ssct(shape((0, 0), (0, 0)), -1),
+            lambda: enumerate_regular_ssyt((), (), -2),
         ):
             with pytest.raises(CyltabError, match="must be nonnegative"):
                 call()
@@ -465,9 +479,23 @@ class TestRegular:
         assert regular_skew_schur((2, 1), (), 3).coefficient((1, 1, 1)) == 2
 
     def test_inner_not_contained_is_a_cyltab_error(self):
+        # raised at call time, before the fillings are iterated
         for outer, inner in (((1,), (2,)), ((2,), (1, 1)), ((), (1,))):
             with pytest.raises(CyltabError, match="inner not contained in outer"):
-                list(enumerate_regular_ssyt(outer, inner, 2))
+                enumerate_regular_ssyt(outer, inner, 2)
+
+    def test_ssyt_matches_the_oracle_sweep(self):
+        # same fillings in the same order: every inner inside every outer of at
+        # most 7 boxes, 0-3 letters
+        sizes = [p for size in range(8) for p in regular_partitions_of(size)]
+        cases = 0
+        for outer, inner in product(sizes, repeat=2):
+            if len(inner) <= len(outer) and all(p <= q for p, q in zip(inner, outer)):
+                for v in range(4):
+                    want = list(enumerate_regular_ssyt_oracle(outer, inner, v))
+                    assert list(enumerate_regular_ssyt(outer, inner, v)) == want, (outer, inner, v)
+                    cases += 1
+        assert cases == 1796
 
     def test_partitions_of(self):
         assert regular_partitions_of(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]

@@ -1,6 +1,5 @@
 import pytest
 
-from cyltab.enumeration import enumerate_tableaux_with_inner, enumerate_tableaux_with_outer
 from cyltab.geometry import CylParams, CylPartition, SkewShape
 from cyltab.marbles import (
     Arrangement,
@@ -16,7 +15,13 @@ from cyltab.marbles import (
     tableau_to_game,
 )
 from cyltab.tableau import empty_tableau, is_standard, tableau_validate
-from sweeps import anchored_partitions, iter_params, iter_tableaux
+from sweeps import (
+    anchored_partitions,
+    enumerate_tableaux_with_inner,
+    enumerate_tableaux_with_outer,
+    iter_params,
+    iter_tableaux,
+)
 
 K2N4 = CylParams(2, 4)
 K3N7 = CylParams(3, 7)
