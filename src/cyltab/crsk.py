@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Box, CylPartition
-from .insertion import InsertionError, full_multi
-from .reverse import reverse_full_multi
-from .tableau import CylTableau, boxes_by_letter, from_box_entries
+from .geometry import CylPartition, SkewShape
+# `full_multi`/`reverse_full_multi` are no longer called here; bench/tracer.py rebinds them.
+from .insertion import InsertionError, TableauState, _insert_strip, full_multi  # noqa: F401
+from .reverse import _remove_strip, reverse_full_multi  # noqa: F401
+from .tableau import CylTableau, boxes_by_letter, tableau_validate
 
 
 class MismatchedInnerShapes(InsertionError):
@@ -32,47 +33,46 @@ class CrskOutput:
     lam: CylPartition
 
 
+def _check_same(side: str, a: CylPartition, b: CylPartition, error: type) -> None:
+    if a.params != b.params:
+        raise error(f"{side} shapes lie on different cylinders: {a.params} vs {b.params}")
+    if a != b:
+        raise error(f"{side} shapes differ: {a.window} vs {b.window}")
+
+
 def crsk(t: CylTableau, u: CylTableau) -> CrskOutput:
     """Map a pair of tableaux sharing an inner shape to a pair sharing an outer one.
 
     The letters of u are consumed in increasing order; each batch of equal
-    letters is multi-inserted into p (initially t), and the boxes gained by
-    the outer shape are recorded in q under that letter.  Weights of both
-    components are preserved.
+    letters is multi-inserted into one working state (initially t), and the
+    boxes its outer shape gains at the row ends are recorded in q under that
+    letter.  p and q are built, so validated, once.  Weights are preserved.
     """
-    if t.inner != u.inner:
-        raise MismatchedInnerShapes(
-            f"inner shapes differ: {t.inner.window} vs {u.inner.window}"
-        )
-    alpha = t.outer
-    batches = boxes_by_letter(u)
-    p = t
-    recorded: dict[Box, int] = {}
-    for i in sorted(batches):
-        res = full_multi(p, batches[i])
-        p = res.tableau
-        for b in res.new_set:
-            recorded[b] = i
-    lam = p.outer
-    q = from_box_entries(lam, alpha, recorded)
-    return CrskOutput(p, q, lam)
+    _check_same("inner", t.inner, u.inner, MismatchedInnerShapes)
+    st = TableauState.from_tableau(t)
+    q_rows: list[list[int]] = [[] for _ in st.lam]
+    for i, boxes in sorted(boxes_by_letter(u).items()):
+        before = list(st.lam)
+        _insert_strip(st, boxes, 0, [])
+        for row, a, b in zip(q_rows, before, st.lam):
+            row += [i] * (b - a)
+    p = st.to_tableau()
+    return CrskOutput(p, tableau_validate(SkewShape(p.outer, t.outer), q_rows), p.outer)
 
 
 def crsk_inverse(p: CylTableau, q: CylTableau) -> CrskInput:
-    """Invert crsk: peel the letters of q in decreasing order out of p."""
-    if p.outer != q.outer:
-        raise MismatchedOuterShapes(
-            f"outer shapes differ: {p.outer.window} vs {q.outer.window}"
-        )
-    beta = p.inner
-    batches = boxes_by_letter(q)
-    t = p
-    recorded: dict[Box, int] = {}
-    for i in sorted(batches, reverse=True):
-        res = reverse_full_multi(t, batches[i])
-        t = res.tableau
-        for b in res.reverse_new_set:
-            recorded[b] = i
-    mu = t.inner
-    u = from_box_entries(beta, mu, recorded)
-    return CrskInput(t, u, mu)
+    """Invert crsk: peel the letters of q in decreasing order out of one working state.
+
+    The boxes each batch sheds from the row starts of the inner shape are
+    recorded in u under its letter; t and u are built, so validated, once.
+    """
+    _check_same("outer", p.outer, q.outer, MismatchedOuterShapes)
+    st = TableauState.from_tableau(p)
+    u_rows: list[list[int]] = [[] for _ in st.mu]
+    for i, boxes in sorted(boxes_by_letter(q).items(), reverse=True):
+        before = list(st.mu)
+        _remove_strip(st, boxes, 0, [])
+        for row, a, b in zip(u_rows, st.mu, before):
+            row[:0] = [i] * (b - a)
+    t = st.to_tableau()
+    return CrskInput(t, tableau_validate(SkewShape(p.inner, t.inner), u_rows), t.inner)

@@ -5,7 +5,8 @@ bumps the displaced entries downward row by row, driven by a FIFO queue of
 (letter, row) pairs.  Every seed, bump and landing is one tuple of a flat
 step log; the bumping routes (the chain of plane points each displaced box
 travels through, always trending weakly left), the successive queues and
-the events are derived from that log when they are read.
+the events are derived from that log when they are read.  The core
+`_insert_strip` works in place on one `TableauState`; `full_multi` wraps it.
 """
 
 from __future__ import annotations
@@ -229,10 +230,8 @@ def inside_cocorners(t: CylTableau) -> list[Box]:
     return out
 
 
-def _check_strip_into_inner(t: CylTableau, boxes: Sequence[Box]) -> None:
-    params = t.params
+def _check_strip_into_inner(params: CylParams, mu: Sequence[int], boxes: Sequence[Box]) -> None:
     k = params.k
-    mu = list(t.inner.window)
     per_row: dict[int, list[int]] = {}
     for b in boxes:
         if not 0 <= b.row < k:
@@ -304,17 +303,17 @@ def seed_multi(
     t: CylTableau, boxes: Iterable[Box], seed_row: int = 0
 ) -> tuple[TableauState, InsertionQueue]:
     """Remove a horizontal strip into the inner shape, yielding the start queue."""
-    state, queue = _seed_forward(t, boxes, seed_row, [])
+    state = TableauState.from_tableau(t)
+    queue = _seed_forward(state, boxes, seed_row, [])
     return state, InsertionQueue(tuple((x, r) for x, r, _, _ in queue), t.params.k)
 
 
 def _seed_forward(
-    t: CylTableau, boxes: Iterable[Box], seed_row: int, log: list[Step]
-) -> tuple[TableauState, list[tuple[int, int, int, int]]]:
+    st: TableauState, boxes: Iterable[Box], seed_row: int, log: list[Step]
+) -> list[tuple[int, int, int, int]]:
     """Absorb the strip row by row from seed_row, left to right; one route per box."""
     bs = sorted(set(boxes), key=lambda b: (b.row, b.col))
-    _check_strip_into_inner(t, bs)
-    st = TableauState.from_tableau(t)
+    _check_strip_into_inner(st.params, st.mu, bs)
     k = st.params.k
     queue: list[tuple[int, int, int, int]] = []  # letter, row, plane row, route id
     for h in range(seed_row, seed_row + k):
@@ -331,7 +330,12 @@ def _seed_forward(
             else:
                 st.lam[r] += 1
                 log.append(("seed_out", r, b.col, h, rid, None, None))
-    return st, queue
+    return queue
+
+
+def _insert_strip(st: TableauState, boxes: Iterable[Box], seed_row: int, log: list) -> tuple:
+    """Multi-insert a strip into st in place, logging every step; return the rounds."""
+    return _cascade(st, _seed_forward(st, boxes, seed_row, log), log, _forward_round)
 
 
 def full_multi(t: CylTableau, boxes: Iterable[Box], seed_row: int = 0) -> MultiInsertResult:
@@ -345,8 +349,8 @@ def full_multi(t: CylTableau, boxes: Iterable[Box], seed_row: int = 0) -> MultiI
     are derived on demand.
     """
     log: list[Step] = []
-    st, queue = _seed_forward(t, boxes, seed_row, log)
-    rounds = _cascade(st, queue, log, _forward_round)
+    st = TableauState.from_tableau(t)
+    rounds = _insert_strip(st, boxes, seed_row, log)
     result = st.to_tableau()
     # The new set is measured against the outer shape of the input tableau,
     # so boxes absorbed degenerately during seeding count as new.

@@ -2,7 +2,8 @@
 
 A horizontal strip is removed from the outer shape and the displaced entries
 bump upward, each chain landing on the inner frontier.  Reverse routes
-retrace the forward routes point for point, in reverse order.
+retrace the forward routes point for point, in reverse order.  The core
+`_remove_strip` works in place on one `TableauState`; `reverse_full_multi` wraps it.
 """
 
 from __future__ import annotations
@@ -10,10 +11,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import ge
-from typing import Iterable
+from typing import Iterable, Sequence
 
 # `lift` is no longer called here but stays a module name: bench/tracer.py rebinds it.
-from .geometry import Box, SkewShape, lift  # noqa: F401
+from .geometry import Box, CylParams, SkewShape, lift  # noqa: F401
 from .insertion import (
     BumpingRoute,
     InsertionError,
@@ -73,10 +74,8 @@ def outside_corners(t: CylTableau) -> list[Box]:
     return out
 
 
-def _check_strip_from_outer(t: CylTableau, boxes: list[Box]) -> None:
-    params = t.params
+def _check_strip_from_outer(params: CylParams, lam: Sequence[int], boxes: list[Box]) -> None:
     k = params.k
-    lam = list(t.outer.window)
     per_row: dict[int, list[int]] = {}
     for b in boxes:
         if not 0 <= b.row < k:
@@ -141,12 +140,11 @@ def _reverse_round(
 
 
 def _seed_reverse(
-    t: CylTableau, boxes: Iterable[Box], seed_row: int, log: list[Step]
-) -> tuple[TableauState, list[tuple[int, int, int, int]]]:
+    st: TableauState, boxes: Iterable[Box], seed_row: int, log: list[Step]
+) -> list[tuple[int, int, int, int]]:
     """Peel the strip from seed_row downward in index, right to left; one route per box."""
     bs = sorted(set(boxes), key=lambda b: (b.row, -b.col))
-    _check_strip_from_outer(t, bs)
-    st = TableauState.from_tableau(t)
+    _check_strip_from_outer(st.params, st.lam, bs)
     k = st.params.k
     queue: list[tuple[int, int, int, int]] = []
     for h in range(seed_row, seed_row - k, -1):
@@ -163,14 +161,20 @@ def _seed_reverse(
             else:
                 st.mu[r] -= 1
                 log.append(("seed_out", r, b.col, h, rid, None, None))
-    return st, queue
+    return queue
+
+
+def _remove_strip(st: TableauState, boxes: Iterable[Box], seed_row: int, log: list) -> tuple:
+    """Reverse-insert a strip out of st in place, logging every step; return the rounds."""
+    return _cascade(st, _seed_reverse(st, boxes, seed_row, log), log, _reverse_round)
 
 
 def seed_reverse_multi(
     t: CylTableau, boxes: Iterable[Box], seed_row: int = 0
 ) -> tuple[TableauState, ReverseQueue]:
     """Remove a horizontal strip from the outer shape, yielding the start queue."""
-    state, queue = _seed_reverse(t, boxes, seed_row, [])
+    state = TableauState.from_tableau(t)
+    queue = _seed_reverse(state, boxes, seed_row, [])
     return state, ReverseQueue(tuple((x, r) for x, r, _, _ in queue), t.params.k)
 
 
@@ -185,8 +189,8 @@ def reverse_full_multi(
     the inner shape form a horizontal strip.
     """
     log: list[Step] = []
-    st, queue = _seed_reverse(t, boxes, seed_row, log)
-    rounds = _cascade(st, queue, log, _reverse_round)
+    st = TableauState.from_tableau(t)
+    rounds = _remove_strip(st, boxes, seed_row, log)
     result = st.to_tableau()
     # Measured against the inner shape of the input tableau, so boxes shed
     # degenerately during seeding count as part of the reverse new set.

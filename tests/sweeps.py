@@ -5,10 +5,12 @@ shapes is enumerated once; every algorithm under test commutes with column
 translation.
 """
 
+import random
 from collections import Counter, defaultdict
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from cyltab import words
+from cyltab import marbles, words
+from cyltab.crsk import CrskInput, CrskOutput
 from cyltab.enumeration import (
     EnumerationError,
     _windows,
@@ -34,11 +36,12 @@ from cyltab.insertion import (
     InsertionQueue,
     TableauState,
     _check_strip_into_inner,
+    full_multi,
     point_order_lt,
 )
 from cyltab.polynomials import SparsePolynomial
-from cyltab.reverse import ReverseQueue, _check_strip_from_outer
-from cyltab.tableau import CylTableau, weight
+from cyltab.reverse import ReverseQueue, _check_strip_from_outer, reverse_full_multi
+from cyltab.tableau import CylTableau, boxes_by_letter, from_box_entries, weight
 
 
 def iter_params(max_k=3, max_width=3):
@@ -528,7 +531,7 @@ def full_multi_oracle(t, boxes, seed_row=0):
     params = t.params
     k = params.k
     bs = sorted(set(boxes), key=lambda b: (b.row, b.col))
-    _check_strip_into_inner(t, bs)
+    _check_strip_into_inner(params, t.inner.window, bs)
     st = TableauState.from_tableau(t)
     queue = []
     for h in range(seed_row, seed_row + k):
@@ -576,7 +579,7 @@ def reverse_full_multi_oracle(t, boxes, seed_row=0):
     params = t.params
     k = params.k
     bs = sorted(set(boxes), key=lambda b: (b.row, b.col))
-    _check_strip_from_outer(t, bs)
+    _check_strip_from_outer(params, t.outer.window, bs)
     st = TableauState.from_tableau(t)
     queue = []
     for h in range(seed_row, seed_row - k, -1):
@@ -622,6 +625,82 @@ def reverse_full_multi_oracle(t, boxes, seed_row=0):
 # Cyclic Knuth words, as the words module computed them before it replayed a
 # run of rotations as one slice and resumed the switch scan next to the last
 # switch: one tuple rebuilt per move, and a full rescan after every switch.
+
+
+def crsk_per_batch_oracle(t, u):
+    """crsk by one full_multi call per letter batch, each building a validated tableau."""
+    assert t.inner == u.inner
+    batches = boxes_by_letter(u)
+    p = t
+    recorded = {}
+    for i in sorted(batches):
+        res = full_multi(p, batches[i])
+        p = res.tableau
+        for b in res.new_set:
+            recorded[b] = i
+    return CrskOutput(p, from_box_entries(p.outer, t.outer, recorded), p.outer)
+
+
+def crsk_inverse_per_batch_oracle(p, q):
+    """crsk_inverse by one reverse_full_multi call per letter batch, in decreasing order."""
+    assert p.outer == q.outer
+    batches = boxes_by_letter(q)
+    t = p
+    recorded = {}
+    for i in sorted(batches, reverse=True):
+        res = reverse_full_multi(t, batches[i])
+        t = res.tableau
+        for b in res.reverse_new_set:
+            recorded[b] = i
+    return CrskInput(t, from_box_entries(p.inner, t.inner, recorded), t.inner)
+
+
+def crsk_criterion_4_instances():
+    """The (mu, T, U) triples of acceptance criterion 4: k = 2, n = 4, <= 3 boxes, 2 letters."""
+    params = CylParams(2, 4)
+    windows = [w for w in product((-1, 0, 1), repeat=2) if w[0] >= w[1] >= w[0] - params.width]
+    for wa, wb in product(windows, repeat=2):
+        alpha, beta = CylPartition(params, wa), CylPartition(params, wb)
+        for j in range(4):
+            for mu in enumerate_inner(alpha, beta, j):
+                for t in enumerate_ssct(SkewShape(alpha, mu), 2):
+                    for u in enumerate_ssct(SkewShape(beta, mu), 2):
+                        yield mu, t, u
+
+
+def _random_marble_tableau(rng, mu, letters):
+    """Decode a random marble game of `letters` turns started at the arrangement of mu."""
+    counts = list(marbles.arrangement(mu).counts)
+    turns = []
+    for _ in range(letters):
+        turn = tuple(rng.randint(0, c) for c in counts)
+        counts = [counts[i] - turn[i] + turn[i - 1] for i in range(len(counts))]
+        turns.append(turn)
+    return marbles.game_to_tableau(mu, marbles.MarbleGame(marbles.arrangement(mu), tuple(turns)))
+
+
+def random_crsk_pairs(seed, per_k=20, ks=(3, 4, 5), letters=(6, 12)):
+    """Seeded nonempty pairs (T, U) on (k, k + 4) sharing a random inner shape.
+
+    The inner window comes from a random composition of the width into k
+    marble counts; each tableau decodes a random game of 6-12 turns.
+    """
+    rng = random.Random(seed)
+    for k in ks:
+        params = CylParams(k, k + 4)
+        made = 0
+        while made < per_k:
+            cuts = sorted(rng.randint(0, params.width) for _ in range(k - 1))
+            counts = [b - a for a, b in zip([0, *cuts], [*cuts, params.width])]
+            window = [0]
+            for c in counts[1:]:
+                window.append(window[-1] - c)
+            mu = CylPartition(params, tuple(window))
+            t = _random_marble_tableau(rng, mu, rng.randint(*letters))
+            u = _random_marble_tableau(rng, mu, rng.randint(*letters))
+            if t.size() and u.size():
+                made += 1
+                yield t, u
 
 
 def knuth_permutations(max_m=7):

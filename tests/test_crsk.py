@@ -1,11 +1,20 @@
+import importlib
+
 import pytest
 
 from cyltab.crsk import MismatchedInnerShapes, MismatchedOuterShapes, crsk, crsk_inverse
 from cyltab.enumeration import enumerate_outer, enumerate_ssct
 from cyltab.geometry import CylParams, CylPartition, SkewShape
 from cyltab.insertion import full_multi
+from cyltab.reverse import reverse_full_multi
 from cyltab.tableau import empty_tableau, from_box_entries, tableau_validate, weight
-from sweeps import anchored_partitions
+from sweeps import (
+    anchored_partitions,
+    crsk_criterion_4_instances,
+    crsk_inverse_per_batch_oracle,
+    crsk_per_batch_oracle,
+    random_crsk_pairs,
+)
 
 K3N6 = CylParams(3, 6)
 
@@ -74,10 +83,25 @@ class TestEdgeCases:
 
     def test_mismatched_shapes(self):
         other = tableau_validate(shape(K3N6, (5, 4, 2), (4, 4, 2)), [[5], [], []])
-        with pytest.raises(MismatchedInnerShapes):
+        with pytest.raises(MismatchedInnerShapes, match=r"^inner shapes differ: \(4, 3, 1\) vs \(4, 4, 2\)$"):
             crsk(T, other)
-        with pytest.raises(MismatchedOuterShapes):
+        with pytest.raises(MismatchedOuterShapes, match=r"^outer shapes differ: \(7, 5, 4\) vs \(5, 4, 2\)$"):
             crsk_inverse(T, other)
+
+    def test_different_cylinders_are_named(self):
+        # equal windows on different cylinders: the detail names both cylinders
+        k2n4, k2n5 = CylParams(2, 4), CylParams(2, 5)
+        t = tableau_validate(shape(k2n4, (2, 1), (0, 0)), [[1, 2], [3]])
+        with pytest.raises(MismatchedInnerShapes) as info:
+            crsk(t, empty_tableau(CylPartition(k2n5, (0, 0))))
+        assert str(info.value) == (
+            "inner shapes lie on different cylinders: CylParams(k=2, n=4) vs CylParams(k=2, n=5)"
+        )
+        with pytest.raises(MismatchedOuterShapes) as info:
+            crsk_inverse(t, empty_tableau(CylPartition(k2n5, (2, 1))))
+        assert str(info.value) == (
+            "outer shapes lie on different cylinders: CylParams(k=2, n=4) vs CylParams(k=2, n=5)"
+        )
 
     def test_diagonal_symmetry(self):
         out = crsk(T, T)
@@ -119,3 +143,77 @@ class TestSweep:
                     recorded[b] = i
                 # building validates semistandardness
                 from_box_entries(p.outer, t.outer, recorded)
+
+    def test_intermediate_input_tableaux_semistandard(self):
+        # replay crsk_inverse by hand; partial inputs must always validate
+        for mu, t, u in small_instances(CylParams(2, 4), budget=1):
+            out = crsk(t, u)
+            cur = out.p
+            recorded = {}
+            for i in sorted(set(out.q.entries()), reverse=True):
+                res = reverse_full_multi(cur, [b for b in out.q.boxes() if out.q.entry(b) == i])
+                cur = res.tableau
+                for b in res.reverse_new_set:
+                    recorded[b] = i
+                # building validates semistandardness
+                from_box_entries(out.p.inner, cur.inner, recorded)
+            assert (cur, from_box_entries(out.p.inner, cur.inner, recorded)) == (t, u)
+
+    def test_every_working_state_builds_a_valid_tableau(self, monkeypatch):
+        # crsk and crsk_inverse validate only their results; check each batch's state here
+        states = []
+
+        def checked(core):
+            def run(st, boxes, seed_row, log):
+                rounds = core(st, boxes, seed_row, log)
+                states.append(st.to_tableau())
+                return rounds
+
+            return run
+
+        module = importlib.import_module("cyltab.crsk")
+        monkeypatch.setattr(module, "_insert_strip", checked(module._insert_strip))
+        monkeypatch.setattr(module, "_remove_strip", checked(module._remove_strip))
+        for mu, t, u in small_instances(CylParams(2, 4)):
+            batches = len(set(u.entries()))
+            del states[:]
+            out = crsk(t, u)
+            back = crsk_inverse(out.p, out.q)
+            assert len(states) == 2 * batches
+            if batches:
+                assert states[batches - 1] == out.p and states[-1] == back.t
+
+
+class TestPerBatchOracle:
+    """One working state per run gives what one validated tableau per batch gives."""
+
+    @staticmethod
+    def check(t, u):
+        out = crsk(t, u)
+        expect = crsk_per_batch_oracle(t, u)
+        assert (out.p, out.q, out.lam) == (expect.p, expect.q, expect.lam)
+        back = crsk_inverse(out.p, out.q)
+        expect_back = crsk_inverse_per_batch_oracle(out.p, out.q)
+        assert (back.t, back.u, back.mu) == (expect_back.t, expect_back.u, expect_back.mu)
+        # (t, u) is itself an input of crsk_inverse when the outer shapes agree
+        if t.outer == u.outer:
+            a, b = crsk_inverse(t, u), crsk_inverse_per_batch_oracle(t, u)
+            assert (a.t, a.u, a.mu) == (b.t, b.u, b.mu)
+
+    def test_criterion_4_instances(self):
+        seen = 0
+        for mu, t, u in crsk_criterion_4_instances():
+            self.check(t, u)
+            seen += 1
+        assert seen == 495
+
+    def test_small_instances(self):
+        for mu, t, u in small_instances(CylParams(2, 4)):
+            self.check(t, u)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_seeded_marble_pairs(self, seed):
+        pairs = list(random_crsk_pairs(seed))
+        assert {t.params.k for t, _ in pairs} == {3, 4, 5}
+        for t, u in pairs:
+            self.check(t, u)

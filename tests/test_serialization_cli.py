@@ -162,12 +162,44 @@ def test_schema_error_text(case):
     ids=["validate", "marble-decode"],
 )
 def test_schema_error_report_on_stderr(argv, files, stderr, tmp_path, capsys):
+    assert _main_on_files(argv, files, tmp_path) == 1
+    assert capsys.readouterr() == ("", stderr)
+
+
+def _main_on_files(argv, files, tmp_path):
+    """Run main with each (flag, document) written to a file and passed as flag path."""
     argv = list(argv)
     for i, (flag, doc) in enumerate(files):
         path = tmp_path / f"in{i}.json"
         path.write_text(json.dumps(doc))
         argv += [str(path)] if flag is None else [flag, str(path)]
-    assert main(argv) == 1
+    return main(argv)
+
+
+def _empty_k2n5(window):
+    return {"shape": {"outer": _window(window, n=5), "inner": _window(window, n=5)}, "rows": [[], []]}
+
+
+@pytest.mark.parametrize(
+    "argv, files, stderr",
+    [
+        (
+            ["crsk"],
+            [("--t", _tableau_doc([2, 1], [[1, 2], [3]])), ("--u", _empty_k2n5([0, 0]))],
+            '{"detail":"inner shapes lie on different cylinders: CylParams(k=2, n=4) vs CylParams(k=2, n=5)",'
+            '"error":"MismatchedInnerShapes"}\n',
+        ),
+        (
+            ["crsk-inv"],
+            [("--p", _tableau_doc([2, 1], [[1, 2], [3]])), ("--q", _empty_k2n5([2, 1]))],
+            '{"detail":"outer shapes lie on different cylinders: CylParams(k=2, n=4) vs CylParams(k=2, n=5)",'
+            '"error":"MismatchedOuterShapes"}\n',
+        ),
+    ],
+    ids=["crsk", "crsk-inv"],
+)
+def test_crsk_on_different_cylinders_is_reported(argv, files, stderr, tmp_path, capsys):
+    assert _main_on_files(argv, files, tmp_path) == 1
     assert capsys.readouterr() == ("", stderr)
 
 
