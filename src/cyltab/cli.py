@@ -194,6 +194,8 @@ def cmd_verify(args) -> int:
             _partition(args, _parse_window(args.beta)),
             args.m,
         )
+        if lhs == rhs == 0:
+            raise CliError("both sides are zero: nothing was compared")
         _emit({"lhs": lhs, "rhs": rhs, "equal": lhs == rhs})
         return 0 if lhs == rhs else 1
     checks = {}

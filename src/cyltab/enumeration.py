@@ -1,9 +1,9 @@
 """Exhaustive enumerators and exact verification of the Schur-type identities.
 
-Everything here is exact integer combinatorics: one window enumerator lists
-shapes within degree budgets, one pruned filler lists tableaux (regular ones as
-cylindric ones on a cylinder wider than any part, where the wrap never binds),
-and both sides of each identity are compared coefficient by coefficient.
+Everything here is exact integer combinatorics. One window enumerator lists shapes,
+one pruned filler lists tableaux (regular ones on a cylinder wider than any part).
+Schur polynomials and standard counts are chains of window moves, a horizontal strip
+or one box per step, run once per identity family and compared coefficientwise.
 """
 
 from __future__ import annotations
@@ -15,16 +15,13 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import CyltabError
 from .geometry import (
-    Box,
     CylParams,
     CylPartition,
     GeometryError,
     ParamsMismatch,
-    Point,
     SkewShape,
     cyl_embed,
-    project,
-    skew_boxes,
+    project,  # noqa: F401  (no longer called here; bench/tracer.py rebinds it)
 )
 from .polynomials import IdentityReport, SparsePolynomial
 from .tableau import CylTableau
@@ -84,8 +81,7 @@ def enumerate_inner(
         raise ParamsMismatch("alpha and beta live on different cylinders")
     _require_nonnegative(m=m)
     params = alpha.params
-    lo = [alpha.window[i] - m for i in range(params.k)]
-    hi = [min(a, b) for a, b in zip(alpha.window, beta.window)]
+    lo, hi = [p - m for p in alpha.window], list(map(min, alpha.window, beta.window))
     return [CylPartition(params, w) for w in _windows(lo, hi, params.width, sum(alpha.window) - m)]
 
 
@@ -97,8 +93,7 @@ def enumerate_outer(
         raise ParamsMismatch("alpha and beta live on different cylinders")
     _require_nonnegative(m=m)
     params = alpha.params
-    lo = [max(a, b) for a, b in zip(alpha.window, beta.window)]
-    hi = [beta.window[i] + m for i in range(params.k)]
+    lo, hi = list(map(max, alpha.window, beta.window)), [p + m for p in beta.window]
     return [CylPartition(params, w) for w in _windows(lo, hi, params.width, sum(beta.window) + m)]
 
 
@@ -147,34 +142,32 @@ def enumerate_ssct(shape: SkewShape, num_letters: int) -> list[CylTableau]:
     return [CylTableau(shape, rows) for rows in fillings]
 
 
+def _box_chains(
+    start: Sequence[int], steps: int, width: int, bound: Sequence[int], down: bool
+) -> dict[tuple[int, ...], int]:
+    """Map each window reached from start by steps one-box moves to its number of chains.
+
+    Going up, row i grows while w[i] < min(w[i-1], bound[i]), w[-1] read as w[k-1] + width;
+    going down, it shrinks while w[i] > max(w[i+1], bound[i]), w[k] read as w[0] - width.
+    """
+    step = -1 if down else 1
+    states = {tuple(start): 1}
+    for _ in range(steps):
+        successors: dict[tuple[int, ...], int] = {}
+        for w, chains in states.items():
+            nbrs = w[1:] + (w[0] - width,) if down else (w[-1] + width,) + w[:-1]
+            for i, v in enumerate(w):
+                if (v > nbrs[i] and v > bound[i]) if down else (v < nbrs[i] and v < bound[i]):
+                    nxt = w[:i] + (v + step,) + w[i + 1 :]
+                    successors[nxt] = successors.get(nxt, 0) + chains
+        states = successors
+    return states
+
+
 def count_standard(shape: SkewShape) -> int:
-    """Number of standard fillings, counted as linear extensions of the box order."""
-    params = shape.params
-    boxes = sorted(skew_boxes(shape), key=lambda b: (b.row, b.col))
-    m = len(boxes)
-    index = {b: i for i, b in enumerate(boxes)}
-    prereq = []
-    for b in boxes:
-        mask = 0
-        for nb in (Box(b.row, b.col - 1), project(Point(b.row - 1, b.col), params)):
-            if nb in index:
-                mask |= 1 << index[nb]
-        prereq.append(mask)
-    full = (1 << m) - 1
-    memo: dict[int, int] = {full: 1}
-
-    def rec(mask: int) -> int:
-        if mask in memo:
-            return memo[mask]
-        total = 0
-        for i in range(m):
-            bit = 1 << i
-            if not mask & bit and (prereq[i] & mask) == prereq[i]:
-                total += rec(mask | bit)
-        memo[mask] = total
-        return total
-
-    return rec(0)
+    """Number of standard fillings: chains of one-box moves up from inner to outer."""
+    outer = shape.outer.window
+    return _box_chains(shape.inner.window, shape.size(), shape.params.width, outer, False).get(outer, 0)
 
 
 def _strip_chains(
@@ -320,16 +313,21 @@ def verify_oneschur(alpha: CylPartition, max_degree: int, num_vars: int) -> Iden
 
 
 def verify_fcount(alpha: CylPartition, beta: CylPartition, m: int) -> tuple[int, int]:
-    """Standard-count identity: paired counts over inner and outer shapes."""
-    lhs = sum(
-        count_standard(SkewShape(alpha, mu)) * count_standard(SkewShape(beta, mu))
-        for mu in enumerate_inner(alpha, beta, m)
-    )
-    rhs = sum(
-        count_standard(SkewShape(lam, alpha)) * count_standard(SkewShape(lam, beta))
-        for lam in enumerate_outer(alpha, beta, m)
-    )
-    return lhs, rhs
+    """Standard-count identity: sum f(alpha/mu) f(beta/mu) against sum f(lam/alpha) f(lam/beta).
+
+    As in cauchy_sides, each family is one _box_chains run from the partition it shares,
+    paired on the windows both runs reach: the mu above alpha - m, the lam below beta + m.
+    """
+    if alpha.params != beta.params:
+        raise ParamsMismatch("alpha and beta live on different cylinders")
+    _require_nonnegative(m=m)
+    a, b, width = alpha.window, beta.window, alpha.params.width
+    m_y = sum(b) - sum(a) + m  # |beta/mu| = |alpha/mu| + |beta| - |alpha|, as for lam
+    sides = []
+    for x, y, bound, down in ((a, b, [p - m for p in a], True), (b, a, [p + m for p in b], False)):
+        ys = _box_chains(y, m_y, width, bound, down) if m_y >= 0 else {}
+        sides.append(sum(c * ys.get(w, 0) for w, c in _box_chains(x, m, width, bound, down).items()))
+    return sides[0], sides[1]
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,51 @@ def oneschur_sides_per_shape(alpha, max_degree, num_vars):
     return SparsePolynomial(num_vars, lhs), SparsePolynomial(num_vars, rhs)
 
 
+def count_standard_bitmask_oracle(shape):
+    """Reference standard count: linear extensions of the box order, by a DP over box subsets."""
+    params = shape.params
+    boxes = sorted(skew_boxes(shape), key=lambda b: (b.row, b.col))
+    m = len(boxes)
+    index = {b: i for i, b in enumerate(boxes)}
+    prereq = []
+    for b in boxes:
+        mask = 0
+        for nb in (Box(b.row, b.col - 1), project(Point(b.row - 1, b.col), params)):
+            if nb in index:
+                mask |= 1 << index[nb]
+        prereq.append(mask)
+    full = (1 << m) - 1
+    memo = {full: 1}
+
+    def rec(mask):
+        if mask in memo:
+            return memo[mask]
+        total = 0
+        for i in range(m):
+            bit = 1 << i
+            if not mask & bit and (prereq[i] & mask) == prereq[i]:
+                total += rec(mask | bit)
+        memo[mask] = total
+        return total
+
+    return rec(0)
+
+
+def verify_fcount_per_shape_oracle(alpha, beta, m):
+    """Reference standard-count sides: one bitmask count per shape, per mu and per lam."""
+    lhs = sum(
+        count_standard_bitmask_oracle(SkewShape(alpha, mu))
+        * count_standard_bitmask_oracle(SkewShape(beta, mu))
+        for mu in enumerate_inner(alpha, beta, m)
+    )
+    rhs = sum(
+        count_standard_bitmask_oracle(SkewShape(lam, alpha))
+        * count_standard_bitmask_oracle(SkewShape(lam, beta))
+        for lam in enumerate_outer(alpha, beta, m)
+    )
+    return lhs, rhs
+
+
 # Regular partitions between bounds, as the enumeration module listed them
 # before one enumerator served the skew reduction identity: one recursion for
 # the partitions of a size, one for the mu below the cap and one for the lam

@@ -29,6 +29,7 @@ from cyltab.geometry import (
     CylParams,
     CylPartition,
     GeometryError,
+    ParamsMismatch,
     SkewShape,
     cyl_embed,
     flip_partition,
@@ -40,6 +41,7 @@ from cyltab.tableau import is_standard
 from sweeps import (
     anchored_partitions,
     cauchy_sides_per_shape,
+    count_standard_bitmask_oracle,
     enumerate_regular_ssyt_oracle,
     enumerate_ssct_oracle,
     enumerate_tableaux_with_inner,
@@ -52,6 +54,7 @@ from sweeps import (
     regular_superpartitions_oracle,
     schur_poly_by_enumeration,
     schur_poly_per_shape,
+    verify_fcount_per_shape_oracle,
 )
 
 K2N4 = CylParams(2, 4)
@@ -222,6 +225,14 @@ class TestStandardCounts:
         m = sh.size()
         poly = schur_poly(sh, m)
         assert count_standard(sh) == poly.coefficient((1,) * m)
+
+    def test_matches_bitmask_oracle_on_sweep(self):
+        cases = 0
+        for params in iter_params(max_k=4, max_width=4):
+            for sh in iter_shapes(params, 8):
+                assert count_standard(sh) == count_standard_bitmask_oracle(sh), sh
+                cases += 1
+        assert cases == 3918
 
 
 class TestSchurPolynomials:
@@ -434,6 +445,52 @@ class TestIdentities:
         assert verify_fcount(part((1, 0)), part((0, -1)), 0) == (0, 0)
         lhs, rhs = verify_fcount(part((1, 0)), part((0, 0)), 3)
         assert lhs == rhs
+
+    def test_fcount_matches_per_shape_oracle_on_anchored_pairs(self):
+        cases, zeros = 0, 0
+        for params in iter_params(max_k=3, max_width=3):
+            parts = anchored_partitions(params)
+            for alpha in parts:
+                for beta in parts:
+                    for m in range(6):
+                        got = verify_fcount(alpha, beta, m)
+                        assert got == verify_fcount_per_shape_oracle(alpha, beta, m), (alpha, beta, m)
+                        cases += 1
+                        zeros += got == (0, 0)
+        assert (cases, zeros) == (1062, 155)
+
+    def test_fcount_matches_per_shape_oracle_on_close_pairs(self):
+        """Windows ending in 0 at most two boxes apart, at m = 6..10."""
+        cases = 0
+        for params in (CylParams(2, 5), CylParams(3, 6), CylParams(3, 7)):
+            ends = [
+                CylPartition(params, tuple(p - w.window[-1] for p in w.window))
+                for w in anchored_partitions(params)
+            ]
+            pairs = [
+                (a, b)
+                for a in ends
+                for b in ends
+                if sum(abs(x - y) for x, y in zip(a.window, b.window)) <= 2
+            ]
+            for m in range(6, 11):
+                for alpha, beta in pairs:
+                    lhs, rhs = verify_fcount(alpha, beta, m)
+                    assert lhs > 0
+                    assert (lhs, rhs) == verify_fcount_per_shape_oracle(alpha, beta, m), (alpha, beta, m)
+                    cases += 1
+        assert cases == 945
+
+    def test_different_cylinders_rejected(self):
+        alpha, other = part((0, 0)), part((0, 0), CylParams(2, 5))
+        message = "^alpha and beta live on different cylinders$"
+        with pytest.raises(ParamsMismatch, match=message):
+            verify_fcount(alpha, other, 1)
+        with pytest.raises(ParamsMismatch, match=message):
+            verify_cauchy(alpha, other, 1, 1, 1)
+        # The cylinder check comes before the count check.
+        with pytest.raises(ParamsMismatch, match=message):
+            verify_fcount(alpha, other, -1)
 
 
 class TestIdentityReport:

@@ -209,8 +209,9 @@ def test_crsk_on_different_cylinders_is_reported(argv, files, stderr, tmp_path, 
         ["verify", "skew", "--alpha", "", "--beta", "1", "--degree", "0", "--vars", "0"],
         ["verify", "cauchy", "--k", "1", "--n", "4", "--alpha", "1", "--beta", "0",
          "--degree", "2", "--xvars", "0", "--yvars", "0"],
+        ["verify", "fcount", "--k", "2", "--n", "4", "--alpha", "1,0", "--beta", "0,-1", "--m", "0"],
     ],
-    ids=["skew", "cauchy"],
+    ids=["skew", "cauchy", "fcount"],
 )
 def test_verify_with_both_sides_zero_is_an_error(argv, capsys):
     # an identity whose two sides are both zero compares nothing
