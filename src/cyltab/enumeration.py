@@ -263,9 +263,9 @@ def cauchy_sides(
     pairs its families' dominant x and y terms on the windows mu (or lam) both
     reach, then expands once, since each product is symmetric in x and in y.
     """
-    _require_nonnegative(max_degree=max_degree, num_vars_x=num_vars_x, num_vars_y=num_vars_y)
     if alpha.params != beta.params:
         raise ParamsMismatch("alpha and beta live on different cylinders")
+    _require_nonnegative(max_degree=max_degree, num_vars_x=num_vars_x, num_vars_y=num_vars_y)
     a, b, width = alpha.window, beta.window, alpha.params.width
     vx, vy, d = num_vars_x, num_vars_y, max_degree
     d_y = sum(b) - sum(a) + d  # |beta/mu| = |alpha/mu| + |beta| - |alpha|, as for lam

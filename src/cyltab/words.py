@@ -5,14 +5,17 @@ catalyzes the move; rotation brings the last letter to the front.  Together
 these moves connect any two arrangements of the same letter multiset, via a
 sorting algorithm on permutations whose progress is certified by a strictly
 decreasing positional monovariant.
+
+The algorithms emit one shared Move per (kind, position), and replay checks
+each move's pattern as it applies the move in place on one list buffer.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator
+from functools import cache, lru_cache
+from typing import Iterable, Iterator
 
 from .errors import CyltabError
 
@@ -53,7 +56,13 @@ class Move:
     pos: int = 0
 
 
-_ROTATE = Move(ROTATE)
+@cache
+def _move(kind: str, pos: int) -> Move:
+    """The one shared Move of this kind and position, built on first use."""
+    return Move(kind, pos)
+
+
+_ROTATE = _move(ROTATE, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,38 +84,45 @@ _PATTERNS = {
     KDPRIME: "x z y with x <= y < z",
     KDPRIME_INV: "z x y with x <= y < z",
 }
+_FLIP = {KPRIME: KPRIME_INV, KPRIME_INV: KPRIME, KDPRIME: KDPRIME_INV, KDPRIME_INV: KDPRIME}
 
 
-def _moved(kind: str, a: int, b: int, c: int, p: int) -> tuple[int, int, int]:
-    """The triple a b c at position p after a move of the given kind, checked."""
-    if kind == KPRIME and c < a <= b or kind == KPRIME_INV and b < a <= c:
-        return a, c, b  # y z x <-> y x z
-    if kind == KDPRIME and a <= c < b or kind == KDPRIME_INV and b <= c < a:
-        return b, a, c  # x z y <-> z x y
-    if kind not in MOVE_KINDS:  # compared by ==, so any kind value is reported
-        raise WordError(f"unknown move kind {kind!r}")
-    raise PatternMismatch(p, f"{(a, b, c)} does not match {_PATTERNS[kind]}")
-
-
-def _replay(w: Word, moves: tuple[Move, ...] | list[Move]) -> Word:
-    """Apply moves in order, checking each; a run of rotations is one slice."""
-    buf, m, shift = list(w), len(w), 0
+def _apply(buf: list[int], moves: Iterable[Move]) -> None:
+    """Apply moves to buf in place, checking each; a run of rotations is one slice."""
+    m, shift = len(buf), 0
     for mv in moves:
-        if mv.kind == ROTATE:
+        kind = mv.kind
+        if kind == ROTATE:
             if not m:
                 raise PatternMismatch(0, "cannot rotate the empty word")
             shift += 1
             continue
         if shift:
             s = shift % m
-            buf = buf[-s:] + buf[:-s]
+            buf[:] = buf[-s:] + buf[:-s]
             shift = 0
         p = mv.pos
         if not 0 <= p <= m - 3:
             raise PatternMismatch(p, f"no letter triple at {p} in a word of length {m}")
-        buf[p : p + 3] = _moved(mv.kind, buf[p], buf[p + 1], buf[p + 2], p)
-    s = shift % m if shift else 0
-    return tuple(buf[-s:] + buf[:-s])  # buf + [] when s == 0
+        a, b, c = buf[p : p + 3]
+        if kind == KPRIME and c < a <= b or kind == KPRIME_INV and b < a <= c:
+            buf[p + 1], buf[p + 2] = c, b  # y z x <-> y x z
+        elif kind == KDPRIME and a <= c < b or kind == KDPRIME_INV and b <= c < a:
+            buf[p], buf[p + 1] = b, a  # x z y <-> z x y
+        elif kind not in MOVE_KINDS:  # compared by ==, so any kind value is reported
+            raise WordError(f"unknown move kind {kind!r}")
+        else:
+            raise PatternMismatch(p, f"{(a, b, c)} does not match {_PATTERNS[kind]}")
+    if shift:
+        s = shift % m
+        buf[:] = buf[-s:] + buf[:-s]
+
+
+def _replay(w: Word, moves: Iterable[Move]) -> Word:
+    """Apply moves in order to a copy of w, checking each."""
+    buf = list(w)
+    _apply(buf, moves)
+    return tuple(buf)
 
 
 def apply_move(w: Word, move: Move) -> Word:
@@ -116,13 +132,13 @@ def apply_move(w: Word, move: Move) -> Word:
 
 def inverse_moves(moves: tuple[Move, ...] | list[Move], length: int) -> list[Move]:
     """Moves undoing the given chain on words of the given length."""
-    flip = {KPRIME: KPRIME_INV, KPRIME_INV: KPRIME, KDPRIME: KDPRIME_INV, KDPRIME_INV: KDPRIME}
+    unrotate = (_ROTATE,) * (length - 1)
     out: list[Move] = []
     for mv in reversed(list(moves)):
         if mv.kind == ROTATE:
-            out.extend([_ROTATE] * (length - 1))
+            out += unrotate
         else:
-            out.append(Move(flip[mv.kind], mv.pos))
+            out.append(_move(_FLIP[mv.kind], mv.pos))
     return out
 
 
@@ -132,13 +148,13 @@ def applicable_moves(w: Word) -> list[Move]:
     for p in range(len(w) - 2):
         a, b, c = w[p], w[p + 1], w[p + 2]
         if c < a <= b:
-            out.append(Move(KPRIME, p))
+            out.append(_move(KPRIME, p))
         if b < a <= c:
-            out.append(Move(KPRIME_INV, p))
+            out.append(_move(KPRIME_INV, p))
         if a <= c < b:
-            out.append(Move(KDPRIME, p))
+            out.append(_move(KDPRIME, p))
         if b <= c < a:
-            out.append(Move(KDPRIME_INV, p))
+            out.append(_move(KDPRIME_INV, p))
     return out
 
 
@@ -170,7 +186,7 @@ class TransformResult:
         return tuple(w for w, c in zip(self.words, self.critical) if c)
 
 
-def _find_switch(w: Word, start: int = 1) -> int | None:
+def _find_switch(w: Word | list[int], start: int = 1) -> int | None:
     """Leftmost 1-based position from start on whose pair admits a catalyzed switch.
 
     Pair i's neighbors are w[i - 2] and w[i + 1 - m], cyclically.  A switch at i
@@ -188,45 +204,46 @@ def _find_switch(w: Word, start: int = 1) -> int | None:
     return None
 
 
-def _switch_moves(w: Word, i: int) -> list[Move]:
+def _switch_moves(w: list[int], i: int) -> tuple[Move, ...]:
     """Moves realizing the switch at 1-based position i on an anchored word."""
     m = len(w)
     a, b = w[i - 1], w[i]
     lo, hi = (a, b) if a < b else (b, a)
     if i >= 2:
         if lo < w[i - 2] < hi:
-            return [Move(KPRIME if a > b else KPRIME_INV, i - 2)]
-        return [Move(KDPRIME if a < b else KDPRIME_INV, i - 1)]
+            return (_move(KPRIME if a > b else KPRIME_INV, i - 2),)
+        return (_move(KDPRIME if a < b else KDPRIME_INV, i - 1),)
     # Switching the anchor pair: realize, then rotate 1 back to the front.
     if i + 1 < m and lo < w[i + 1] < hi:
-        return [Move(KDPRIME, 0)] + [_ROTATE] * (m - 1)
-    return [_ROTATE, Move(KPRIME_INV, 0)] + [_ROTATE] * (m - 2)
+        return (_move(KDPRIME, 0),) + (_ROTATE,) * (m - 1)
+    return (_ROTATE, _move(KPRIME_INV, 0)) + (_ROTATE,) * (m - 2)
 
 
-def _switches(p: Word) -> Iterator[tuple[int, list[Move], Word]]:
-    """(position, moves, word after) for each leftmost switch sorting p to 1 2 .. m.
+def _switches(p: list[int]) -> Iterator[tuple[int, tuple[Move, ...]]]:
+    """(position, moves) for each leftmost switch sorting p to 1 2 .. m in place.
 
-    p is anchored with 1 first.  A switch at i != 1 is followed by one at
-    i - 1 or i - 2, so a run of non-anchor switches is at most m - 1 long;
-    one longer than m means the scan has stopped making progress.
+    p is anchored with 1 first, and holds the word after the switch when it
+    is yielded.  A switch at i != 1 is followed by one at i - 1 or i - 2, so
+    a run of non-anchor switches is at most m - 1 long; one longer than m
+    means the scan has stopped making progress.
     """
     m = len(p)
-    identity = tuple(range(1, m + 1))
+    identity = list(range(1, m + 1))
     start, run = 1, 0
     while p != identity:
         i = _find_switch(p, start)
         if i is None:
-            raise AssertionError(f"no switch available on {p}")
+            raise AssertionError(f"no switch available on {tuple(p)}")
         moves = _switch_moves(p, i)
         if i == 1:
-            p = (1,) + p[2:] + (p[1],)
+            p.append(p.pop(1))  # 1 x rest -> x 1 rest, re-anchored: 1 rest x
             run = 0
         else:
-            p = p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :]
+            p[i - 1], p[i] = p[i], p[i - 1]
             run += 1
             if run > m:
                 raise AssertionError("switch scan failed to make progress")
-        yield i, moves, p
+        yield i, moves
         start = 1 if i == m - 1 else max(1, i - 2)
 
 
@@ -240,21 +257,19 @@ def word_transform(w: Word) -> TransformResult:
     """
     w = tuple(w)
     _check_permutation(w)
-    moves: list[Move] = []
-    cur = w
-    while cur and cur[0] != 1:
-        moves.append(_ROTATE)
-        cur = (cur[-1],) + cur[:-1]
+    j = w.index(1) if w else 0
+    moves = [_ROTATE] * (len(w) - j if j else 0)
+    buf = list(w[j:] + w[:j])
     positions: list[int] = []
     words: list[Word] = []
     critical: list[bool] = []
-    for i, switch, cur in _switches(cur):
+    for i, switch in _switches(buf):
         moves += switch
         positions.append(i)
-        words.append(cur)
+        words.append(tuple(buf))
         critical.append(i == 1)
     return TransformResult(
-        Certificate(w, tuple(moves), cur),
+        Certificate(w, tuple(moves), tuple(buf)),
         tuple(positions),
         tuple(words),
         tuple(critical),
@@ -307,35 +322,36 @@ def _sorting_moves(w: Word) -> tuple[Move, ...]:
     current word is lifted afresh.  Re-lifting keeps the equal letters of the
     word aligned with increasing permutation values, without which a carried
     switch can demand a catalyst equal to one of the switched letters, which
-    the move preconditions forbid.  Every move is checked on the carried
-    word, and the lift monovariant strictly decreases from stretch to
-    stretch, which bounds the loop.
+    the move preconditions forbid.  The word is carried in one list, and
+    every move is checked on it as it is applied in place; the lift
+    monovariant strictly decreases from stretch to stretch, which bounds the
+    loop.  The moves are the shared instances of _move, so a cached path
+    holds no Move objects of its own.
     """
-    u = w
+    u = list(w)
     m = len(w)
-    target = tuple(sorted(w))
     moves: list[Move] = []
     prev_phi: int | None = None
     while True:
         p = lift_word(u).permutation
         j = p.index(1)
-        p, rotations = p[j:] + p[:j], [_ROTATE] * ((m - j) % m)
-        u = _replay(u, rotations)
+        p, rotations = p[j:] + p[:j], (_ROTATE,) * ((m - j) % m)
+        _apply(u, rotations)
         moves += rotations
         phi = monovariant(p)
         if prev_phi is not None and phi >= prev_phi:
             raise AssertionError("lift monovariant failed to decrease")
         prev_phi = phi
         # A stretch ends at its first anchor-pair switch, or the sort is done.
-        for i, switch, _ in _switches(p):
-            u = _replay(u, switch)
+        for i, switch in _switches(list(p)):
+            _apply(u, switch)
             moves += switch
             if i == 1:
                 break
         else:
             break
-    if u != target:
-        raise AssertionError(f"sorting {w} ended at {u}")
+    if u != sorted(w):
+        raise AssertionError(f"sorting {w} ended at {tuple(u)}")
     return tuple(moves)
 
 
@@ -351,9 +367,7 @@ def connect(w: Word, v: Word) -> Certificate:
         raise NotSameMultiset(f"{v} is not a rearrangement of {w}")
     if w == v:
         return Certificate(w, (), v)
-    fwd = list(_sorting_moves(w))
-    back = inverse_moves(_sorting_moves(v), len(v))
-    moves = tuple(fwd + back)
+    moves = _sorting_moves(w) + tuple(inverse_moves(_sorting_moves(v), len(v)))
     cert = Certificate(w, moves, v)
     if cert.replay() != v:
         raise AssertionError("certificate replay did not reach the target word")

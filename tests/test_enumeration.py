@@ -488,9 +488,11 @@ class TestIdentities:
             verify_fcount(alpha, other, 1)
         with pytest.raises(ParamsMismatch, match=message):
             verify_cauchy(alpha, other, 1, 1, 1)
-        # The cylinder check comes before the count check.
+        # The cylinder check comes before the count and budget checks.
         with pytest.raises(ParamsMismatch, match=message):
             verify_fcount(alpha, other, -1)
+        with pytest.raises(ParamsMismatch, match=message):
+            verify_cauchy(alpha, other, -1, 1, 1)
 
 
 class TestIdentityReport:

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import permutations, product
 
@@ -19,6 +20,7 @@ from cyltab.words import (
     ROTATE,
     WordError,
     _find_switch,
+    _move,
     _sorting_moves,
     applicable_moves,
     apply_move,
@@ -94,6 +96,43 @@ class TestMoves:
         w = tuple(letters)
         for mv in applicable_moves(w):
             assert Counter(apply_move(w, mv)) == Counter(w)
+
+
+class TestSharedMoves:
+    """Moves come from one table per (kind, pos); fresh equal moves act the same."""
+
+    @staticmethod
+    def _all_shared(moves):
+        return all(mv is _move(mv.kind, mv.pos) for mv in moves)
+
+    def test_emitted_moves_are_shared(self):
+        assert self._all_shared(word_transform(TRACE_START).certificate.moves)
+        cert = connect((3, 1, 2, 2, 1, 3, 1), (1, 3, 3, 2, 1, 2, 1))
+        assert cert.moves and self._all_shared(cert.moves)
+        assert self._all_shared(inverse_moves(cert.moves, 7))
+        assert self._all_shared(applicable_moves((3, 3, 4, 6, 3, 5, 4)))
+
+    def test_fresh_moves_replay_the_same(self):
+        w, v = (3, 1, 2, 2, 1, 3, 1), (1, 3, 3, 2, 1, 2, 1)
+        cert = connect(w, v)
+        mixed = tuple(Move(mv.kind, mv.pos) if n % 2 else mv for n, mv in enumerate(cert.moves))
+        assert any(mv.kind == ROTATE for mv in mixed[1::2])
+        assert any(mv.kind == KPRIME for mv in mixed[1::2])
+        assert mixed == cert.moves
+        assert Certificate(w, mixed, v).replay() == cert.replay() == v
+
+    def test_empty_word_rotation_fails_first(self):
+        cert = Certificate((), (Move(ROTATE), Move(KPRIME, 0)), ())
+        with pytest.raises(PatternMismatch, match="^position 0: cannot rotate the empty word$"):
+            cert.replay()
+
+    def test_move_value_semantics_unchanged(self):
+        shared, fresh = _move(KPRIME, 2), Move(KPRIME, 2)
+        assert shared is _move(KPRIME, 2) and shared is not fresh
+        assert shared == fresh and hash(shared) == hash(fresh)
+        assert repr(shared) == repr(fresh) == "Move(kind='Kprime', pos=2)"
+        assert _move(ROTATE, 0) == Move(ROTATE) and repr(Move(ROTATE)) == "Move(kind='Rotate', pos=0)"
+        assert _move(KPRIME, 2) != _move(KDPRIME, 2) != _move(KDPRIME, 3)
 
 
 class TestMonovariant:
@@ -297,6 +336,27 @@ class TestFastPathsMatchOracles:
             assert connect(a, b).moves == expected
             count += 1
         assert count == 5403
+
+    def test_transform_at_bench_lengths(self):
+        rng = random.Random("words-oracle-transform")
+        for _ in range(500):
+            w = list(range(1, rng.randint(10, 14) + 1))
+            rng.shuffle(w)
+            assert word_transform(tuple(w)) == word_transform_oracle(tuple(w))
+
+    def test_connect_moves_at_bench_lengths(self):
+        # Distinct rearrangements of words of length 10-14 over 3-4 letters.
+        rng = random.Random("words-oracle-connect")
+        count = 0
+        while count < 500:
+            length, letters = rng.randint(10, 14), rng.randint(3, 4)
+            w = tuple(rng.randint(1, letters) for _ in range(length))
+            v = tuple(rng.sample(w, length))
+            if v == w:
+                continue
+            expected = sorting_moves_oracle(w) + tuple(inverse_moves(sorting_moves_oracle(v), length))
+            assert connect(w, v).moves == expected
+            count += 1
 
     @settings(derandomize=True, max_examples=150)
     @given(certificates())
