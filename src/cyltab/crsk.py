@@ -8,7 +8,7 @@ from .geometry import CylPartition, SkewShape
 # `full_multi`/`reverse_full_multi` are no longer called here; bench/tracer.py rebinds them.
 from .insertion import InsertionError, TableauState, _insert_strip, full_multi  # noqa: F401
 from .reverse import _remove_strip, reverse_full_multi  # noqa: F401
-from .tableau import CylTableau, boxes_by_letter, tableau_validate
+from .tableau import CylTableau, strip_counts, tableau_validate
 
 
 class MismatchedInnerShapes(InsertionError):
@@ -43,17 +43,17 @@ def _check_same(side: str, a: CylPartition, b: CylPartition, error: type) -> Non
 def crsk(t: CylTableau, u: CylTableau) -> CrskOutput:
     """Map a pair of tableaux sharing an inner shape to a pair sharing an outer one.
 
-    The letters of u are consumed in increasing order; each batch of equal
-    letters is multi-inserted into one working state (initially t), and the
-    boxes its outer shape gains at the row ends are recorded in q under that
-    letter.  p and q are built, so validated, once.  Weights are preserved.
+    The letters of u are consumed in increasing order; each letter's strip of
+    per-row counts is multi-inserted into one working state (initially t), and
+    the boxes its outer shape gains at the row ends are recorded in q under
+    that letter.  p and q are built, so validated, once.  Weights are preserved.
     """
     _check_same("inner", t.inner, u.inner, MismatchedInnerShapes)
     st = TableauState.from_tableau(t)
     q_rows: list[list[int]] = [[] for _ in st.lam]
-    for i, boxes in sorted(boxes_by_letter(u).items()):
+    for i, counts in sorted(strip_counts(u).items()):
         before = list(st.lam)
-        _insert_strip(st, boxes, 0, [])
+        _insert_strip(st, counts, 0, [])
         for row, a, b in zip(q_rows, before, st.lam):
             row += [i] * (b - a)
     p = st.to_tableau()
@@ -63,15 +63,15 @@ def crsk(t: CylTableau, u: CylTableau) -> CrskOutput:
 def crsk_inverse(p: CylTableau, q: CylTableau) -> CrskInput:
     """Invert crsk: peel the letters of q in decreasing order out of one working state.
 
-    The boxes each batch sheds from the row starts of the inner shape are
-    recorded in u under its letter; t and u are built, so validated, once.
+    The boxes each letter's strip sheds from the row starts of the inner shape
+    are recorded in u under it; t and u are built, so validated, once.
     """
     _check_same("outer", p.outer, q.outer, MismatchedOuterShapes)
     st = TableauState.from_tableau(p)
     u_rows: list[list[int]] = [[] for _ in st.mu]
-    for i, boxes in sorted(boxes_by_letter(q).items(), reverse=True):
+    for i, counts in sorted(strip_counts(q).items(), reverse=True):
         before = list(st.mu)
-        _remove_strip(st, boxes, 0, [])
+        _remove_strip(st, counts, 0, [])
         for row, a, b in zip(u_rows, st.mu, before):
             row[:0] = [i] * (b - a)
     t = st.to_tableau()

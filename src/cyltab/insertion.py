@@ -6,7 +6,8 @@ bumps the displaced entries downward row by row, driven by a FIFO queue of
 step log; the bumping routes (the chain of plane points each displaced box
 travels through, always trending weakly left), the successive queues and
 the events are derived from that log when they are read.  The core
-`_insert_strip` works in place on one `TableauState`; `full_multi` wraps it.
+`_insert_strip` works in place on one `TableauState` and takes the strip as
+per-row counts; `full_multi` checks a `Box` list, converts it and wraps it.
 """
 
 from __future__ import annotations
@@ -206,16 +207,7 @@ class TableauState:
             CylPartition(self.params, tuple(self.lam)),
             CylPartition(self.params, tuple(self.mu)),
         )
-        return CylTableau(shape, tuple(tuple(r) for r in self.rows))
-
-
-def point_order_le(p: Point, q: Point) -> bool:
-    """Total order on points: above, or same row and weakly right."""
-    return p.x < q.x or (p.x == q.x and p.y >= q.y)
-
-
-def point_order_lt(p: Point, q: Point) -> bool:
-    return p != q and point_order_le(p, q)
+        return CylTableau(shape, tuple([tuple(r) for r in self.rows]))
 
 
 def inside_cocorners(t: CylTableau) -> list[Box]:
@@ -230,32 +222,38 @@ def inside_cocorners(t: CylTableau) -> list[Box]:
     return out
 
 
-def _check_strip_into_inner(params: CylParams, mu: Sequence[int], boxes: Sequence[Box]) -> None:
+def _strip_into_inner(params: CylParams, mu: Sequence[int], boxes: Iterable[Box]) -> list[int]:
+    """Per-row counts of a set of boxes, each row extending the inner shape contiguously."""
     k = params.k
     per_row: dict[int, list[int]] = {}
-    for b in boxes:
+    for b in sorted(set(boxes), key=lambda b: (b.row, b.col)):
         if not 0 <= b.row < k:
             raise PreconditionViolated(f"box {b} row outside [0, {k})")
         if b.col <= mu[b.row]:
             raise PreconditionViolated(f"box {b} lies in the inner shape")
         per_row.setdefault(b.row, []).append(b.col)
-    nu = list(mu)
     for r, cols in per_row.items():
-        cols.sort()
         if cols != list(range(mu[r] + 1, mu[r] + len(cols) + 1)):
             raise PreconditionViolated(
                 f"row {r} boxes {cols} do not extend the inner shape contiguously"
             )
-        nu[r] = cols[-1]
+    return [len(per_row.get(r, ())) for r in range(k)]
+
+
+def _check_strip(
+    params: CylParams, lower: list[int], upper: list[int], new: list[int], what: str, error: type
+) -> None:
+    """Raise error unless upper/lower is a horizontal strip and new, its moved side, a partition."""
+    k, width = params.k, params.width
     for i in range(k - 1):
-        if nu[i] < nu[i + 1]:
-            raise PreconditionViolated("inner shape plus boxes is not a partition")
-    if nu[k - 1] < nu[0] - params.width:
-        raise PreconditionViolated("inner shape plus boxes violates the wrap")
+        if new[i] < new[i + 1]:
+            raise error(f"{what} is not a partition")
+    if new[k - 1] < new[0] - width:
+        raise error(f"{what} violates the wrap")
     for i in range(k):
-        nxt = nu[i + 1] if i + 1 < k else nu[0] - params.width
-        if mu[i] < nxt:
-            raise PreconditionViolated("boxes do not form a horizontal strip")
+        nxt = upper[i + 1] if i + 1 < k else upper[0] - width
+        if lower[i] < nxt:
+            raise error("boxes do not form a horizontal strip")
 
 
 def one_step_multi(
@@ -304,38 +302,37 @@ def seed_multi(
 ) -> tuple[TableauState, InsertionQueue]:
     """Remove a horizontal strip into the inner shape, yielding the start queue."""
     state = TableauState.from_tableau(t)
-    queue = _seed_forward(state, boxes, seed_row, [])
+    queue = _seed_forward(state, _strip_into_inner(t.params, state.mu, boxes), seed_row, [])
     return state, InsertionQueue(tuple((x, r) for x, r, _, _ in queue), t.params.k)
 
 
 def _seed_forward(
-    st: TableauState, boxes: Iterable[Box], seed_row: int, log: list[Step]
+    st: TableauState, counts: Sequence[int], seed_row: int, log: list[Step]
 ) -> list[tuple[int, int, int, int]]:
-    """Absorb the strip row by row from seed_row, left to right; one route per box."""
-    bs = sorted(set(boxes), key=lambda b: (b.row, b.col))
-    _check_strip_into_inner(st.params, st.mu, bs)
+    """Absorb counts[r] boxes into row r, each at column mu[r] + 1, from seed_row on."""
     k = st.params.k
+    rows, mu, lam = st.rows, st.mu, st.lam
+    nu = [m + c for m, c in zip(mu, counts)]
+    _check_strip(st.params, mu, nu, nu, "inner shape plus boxes", PreconditionViolated)
     queue: list[tuple[int, int, int, int]] = []  # letter, row, plane row, route id
     for h in range(seed_row, seed_row + k):
         r = h % k
-        for b in bs:
-            if b.row != r:
-                continue
+        for _ in range(counts[r]):
             rid = len(log)
-            st.mu[r] += 1
-            if b.col <= st.lam[r]:
-                x = st.rows[r].pop(0)
+            mu[r] += 1
+            if mu[r] <= lam[r]:
+                x = rows[r].pop(0)
                 queue.append((x, (h + 1) % k, h + 1, rid))
-                log.append(("seed", r, b.col, h, rid, None, x))
+                log.append(("seed", r, mu[r], h, rid, None, x))
             else:
-                st.lam[r] += 1
-                log.append(("seed_out", r, b.col, h, rid, None, None))
+                lam[r] += 1
+                log.append(("seed_out", r, mu[r], h, rid, None, None))
     return queue
 
 
-def _insert_strip(st: TableauState, boxes: Iterable[Box], seed_row: int, log: list) -> tuple:
-    """Multi-insert a strip into st in place, logging every step; return the rounds."""
-    return _cascade(st, _seed_forward(st, boxes, seed_row, log), log, _forward_round)
+def _insert_strip(st: TableauState, counts: Sequence[int], seed_row: int, log: list) -> tuple:
+    """Multi-insert a strip of counts[r] boxes per row into st in place; return the rounds."""
+    return _cascade(st, _seed_forward(st, counts, seed_row, log), log, _forward_round)
 
 
 def full_multi(t: CylTableau, boxes: Iterable[Box], seed_row: int = 0) -> MultiInsertResult:
@@ -350,7 +347,7 @@ def full_multi(t: CylTableau, boxes: Iterable[Box], seed_row: int = 0) -> MultiI
     """
     log: list[Step] = []
     st = TableauState.from_tableau(t)
-    rounds = _insert_strip(st, boxes, seed_row, log)
+    rounds = _insert_strip(st, _strip_into_inner(st.params, st.mu, boxes), seed_row, log)
     result = st.to_tableau()
     # The new set is measured against the outer shape of the input tableau,
     # so boxes absorbed degenerately during seeding count as new.

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geometry import CylParams, CylPartition, GeometryError, SkewShape
-from .tableau import CylTableau, boxes_by_letter
+from .tableau import CylTableau, strip_counts
 
 
 class MarbleError(GeometryError):
@@ -66,22 +66,29 @@ class MarbleGame:
 def arrangement(alpha: CylPartition) -> Arrangement:
     """Player i holds alpha[i-1] - alpha[i], indices wrapping."""
     k = alpha.params.k
-    counts = tuple(alpha.part(i - 1) - alpha.part(i) for i in range(k))
+    counts = tuple([alpha.part(i - 1) - alpha.part(i) for i in range(k)])
     return Arrangement(alpha.params, counts)
 
 
-def apply_turn(arr: Arrangement, turn: tuple[int, ...]) -> Arrangement:
-    k = arr.params.k
-    if len(turn) != k:
+def _pass_marbles(counts: list[int], turn: tuple[int, ...]) -> None:
+    """Play one turn on a list of counts in place, raising MarbleError if it is illegal."""
+    if len(turn) != len(counts):
         raise MarbleError(f"turn {turn} has wrong length")
-    if any(a < 0 for a in turn):
+    if min(turn) < 0:
         raise MarbleError(f"turn {turn} passes a negative number of marbles")
-    if any(turn[i] > arr.counts[i] for i in range(k)):
-        raise MarbleError(f"turn {turn} passes more marbles than held in {arr.counts}")
-    counts = tuple(
-        arr.counts[i] - turn[i] + turn[(i - 1) % k] for i in range(k)
-    )
-    return Arrangement(arr.params, counts)
+    for c, a in zip(counts, turn):
+        if a > c:
+            raise MarbleError(f"turn {turn} passes more marbles than held in {tuple(counts)}")
+    prev = turn[-1]  # player i receives turn[i - 1] and passes turn[i]
+    for i, a in enumerate(turn):
+        counts[i] += prev - a
+        prev = a
+
+
+def apply_turn(arr: Arrangement, turn: tuple[int, ...]) -> Arrangement:
+    counts = list(arr.counts)
+    _pass_marbles(counts, turn)
+    return Arrangement(arr.params, tuple(counts))
 
 
 def game_validate(game: MarbleGame) -> bool:
@@ -101,22 +108,20 @@ def final_arrangement(game: MarbleGame) -> Arrangement:
 
 
 def tableau_to_game(t: CylTableau, num_letters: int | None = None) -> MarbleGame:
-    """Encode a tableau over {1..m} as a game of m turns from Arr(inner)."""
-    by_letter = boxes_by_letter(t)
-    top = max(by_letter, default=0)
+    """Encode a tableau over {1..m} as a game of m turns from Arr(inner).
+
+    Turn j is the strip of letter j: how many j's each row holds.
+    """
+    strips = strip_counts(t)
+    top = max(strips, default=0)
     m = top if num_letters is None else num_letters
     if top > m:
         raise MarbleError(f"tableau uses letters above {m}")
-    low = min(by_letter, default=1)
+    low = min(strips, default=1)
     if low < 1:
         raise MarbleError(f"tableau uses letter {low}; letters start at 1")
-    k = t.params.k
-    turns = []
-    for j in range(1, m + 1):
-        turn = [0] * k
-        for b in by_letter.get(j, ()):
-            turn[b.row] += 1
-        turns.append(tuple(turn))
+    idle = [0] * t.params.k
+    turns = [tuple(strips.get(j, idle)) for j in range(1, m + 1)]
     return MarbleGame(arrangement(t.inner), tuple(turns))
 
 
@@ -128,17 +133,14 @@ def game_to_tableau(mu: CylPartition, game: MarbleGame) -> CylTableau:
         raise InitialMismatch(
             f"initial arrangement {game.initial.counts} is not Arr of {mu.window}"
         )
-    k = mu.params.k
-    frontier = list(mu.window)
-    rows: list[list[int]] = [[] for _ in range(k)]
-    arr = game.initial
+    counts = list(game.initial.counts)
+    rows: list[list[int]] = [[] for _ in counts]
     for idx, turn in enumerate(game.turns, start=1):
         try:
-            arr = apply_turn(arr, turn)
+            _pass_marbles(counts, turn)
         except MarbleError as e:
             raise InvalidTurn(idx, str(e)) from e
-        for r in range(k):
-            rows[r].extend([idx] * turn[r])
-            frontier[r] += turn[r]
-    lam = CylPartition(mu.params, tuple(frontier))
-    return CylTableau(SkewShape(lam, mu), tuple(tuple(r) for r in rows))
+        for row, a in zip(rows, turn):
+            row += [idx] * a
+    lam = CylPartition(mu.params, tuple([m + len(row) for m, row in zip(mu.window, rows)]))
+    return CylTableau(SkewShape(lam, mu), tuple([tuple(row) for row in rows]))

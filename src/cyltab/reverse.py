@@ -3,7 +3,8 @@
 A horizontal strip is removed from the outer shape and the displaced entries
 bump upward, each chain landing on the inner frontier.  Reverse routes
 retrace the forward routes point for point, in reverse order.  The core
-`_remove_strip` works in place on one `TableauState`; `reverse_full_multi` wraps it.
+`_remove_strip` works in place on one `TableauState` and takes the strip as
+per-row counts; `reverse_full_multi` checks a `Box` list, converts it and wraps it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .insertion import (
     _cascade,
     _LogViews,
     _Queue,
+    _check_strip,
 )
 from .tableau import CylTableau
 
@@ -74,32 +76,23 @@ def outside_corners(t: CylTableau) -> list[Box]:
     return out
 
 
-def _check_strip_from_outer(params: CylParams, lam: Sequence[int], boxes: list[Box]) -> None:
+def _strip_from_outer(params: CylParams, lam: Sequence[int], boxes: Iterable[Box]) -> list[int]:
+    """Per-row counts of a set of boxes, each row peeling the outer shape contiguously."""
     k = params.k
     per_row: dict[int, list[int]] = {}
-    for b in boxes:
+    for b in sorted(set(boxes), key=lambda b: (b.row, -b.col)):
         if not 0 <= b.row < k:
             raise ReversePreconditionViolated(f"box {b} row outside [0, {k})")
         if b.col > lam[b.row]:
             raise ReversePreconditionViolated(f"box {b} lies outside the outer shape")
         per_row.setdefault(b.row, []).append(b.col)
-    xi = list(lam)
     for r, cols in per_row.items():
         cols.sort()
         if cols != list(range(lam[r] - len(cols) + 1, lam[r] + 1)):
             raise ReversePreconditionViolated(
                 f"row {r} boxes {cols} do not peel the outer shape contiguously"
             )
-        xi[r] = cols[0] - 1
-    for i in range(k - 1):
-        if xi[i] < xi[i + 1]:
-            raise ReversePreconditionViolated("outer shape minus boxes is not a partition")
-    if xi[k - 1] < xi[0] - params.width:
-        raise ReversePreconditionViolated("outer shape minus boxes violates the wrap")
-    for i in range(k):
-        nxt = lam[i + 1] if i + 1 < k else lam[0] - params.width
-        if xi[i] < nxt:
-            raise ReversePreconditionViolated("boxes do not form a horizontal strip")
+    return [len(per_row.get(r, ())) for r in range(k)]
 
 
 def reverse_one_step_multi(
@@ -140,33 +133,33 @@ def _reverse_round(
 
 
 def _seed_reverse(
-    st: TableauState, boxes: Iterable[Box], seed_row: int, log: list[Step]
+    st: TableauState, counts: Sequence[int], seed_row: int, log: list[Step]
 ) -> list[tuple[int, int, int, int]]:
-    """Peel the strip from seed_row downward in index, right to left; one route per box."""
-    bs = sorted(set(boxes), key=lambda b: (b.row, -b.col))
-    _check_strip_from_outer(st.params, st.lam, bs)
+    """Peel counts[r] boxes off row r, each at column lam[r], from seed_row downward."""
     k = st.params.k
+    rows, mu, lam = st.rows, st.mu, st.lam
+    xi = [m - c for m, c in zip(lam, counts)]
+    _check_strip(st.params, xi, lam, xi, "outer shape minus boxes", ReversePreconditionViolated)
     queue: list[tuple[int, int, int, int]] = []
     for h in range(seed_row, seed_row - k, -1):
         r = h % k
-        for b in bs:
-            if b.row != r:
-                continue
+        for _ in range(counts[r]):
             rid = len(log)
-            st.lam[r] -= 1
-            if b.col > st.mu[r]:
-                x = st.rows[r].pop()
+            col = lam[r]
+            lam[r] -= 1
+            if col > mu[r]:
+                x = rows[r].pop()
                 queue.append((x, (h - 1) % k, h - 1, rid))
-                log.append(("seed", r, b.col, h, rid, None, x))
+                log.append(("seed", r, col, h, rid, None, x))
             else:
-                st.mu[r] -= 1
-                log.append(("seed_out", r, b.col, h, rid, None, None))
+                mu[r] -= 1
+                log.append(("seed_out", r, col, h, rid, None, None))
     return queue
 
 
-def _remove_strip(st: TableauState, boxes: Iterable[Box], seed_row: int, log: list) -> tuple:
-    """Reverse-insert a strip out of st in place, logging every step; return the rounds."""
-    return _cascade(st, _seed_reverse(st, boxes, seed_row, log), log, _reverse_round)
+def _remove_strip(st: TableauState, counts: Sequence[int], seed_row: int, log: list) -> tuple:
+    """Reverse-insert a strip of counts[r] boxes per row out of st in place; return the rounds."""
+    return _cascade(st, _seed_reverse(st, counts, seed_row, log), log, _reverse_round)
 
 
 def seed_reverse_multi(
@@ -174,7 +167,7 @@ def seed_reverse_multi(
 ) -> tuple[TableauState, ReverseQueue]:
     """Remove a horizontal strip from the outer shape, yielding the start queue."""
     state = TableauState.from_tableau(t)
-    queue = _seed_reverse(state, boxes, seed_row, [])
+    queue = _seed_reverse(state, _strip_from_outer(t.params, state.lam, boxes), seed_row, [])
     return state, ReverseQueue(tuple((x, r) for x, r, _, _ in queue), t.params.k)
 
 
@@ -190,7 +183,7 @@ def reverse_full_multi(
     """
     log: list[Step] = []
     st = TableauState.from_tableau(t)
-    rounds = _remove_strip(st, boxes, seed_row, log)
+    rounds = _remove_strip(st, _strip_from_outer(st.params, st.lam, boxes), seed_row, log)
     result = st.to_tableau()
     # Measured against the inner shape of the input tableau, so boxes shed
     # degenerately during seeding count as part of the reverse new set.

@@ -117,7 +117,7 @@ def _validate(shape: SkewShape, rows: tuple[tuple[int, ...], ...]) -> None:
 
 def tableau_validate(shape: SkewShape, rows: Iterable[Iterable[int]]) -> CylTableau:
     """Build a tableau from dense row entry lists, raising if not semistandard."""
-    return CylTableau(shape, tuple(tuple(row) for row in rows))
+    return CylTableau(shape, tuple([tuple(row) for row in rows]))
 
 
 def empty_tableau(partition: CylPartition) -> CylTableau:
@@ -138,12 +138,16 @@ def from_box_entries(
     return CylTableau(shape, tuple(rows))
 
 
-def boxes_by_letter(t: CylTableau) -> dict[int, list[Box]]:
-    """Map each letter to the boxes holding it, in one pass over the rows."""
-    out: dict[int, list[Box]] = {}
-    for r, (row, lo) in enumerate(zip(t.rows, t.inner.window)):
-        for c, v in enumerate(row, lo + 1):
-            out.setdefault(v, []).append(Box(r, c))
+def strip_counts(t: CylTableau) -> dict[int, list[int]]:
+    """Map each letter to its strip: its count in each row, which is its marble turn."""
+    k = t.params.k
+    out: dict[int, list[int]] = {}
+    for r, row in enumerate(t.rows):
+        for v in row:
+            counts = out.get(v)
+            if counts is None:
+                counts = out[v] = [0] * k
+            counts[r] += 1
     return out
 
 

@@ -34,14 +34,22 @@ from cyltab.insertion import (
     BumpingRoute,
     InsertionEvent,
     InsertionQueue,
+    MultiInsertResult,
+    PreconditionViolated,
     TableauState,
-    _check_strip_into_inner,
+    _cascade,
+    _forward_round,
     full_multi,
-    point_order_lt,
 )
 from cyltab.polynomials import SparsePolynomial
-from cyltab.reverse import ReverseQueue, _check_strip_from_outer, reverse_full_multi
-from cyltab.tableau import CylTableau, boxes_by_letter, from_box_entries, weight
+from cyltab.reverse import (
+    ReverseMultiResult,
+    ReverseQueue,
+    ReversePreconditionViolated,
+    _reverse_round,
+    reverse_full_multi,
+)
+from cyltab.tableau import CylTableau, from_box_entries, weight
 
 
 def iter_params(max_k=3, max_width=3):
@@ -432,6 +440,15 @@ def _route_rows_consecutive(route, step=1):
     return xs == list(range(xs[0], xs[0] + step * len(xs), step))
 
 
+def point_order_le(p, q):
+    """Total order on points: above, or same row and weakly right."""
+    return p.x < q.x or (p.x == q.x and p.y >= q.y)
+
+
+def point_order_lt(p, q):
+    return p != q and point_order_le(p, q)
+
+
 def _check_route_pairs(routes, forward):
     for gi, hi in combinations(range(len(routes)), 2):
         for G, H in ((routes[gi], routes[hi]), (routes[hi], routes[gi])):
@@ -667,9 +684,197 @@ def reverse_full_multi_oracle(t, boxes, seed_row=0):
 
 
 # ---------------------------------------------------------------------------
-# Cyclic Knuth words, as the words module computed them before it replayed a
-# run of rotations as one slice and resumed the switch scan next to the last
-# switch: one tuple rebuilt per move, and a full rescan after every switch.
+# Strips as Box lists, as the bijection layer handled them before each strip
+# became a per-row count vector: the strip checks and seeders of
+# full_multi/reverse_full_multi, and the marble codecs with one validated
+# Arrangement per turn.
+
+
+def _check_strip_into_inner(params, mu, boxes):
+    k = params.k
+    per_row = {}
+    for b in boxes:
+        if not 0 <= b.row < k:
+            raise PreconditionViolated(f"box {b} row outside [0, {k})")
+        if b.col <= mu[b.row]:
+            raise PreconditionViolated(f"box {b} lies in the inner shape")
+        per_row.setdefault(b.row, []).append(b.col)
+    nu = list(mu)
+    for r, cols in per_row.items():
+        cols.sort()
+        if cols != list(range(mu[r] + 1, mu[r] + len(cols) + 1)):
+            raise PreconditionViolated(
+                f"row {r} boxes {cols} do not extend the inner shape contiguously"
+            )
+        nu[r] = cols[-1]
+    for i in range(k - 1):
+        if nu[i] < nu[i + 1]:
+            raise PreconditionViolated("inner shape plus boxes is not a partition")
+    if nu[k - 1] < nu[0] - params.width:
+        raise PreconditionViolated("inner shape plus boxes violates the wrap")
+    for i in range(k):
+        nxt = nu[i + 1] if i + 1 < k else nu[0] - params.width
+        if mu[i] < nxt:
+            raise PreconditionViolated("boxes do not form a horizontal strip")
+
+
+def _check_strip_from_outer(params, lam, boxes):
+    k = params.k
+    per_row = {}
+    for b in boxes:
+        if not 0 <= b.row < k:
+            raise ReversePreconditionViolated(f"box {b} row outside [0, {k})")
+        if b.col > lam[b.row]:
+            raise ReversePreconditionViolated(f"box {b} lies outside the outer shape")
+        per_row.setdefault(b.row, []).append(b.col)
+    xi = list(lam)
+    for r, cols in per_row.items():
+        cols.sort()
+        if cols != list(range(lam[r] - len(cols) + 1, lam[r] + 1)):
+            raise ReversePreconditionViolated(
+                f"row {r} boxes {cols} do not peel the outer shape contiguously"
+            )
+        xi[r] = cols[0] - 1
+    for i in range(k - 1):
+        if xi[i] < xi[i + 1]:
+            raise ReversePreconditionViolated("outer shape minus boxes is not a partition")
+    if xi[k - 1] < xi[0] - params.width:
+        raise ReversePreconditionViolated("outer shape minus boxes violates the wrap")
+    for i in range(k):
+        nxt = lam[i + 1] if i + 1 < k else lam[0] - params.width
+        if xi[i] < nxt:
+            raise ReversePreconditionViolated("boxes do not form a horizontal strip")
+
+
+def _seed_forward_boxes(st, boxes, seed_row, log):
+    """Absorb the strip row by row from seed_row, left to right; one route per box."""
+    bs = sorted(set(boxes), key=lambda b: (b.row, b.col))
+    _check_strip_into_inner(st.params, st.mu, bs)
+    k = st.params.k
+    queue = []  # letter, row, plane row, route id
+    for h in range(seed_row, seed_row + k):
+        r = h % k
+        for b in bs:
+            if b.row != r:
+                continue
+            rid = len(log)
+            st.mu[r] += 1
+            if b.col <= st.lam[r]:
+                x = st.rows[r].pop(0)
+                queue.append((x, (h + 1) % k, h + 1, rid))
+                log.append(("seed", r, b.col, h, rid, None, x))
+            else:
+                st.lam[r] += 1
+                log.append(("seed_out", r, b.col, h, rid, None, None))
+    return queue
+
+
+def _seed_reverse_boxes(st, boxes, seed_row, log):
+    """Peel the strip from seed_row downward in index, right to left; one route per box."""
+    bs = sorted(set(boxes), key=lambda b: (b.row, -b.col))
+    _check_strip_from_outer(st.params, st.lam, bs)
+    k = st.params.k
+    queue = []
+    for h in range(seed_row, seed_row - k, -1):
+        r = h % k
+        for b in bs:
+            if b.row != r:
+                continue
+            rid = len(log)
+            st.lam[r] -= 1
+            if b.col > st.mu[r]:
+                x = st.rows[r].pop()
+                queue.append((x, (h - 1) % k, h - 1, rid))
+                log.append(("seed", r, b.col, h, rid, None, x))
+            else:
+                st.mu[r] -= 1
+                log.append(("seed_out", r, b.col, h, rid, None, None))
+    return queue
+
+
+def full_multi_boxes_oracle(t, boxes, seed_row=0):
+    """full_multi with the strip seeded box by box from its Box list."""
+    log = []
+    st = TableauState.from_tableau(t)
+    rounds = _cascade(st, _seed_forward_boxes(st, boxes, seed_row, log), log, _forward_round)
+    result = st.to_tableau()
+    new_set = frozenset(SkewShape(result.outer, t.outer).boxes())
+    return MultiInsertResult(result, new_set, tuple(log), rounds)
+
+
+def reverse_full_multi_boxes_oracle(t, boxes, seed_row=0):
+    """reverse_full_multi with the strip peeled box by box from its Box list."""
+    log = []
+    st = TableauState.from_tableau(t)
+    rounds = _cascade(st, _seed_reverse_boxes(st, boxes, seed_row, log), log, _reverse_round)
+    result = st.to_tableau()
+    shed = frozenset(SkewShape(t.inner, result.inner).boxes())
+    return ReverseMultiResult(result, shed, tuple(log), rounds)
+
+
+def boxes_by_letter(t):
+    """Map each letter to the boxes holding it, in one pass over the rows."""
+    out = {}
+    for r, (row, lo) in enumerate(zip(t.rows, t.inner.window)):
+        for c, v in enumerate(row, lo + 1):
+            out.setdefault(v, []).append(Box(r, c))
+    return out
+
+
+def apply_turn_oracle(arr, turn):
+    k = arr.params.k
+    if len(turn) != k:
+        raise marbles.MarbleError(f"turn {turn} has wrong length")
+    if any(a < 0 for a in turn):
+        raise marbles.MarbleError(f"turn {turn} passes a negative number of marbles")
+    if any(turn[i] > arr.counts[i] for i in range(k)):
+        raise marbles.MarbleError(f"turn {turn} passes more marbles than held in {arr.counts}")
+    counts = tuple(arr.counts[i] - turn[i] + turn[(i - 1) % k] for i in range(k))
+    return marbles.Arrangement(arr.params, counts)
+
+
+def tableau_to_game_oracle(t, num_letters=None):
+    """tableau_to_game through the boxes of each letter."""
+    by_letter = boxes_by_letter(t)
+    top = max(by_letter, default=0)
+    m = top if num_letters is None else num_letters
+    if top > m:
+        raise marbles.MarbleError(f"tableau uses letters above {m}")
+    low = min(by_letter, default=1)
+    if low < 1:
+        raise marbles.MarbleError(f"tableau uses letter {low}; letters start at 1")
+    k = t.params.k
+    turns = []
+    for j in range(1, m + 1):
+        turn = [0] * k
+        for b in by_letter.get(j, ()):
+            turn[b.row] += 1
+        turns.append(tuple(turn))
+    return marbles.MarbleGame(marbles.arrangement(t.inner), tuple(turns))
+
+
+def game_to_tableau_oracle(mu, game):
+    """game_to_tableau with one validated Arrangement per turn."""
+    if game.params != mu.params:
+        raise marbles.InitialMismatch("game and partition use different cylinder parameters")
+    if game.initial != marbles.arrangement(mu):
+        raise marbles.InitialMismatch(
+            f"initial arrangement {game.initial.counts} is not Arr of {mu.window}"
+        )
+    k = mu.params.k
+    frontier = list(mu.window)
+    rows = [[] for _ in range(k)]
+    arr = game.initial
+    for idx, turn in enumerate(game.turns, start=1):
+        try:
+            arr = apply_turn_oracle(arr, turn)
+        except marbles.MarbleError as e:
+            raise marbles.InvalidTurn(idx, str(e)) from e
+        for r in range(k):
+            rows[r].extend([idx] * turn[r])
+            frontier[r] += turn[r]
+    lam = CylPartition(mu.params, tuple(frontier))
+    return CylTableau(SkewShape(lam, mu), tuple(tuple(r) for r in rows))
 
 
 def crsk_per_batch_oracle(t, u):
@@ -762,6 +967,12 @@ def knuth_pairs(max_length=5, letters=3):
             for a in arrangements:
                 for b in arrangements:
                     yield a, b
+
+
+# ---------------------------------------------------------------------------
+# Cyclic Knuth words, as the words module computed them before it replayed a
+# run of rotations as one slice and resumed the switch scan next to the last
+# switch: one tuple rebuilt per move, and a full rescan after every switch.
 
 
 def apply_move_oracle(w, move):

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from cyltab.crsk import crsk
 from cyltab.geometry import CylParams, CylPartition, SkewShape
 from cyltab.marbles import (
     Arrangement,
@@ -17,10 +20,14 @@ from cyltab.marbles import (
 from cyltab.tableau import empty_tableau, is_standard, tableau_validate
 from sweeps import (
     anchored_partitions,
+    apply_turn_oracle,
     enumerate_tableaux_with_inner,
     enumerate_tableaux_with_outer,
+    game_to_tableau_oracle,
     iter_params,
     iter_tableaux,
+    random_crsk_pairs,
+    tableau_to_game_oracle,
 )
 
 K2N4 = CylParams(2, 4)
@@ -159,3 +166,75 @@ class TestBijection:
         assert count_games_ending_at(arrangement(mu), t) == len(
             enumerate_tableaux_with_outer(mu, t)
         )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MarbleError as e:  # the class, the turn index and the text must match
+        return type(e), getattr(e, "index", None), str(e)
+
+
+TURN_ERRORS = {
+    "long": "has wrong length",
+    "short": "has wrong length",
+    "negative": "passes a negative number of marbles",
+    "overdraw": "passes more marbles than held in",
+}
+
+
+def _broken_turns(game, rng):
+    """(kind, index, game) for games that break one turn of a valid game."""
+    turns = list(game.turns)
+    arr = game.initial  # held before turn j + 1
+    for j, turn in enumerate(turns):
+        r = rng.randrange(len(turn))
+        for kind, bad in (
+            ("long", turn + (0,)),
+            ("short", turn[:-1]),
+            ("negative", turn[:r] + (-1,) + turn[r + 1 :]),
+            ("overdraw", turn[:r] + (arr.counts[r] + 1,) + turn[r + 1 :]),
+        ):
+            yield kind, j + 1, MarbleGame(game.initial, tuple(turns[:j] + [bad] + turns[j + 1 :]))
+        arr = apply_turn_oracle(arr, turn)
+
+
+class TestCountsMatchOracle:
+    """Turns read off strip counts give what boxes and one Arrangement per turn give."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_encode_on_crsk_outputs(self, seed):
+        for t, u in random_crsk_pairs(seed):
+            out = crsk(t, u)
+            for x in (out.p, out.q):
+                top = x.max_entry()
+                for letters in (None, top, top + 2, top - 1):
+                    got = _outcome(tableau_to_game, x, letters)
+                    assert got == _outcome(tableau_to_game_oracle, x, letters)
+                game = tableau_to_game(x)
+                assert game_to_tableau(x.inner, game) == game_to_tableau_oracle(x.inner, game) == x
+
+    def test_decode_broken_games(self):
+        rng = random.Random(17)
+        rotated_rejected = False
+        for t, u in random_crsk_pairs(3, per_k=8):
+            game = tableau_to_game(t)
+            for kind, index, bad in _broken_turns(game, rng):
+                got = _outcome(game_to_tableau, t.inner, bad)
+                assert got == _outcome(game_to_tableau_oracle, t.inner, bad)
+                assert got[:2] == (InvalidTurn, index) and TURN_ERRORS[kind] in got[2]
+            counts = game.initial.counts
+            wider = CylParams(t.params.k, t.params.n + 1)
+            for start in (
+                Arrangement(t.params, counts[1:] + counts[:1]),
+                Arrangement(wider, (counts[0] + 1, *counts[1:])),
+            ):
+                bad = MarbleGame(start, game.turns)
+                got = _outcome(game_to_tableau, t.inner, bad)
+                assert got == _outcome(game_to_tableau_oracle, t.inner, bad)
+                if start.params == wider:
+                    assert got[:2] == (InitialMismatch, None) and "different cylinder" in got[2]
+                elif start != game.initial:
+                    assert got[0] is InitialMismatch and "is not Arr of" in got[2]
+                    rotated_rejected = True
+        assert rotated_rejected
