@@ -21,6 +21,7 @@ from .geometry import (
     ParamsMismatch,
     SkewShape,
     cyl_embed,
+    flip_partition,
     project,  # noqa: F401  (no longer called here; bench/tracer.py rebinds it)
 )
 from .polynomials import IdentityReport, SparsePolynomial
@@ -143,46 +144,42 @@ def enumerate_ssct(shape: SkewShape, num_letters: int) -> list[CylTableau]:
 
 
 def _box_chains(
-    start: Sequence[int], steps: int, width: int, bound: Sequence[int], down: bool
+    start: Sequence[int], steps: int, width: int, bound: Sequence[int]
 ) -> dict[tuple[int, ...], int]:
-    """Map each window reached from start by steps one-box moves to its number of chains.
+    """Map each window reached from start by steps one-box removals to its number of chains.
 
-    Going up, row i grows while w[i] < min(w[i-1], bound[i]), w[-1] read as w[k-1] + width;
-    going down, it shrinks while w[i] > max(w[i+1], bound[i]), w[k] read as w[0] - width.
+    Row i shrinks while w[i] > max(w[i+1], bound[i]), w[k] read as w[0] - width.
     """
-    step = -1 if down else 1
     states = {tuple(start): 1}
     for _ in range(steps):
         successors: dict[tuple[int, ...], int] = {}
         for w, chains in states.items():
-            nbrs = w[1:] + (w[0] - width,) if down else (w[-1] + width,) + w[:-1]
+            nbrs = w[1:] + (w[0] - width,)
             for i, v in enumerate(w):
-                if (v > nbrs[i] and v > bound[i]) if down else (v < nbrs[i] and v < bound[i]):
-                    nxt = w[:i] + (v + step,) + w[i + 1 :]
+                if v > nbrs[i] and v > bound[i]:
+                    nxt = w[:i] + (v - 1,) + w[i + 1 :]
                     successors[nxt] = successors.get(nxt, 0) + chains
         states = successors
     return states
 
 
 def count_standard(shape: SkewShape) -> int:
-    """Number of standard fillings: chains of one-box moves up from inner to outer."""
-    outer = shape.outer.window
-    return _box_chains(shape.inner.window, shape.size(), shape.params.width, outer, False).get(outer, 0)
+    """Number of standard fillings: chains of one-box removals down from outer to inner."""
+    inner = shape.inner.window
+    return _box_chains(shape.outer.window, shape.size(), shape.params.width, inner).get(inner, 0)
 
 
 def _strip_chains(
-    start: tuple[int, ...], num_vars: int, width: int, budget: int, bound: Sequence[int], down: bool
+    start: tuple[int, ...], num_vars: int, width: int, budget: int, bound: Sequence[int]
 ) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
-    """Count the chains of num_vars cylindric horizontal strips from the window start.
+    """Count the chains of num_vars cylindric horizontal strips removed from the window start.
 
-    Maps each window at most budget boxes from start to {exponent vector:
-    number of chains}. Going up, a step adds a strip rho / nu with
-    nu[i] <= rho[i] <= min(nu[i-1], bound[i]), nu[-1] read as nu[k-1] + width;
-    going down, it removes one with max(rho[i+1], bound[i]) <= nu[i] <= rho[i],
-    rho[k] read as rho[0] - width. These bounds also make each window valid.
-    Exponents stay in letter order: going down, each new one is prepended.
-    Only weakly decreasing (dominant) vectors are counted; their prefixes and
-    suffixes are dominant too. That is exact: a window's polynomial is a
+    Maps each window at most budget boxes below start to {exponent vector:
+    number of chains}. A step removes a strip rho / nu with
+    max(rho[i+1], bound[i]) <= nu[i] <= rho[i], rho[k] read as rho[0] - width;
+    these bounds also make each window valid. Letters go last first, so each new
+    exponent is prepended. Only weakly decreasing (dominant) vectors are counted;
+    their suffixes are dominant too. That is exact: a window's polynomial is a
     cylindric skew Schur polynomial, which is symmetric (Gessel-Krattenthaler
     1997; Postnikov 2005), so _expand recovers its other terms.
     """
@@ -190,24 +187,17 @@ def _strip_chains(
     states = {start: {(): 1}}
     for step in range(num_vars):
         successors: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        for cur, prefixes in states.items():
+        for cur, suffixes in states.items():
             size = sum(cur)
-            slack = budget - abs(size - base)
-            if down:  # each later step removes at least as many boxes as this one
-                slack //= num_vars - step
-                below = zip(cur, cur[1:] + (cur[0] - width,), bound)
-                ranges = [range(max(r, f, c - slack), c + 1) for c, r, f in below]
-            else:  # this step adds at most as many boxes as the one before
-                slack = min(slack, max(ex[-1] for ex in prefixes)) if step else slack
-                above = zip(cur, (cur[-1] + width,) + cur[:-1], bound)
-                ranges = [range(c, min(a, b, c + slack) + 1) for c, a, b in above]
-            for nxt in product(*ranges):
-                d = abs(sum(nxt) - size)
+            slack = (budget - base + size) // (num_vars - step)  # later strips are no smaller
+            below = zip(cur, cur[1:] + (cur[0] - width,), bound)
+            for nxt in product(*[range(max(r, f, c - slack), c + 1) for c, r, f in below]):
+                d = size - sum(nxt)
                 if d > slack:
                     continue
-                for ex, c in prefixes.items():
-                    if not ex or (ex[0] <= d if down else d <= ex[-1]):
-                        ex = (d,) + ex if down else ex + (d,)
+                for ex, c in suffixes.items():
+                    if not ex or ex[0] <= d:
+                        ex = (d,) + ex
                         chains = successors.setdefault(nxt, {})
                         chains[ex] = chains.get(ex, 0) + c
         states = successors
@@ -241,12 +231,12 @@ def schur_poly(shape: SkewShape, num_vars: int) -> SparsePolynomial:
     """Truncated Schur polynomial: sum of weight monomials over all fillings.
 
     A filling over {1..v} is a chain inner = nu_0 <= ... <= nu_v = outer of
-    horizontal strips (letter j fills nu_j / nu_(j-1)): a strip chain up from inner.
+    horizontal strips (letter j fills nu_j / nu_(j-1)): a strip chain down from outer.
     """
     _require_nonnegative(num_vars=num_vars)
-    outer = shape.outer.window
-    chains = _strip_chains(shape.inner.window, num_vars, shape.params.width, shape.size(), outer, False)
-    return _expand(chains.get(outer, {}), (num_vars,))
+    inner = shape.inner.window
+    chains = _strip_chains(shape.outer.window, num_vars, shape.params.width, shape.size(), inner)
+    return _expand(chains.get(inner, {}), (num_vars,))
 
 
 def cauchy_sides(
@@ -258,10 +248,11 @@ def cauchy_sides(
 ) -> tuple[SparsePolynomial, SparsePolynomial]:
     """Both sides of the cylindric Cauchy identity, truncated by x-degree.
 
-    Each family shares one end (every s(alpha/mu) ends at alpha, every
-    s(lam/beta) starts at beta), so it is one strip-chain DP from there. A side
-    pairs its families' dominant x and y terms on the windows mu (or lam) both
-    reach, then expands once, since each product is symmetric in x and in y.
+    Each family shares its top (every s(alpha/mu) starts at alpha; every s(lam/beta)
+    is counted on its rotation flip(beta) / flip(lam), which has the same polynomial),
+    so it is one strip-chain DP down from there. A side pairs its families' dominant
+    x and y terms on the windows mu (or flip(lam)) both reach, then expands once,
+    since each product is symmetric in x and in y.
     """
     if alpha.params != beta.params:
         raise ParamsMismatch("alpha and beta live on different cylinders")
@@ -270,11 +261,11 @@ def cauchy_sides(
     vx, vy, d = num_vars_x, num_vars_y, max_degree
     d_y = sum(b) - sum(a) + d  # |beta/mu| = |alpha/mu| + |beta| - |alpha|, as for lam
     sides = []
-    runs = ((a, b, [p - d for p in a], True), (b, a, [p + d for p in b], False))
-    for x_from, y_from, bound, down in runs:
-        ys = _strip_chains(y_from, vy, width, d_y, bound, down)
+    for x_from, y_from in ((a, b), (flip_partition(beta).window, flip_partition(alpha).window)):
+        bound = [p - d for p in x_from]
+        ys = _strip_chains(y_from, vy, width, d_y, bound)
         acc: dict[tuple[int, ...], int] = {}
-        for window, xterms in _strip_chains(x_from, vx, width, d, bound, down).items():
+        for window, xterms in _strip_chains(x_from, vx, width, d, bound).items():
             for ey, cy in ys.get(window, {}).items():
                 for ex, cx in xterms.items():
                     e = ex + ey
@@ -303,20 +294,21 @@ def verify_cauchy(
 def verify_oneschur(alpha: CylPartition, max_degree: int, num_vars: int) -> IdentityReport:
     """Check the one-shape summation identity exactly up to the degree budget."""
     _require_nonnegative(max_degree=max_degree, num_vars=num_vars)
-    a, width, d = alpha.window, alpha.params.width, max_degree
+    width, d = alpha.params.width, max_degree
     lhs, rhs = Counter(), Counter()
-    for terms in _strip_chains(a, num_vars, width, d, [p - d for p in a], True).values():
-        lhs.update(terms)
-    for terms in _strip_chains(a, num_vars, width, d, [p + d for p in a], False).values():
-        rhs.update(terms)
+    # each s(lam/alpha) is counted on its rotation flip(alpha) / flip(lam)
+    for side, start in ((lhs, alpha.window), (rhs, flip_partition(alpha).window)):
+        for terms in _strip_chains(start, num_vars, width, d, [p - d for p in start]).values():
+            side.update(terms)
     return IdentityReport(_expand(lhs, (num_vars,)), _expand(rhs, (num_vars,)))
 
 
 def verify_fcount(alpha: CylPartition, beta: CylPartition, m: int) -> tuple[int, int]:
     """Standard-count identity: sum f(alpha/mu) f(beta/mu) against sum f(lam/alpha) f(lam/beta).
 
-    As in cauchy_sides, each family is one _box_chains run from the partition it shares,
-    paired on the windows both runs reach: the mu above alpha - m, the lam below beta + m.
+    As in cauchy_sides, each family is one _box_chains run down from the partition it
+    shares, an upper family f(lam/beta) on its rotation flip(beta) / flip(lam), paired
+    on the windows both runs reach: the mu above alpha - m, the flip(lam) above flip(beta) - m.
     """
     if alpha.params != beta.params:
         raise ParamsMismatch("alpha and beta live on different cylinders")
@@ -324,9 +316,10 @@ def verify_fcount(alpha: CylPartition, beta: CylPartition, m: int) -> tuple[int,
     a, b, width = alpha.window, beta.window, alpha.params.width
     m_y = sum(b) - sum(a) + m  # |beta/mu| = |alpha/mu| + |beta| - |alpha|, as for lam
     sides = []
-    for x, y, bound, down in ((a, b, [p - m for p in a], True), (b, a, [p + m for p in b], False)):
-        ys = _box_chains(y, m_y, width, bound, down) if m_y >= 0 else {}
-        sides.append(sum(c * ys.get(w, 0) for w, c in _box_chains(x, m, width, bound, down).items()))
+    for x, y in ((a, b), (flip_partition(beta).window, flip_partition(alpha).window)):
+        bound = [p - m for p in x]
+        ys = _box_chains(y, m_y, width, bound) if m_y >= 0 else {}
+        sides.append(sum(c * ys.get(w, 0) for w, c in _box_chains(x, m, width, bound).items()))
     return sides[0], sides[1]
 
 

@@ -85,33 +85,24 @@ class CylTableau:
 
 
 def _validate(shape: SkewShape, rows: tuple[tuple[int, ...], ...]) -> None:
-    k = shape.params.k
-    width = shape.params.width
+    k, width = shape.params.k, shape.params.width
+    inner, outer = shape.inner.window, shape.outer.window
     if len(rows) != k:
         raise RowLengthMismatch(f"expected {k} rows, got {len(rows)}")
-    for r in range(k):
-        lo, hi = shape.row_interval(r)
-        if len(rows[r]) != hi - lo:
-            raise RowLengthMismatch(
-                f"row {r} has {len(rows[r])} entries, shape wants {hi - lo}"
-            )
-        for j in range(len(rows[r]) - 1):
-            if rows[r][j] > rows[r][j + 1]:
+    for r, (row, lo, hi) in enumerate(zip(rows, inner, outer)):
+        if len(row) != hi - lo:
+            raise RowLengthMismatch(f"row {r} has {len(row)} entries, shape wants {hi - lo}")
+        for j in range(len(row) - 1):
+            if row[j] > row[j + 1]:
                 raise RowNotWeaklyIncreasing(r, lo + j + 1)
     # Column strictness: compare each plane row r with plane row r+1, where
     # plane row k is the window row 0 shifted left by the horizontal period.
     # Columns of a skew shape are contiguous, so adjacent rows suffice.
-    for r in range(k):
-        lo_a, hi_a = shape.row_interval(r)
-        if r + 1 < k:
-            lo_b, hi_b = shape.row_interval(r + 1)
-            below = rows[r + 1]
-        else:
-            lo_b, hi_b = shape.row_interval(0)
-            lo_b, hi_b = lo_b - width, hi_b - width
-            below = rows[0]
-        for c in range(max(lo_a, lo_b) + 1, min(hi_a, hi_b) + 1):
-            if rows[r][c - lo_a - 1] >= below[c - lo_b - 1]:
+    for r, row in enumerate(rows):
+        b, shift = (r + 1, 0) if r + 1 < k else (0, width)
+        lo_a, lo_b, below = inner[r], inner[b] - shift, rows[b]
+        for c in range(max(lo_a, lo_b) + 1, min(outer[r], outer[b] - shift) + 1):
+            if row[c - lo_a - 1] >= below[c - lo_b - 1]:
                 raise ColumnNotStrictlyIncreasing(c)
 
 

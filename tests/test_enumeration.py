@@ -230,7 +230,10 @@ class TestStandardCounts:
         cases = 0
         for params in iter_params(max_k=4, max_width=4):
             for sh in iter_shapes(params, 8):
-                assert count_standard(sh) == count_standard_bitmask_oracle(sh), sh
+                # the 180-degree rotation has as many standard fillings (letters reversed)
+                flipped = SkewShape(flip_partition(sh.inner), flip_partition(sh.outer))
+                want = count_standard_bitmask_oracle(sh)
+                assert count_standard(sh) == want == count_standard(flipped), sh
                 cases += 1
         assert cases == 3918
 
@@ -295,17 +298,19 @@ class TestSchurPolynomials:
         assert (cases, bad) == (1258, 0)
 
     def test_engine_counts_the_dominant_terms_of_the_per_shape_dp(self):
-        # up from inner to outer and down from outer to inner, on the 1,985 sweep cases
+        # down from outer to inner, and down the rotation from flip(inner) to flip(outer),
+        # the run the upper families of the identities make, on the 1,985 sweep cases
         cases = 0
         for params in iter_params(max_k=3, max_width=3):
             for sh in iter_shapes(params, 6):
                 inner, outer, width = sh.inner.window, sh.outer.window, params.width
+                top, bottom = flip_partition(sh.inner).window, flip_partition(sh.outer).window
                 for v in range(5):
                     full = schur_poly_per_shape(sh, v).terms()
                     want = {e: c for e, c in full if list(e) == sorted(e, reverse=True)}
-                    up = _strip_chains(inner, v, width, sh.size(), outer, False)
-                    down = _strip_chains(outer, v, width, sh.size(), inner, True)
-                    assert up.get(outer, {}) == want == down.get(inner, {}), (sh, v)
+                    down = _strip_chains(outer, v, width, sh.size(), inner)
+                    rotated = _strip_chains(top, v, width, sh.size(), bottom)
+                    assert down.get(inner, {}) == want == rotated.get(bottom, {}), (sh, v)
                     cases += 1
         assert cases == 1985
 
