@@ -89,13 +89,13 @@ def enumerate_inner(
 def enumerate_outer(
     alpha: CylPartition, beta: CylPartition, m: int
 ) -> list[CylPartition]:
-    """All lam containing both alpha and beta with exactly m boxes in lam/beta."""
-    if alpha.params != beta.params:
-        raise ParamsMismatch("alpha and beta live on different cylinders")
-    _require_nonnegative(m=m)
-    params = alpha.params
-    lo, hi = list(map(max, alpha.window, beta.window)), [p + m for p in beta.window]
-    return [CylPartition(params, w) for w in _windows(lo, hi, params.width, sum(beta.window) + m)]
+    """All lam containing both alpha and beta with exactly m boxes in lam/beta.
+
+    The rotation reverses containment and keeps skew sizes, so these are the
+    rotations of enumerate_inner(flip(beta), flip(alpha), m), in window order.
+    """
+    inner = enumerate_inner(flip_partition(beta), flip_partition(alpha), m)
+    return sorted(map(flip_partition, inner), key=lambda lam: lam.window)
 
 
 def _fillings(
@@ -318,7 +318,7 @@ def verify_fcount(alpha: CylPartition, beta: CylPartition, m: int) -> tuple[int,
     sides = []
     for x, y in ((a, b), (flip_partition(beta).window, flip_partition(alpha).window)):
         bound = [p - m for p in x]
-        ys = _box_chains(y, m_y, width, bound) if m_y >= 0 else {}
+        ys = _box_chains(y, m_y, width, bound)
         sides.append(sum(c * ys.get(w, 0) for w, c in _box_chains(x, m, width, bound).items()))
     return sides[0], sides[1]
 

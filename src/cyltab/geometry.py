@@ -154,9 +154,12 @@ def partition_contains(mu: CylPartition, lam: CylPartition) -> bool:
 
 
 def flip_partition(lam: CylPartition) -> CylPartition:
-    """The 180-degree rotation of a partition: part m becomes -1 - lam[-m]."""
-    window = tuple(-1 - lam.part(-m) for m in range(lam.params.k))
-    return CylPartition(lam.params, window)
+    """The 180-degree rotation of a partition: part m becomes -1 - lam[-m].
+
+    Read off the window: lam[-m] is window part k - m plus one period for 0 < m < k.
+    """
+    w, width = lam.window, lam.params.width
+    return CylPartition(lam.params, (-1 - w[0], *(-1 - width - p for p in reversed(w[1:]))))
 
 
 def cyl_embed(parts: Iterable[int], params: CylParams) -> CylPartition:

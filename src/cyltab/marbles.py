@@ -101,10 +101,10 @@ def game_validate(game: MarbleGame) -> bool:
 
 
 def final_arrangement(game: MarbleGame) -> Arrangement:
-    arr = game.initial
+    counts = list(game.initial.counts)
     for turn in game.turns:
-        arr = apply_turn(arr, turn)
-    return arr
+        _pass_marbles(counts, turn)
+    return Arrangement(game.params, tuple(counts))
 
 
 def tableau_to_game(t: CylTableau, num_letters: int | None = None) -> MarbleGame:

@@ -12,7 +12,6 @@ from .geometry import (
     CylPartition,
     GeometryError,
     SkewShape,
-    flip_box,
     flip_partition,
 )
 
@@ -162,17 +161,13 @@ def flip_tableau(t: CylTableau, alphabet_bound: int | None = None) -> CylTableau
     """Rotate a tableau 180 degrees and reverse the order of its entries.
 
     Entry a becomes alphabet_bound + 1 - a, which realizes order reversal
-    while keeping letters positive.  Applying flip twice with the same bound
-    returns the original tableau.
+    while keeping letters positive.  Row r of the result is row -r mod k of t
+    read right to left.  Flipping twice with the same bound returns t.
     """
     bound = t.max_entry() if alphabet_bound is None else alphabet_bound
-    params = t.params
-    outer = flip_partition(t.inner)
-    inner = flip_partition(t.outer)
-    entries: dict[Box, int] = {}
-    for b in t.boxes():
-        entries[flip_box(b, params)] = bound + 1 - t.entry(b)
-    return from_box_entries(outer, inner, entries)
+    k = t.params.k
+    rows = tuple(tuple(bound + 1 - a for a in reversed(t.rows[-r % k])) for r in range(k))
+    return CylTableau(SkewShape(flip_partition(t.inner), flip_partition(t.outer)), rows)
 
 
 def tableau_word(t: CylTableau) -> tuple[int, ...]:

@@ -35,7 +35,7 @@ from cyltab.geometry import (
     flip_partition,
     partition_contains,
 )
-from cyltab.polynomials import IdentityReport, SparsePolynomial
+from cyltab.polynomials import IdentityReport, PolynomialError, SparsePolynomial
 from cyltab.tableau import is_standard
 
 from sweeps import (
@@ -130,9 +130,11 @@ class TestShapeEnumeration:
         assert [p.window for p in got] == [(1, 0)]
 
     def test_pruned_enumeration_matches_filtered_sweep(self):
-        # k <= 5, width <= 2, beta shifted -1..1 columns against alpha, m <= 5
+        # k <= 5 at width <= 2 and k <= 3 at width 3..4, beta shifted -1..1 columns
+        # against alpha, m <= 5; each list in order
         cases = 0
-        for params in iter_params(max_k=5, max_width=2):
+        wide = [p for p in iter_params(max_k=3, max_width=4) if p.width >= 3]
+        for params in [*iter_params(max_k=5, max_width=2), *wide]:
             parts = anchored_partitions(params)
             betas = [b.shifted(s) for b in parts for s in (-1, 0, 1)]
             for alpha in parts:
@@ -143,7 +145,7 @@ class TestShapeEnumeration:
                         outer = [p.window for p in enumerate_outer(alpha, beta, m)]
                         assert outer == filtered_outer(alpha, beta, m), (alpha, beta, m)
                         cases += 2
-        assert cases == 15336
+        assert cases == 28584
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
@@ -448,6 +450,8 @@ class TestIdentities:
         assert verify_fcount(part((0, 0)), part((0, 0)), 1) == (1, 1)
         assert verify_fcount(part((0, 0)), part((0, 0)), 0) == (1, 1)
         assert verify_fcount(part((1, 0)), part((0, -1)), 0) == (0, 0)
+        # |beta| < |alpha| - m: no mu has m boxes in alpha/mu and any in beta/mu
+        assert verify_fcount(part((2, 1)), part((0, 0)), 1) == (0, 0)
         lhs, rhs = verify_fcount(part((1, 0)), part((0, 0)), 3)
         assert lhs == rhs
 
@@ -498,6 +502,10 @@ class TestIdentities:
             verify_fcount(alpha, other, -1)
         with pytest.raises(ParamsMismatch, match=message):
             verify_cauchy(alpha, other, -1, 1, 1)
+        for enumerate_shapes in (enumerate_inner, enumerate_outer):
+            for m in (1, -1):
+                with pytest.raises(ParamsMismatch, match=message):
+                    enumerate_shapes(alpha, other, m)
 
 
 class TestIdentityReport:
@@ -526,6 +534,20 @@ class TestIdentityReport:
             ((2, 0, 1), 1, 0),
             ((2, 1, 0), 1, 0),
         )
+
+
+class TestSparsePolynomialErrors:
+    def test_exponent_arity_rejected(self):
+        with pytest.raises(PolynomialError, match=r"^exponent vector \(1,\) has arity != 2$"):
+            SparsePolynomial(2, {(1,): 1})
+
+    def test_sum_arity_mismatch_rejected(self):
+        with pytest.raises(PolynomialError, match="^arity mismatch: 1 vs 2$"):
+            SparsePolynomial(1) + SparsePolynomial(2)
+
+    def test_embed_into_smaller_arity_rejected(self):
+        with pytest.raises(PolynomialError, match="^embedding does not fit the target arity$"):
+            SparsePolynomial(2).embed(1)
 
 
 class TestRegular:

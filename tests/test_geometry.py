@@ -169,6 +169,18 @@ class TestFlip:
                 for lam in outer_partitions(mu, 3):
                     assert flip_partition(flip_partition(lam)) == lam
 
+    def test_flip_partition_matches_part_sweep(self):
+        from sweeps import anchored_partitions, iter_params
+
+        cases = 0
+        for params in iter_params(max_k=4, max_width=4):
+            for mu in anchored_partitions(params):
+                for lam in (mu.shifted(s) for s in range(-2, 3)):
+                    flipped = flip_partition(lam).window
+                    assert flipped == tuple(-1 - lam.part(-m) for m in range(params.k)), lam
+                    cases += 1
+        assert cases == 605
+
     def test_flip_partition_complements_box_sets(self):
         # a point is in Flip(lam) iff its rotation image is not in lam
         lam = CylPartition(K3N6, (4, 3, 1))

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -7,6 +8,7 @@ from cyltab.geometry import Box, CylParams, CylPartition, GeometryError, SkewSha
 from cyltab.tableau import (
     ColumnNotStrictlyIncreasing,
     RowLengthMismatch,
+    TableauError,
     empty_tableau,
     flip_tableau,
     is_standard,
@@ -76,6 +78,13 @@ class TestValidate:
     def test_column_violation_across_rows(self):
         with pytest.raises(ColumnNotStrictlyIncreasing):
             tableau_validate(shape(K2N4, (1, 1), (0, 0)), [[2], [1]])
+
+    def test_entry_outside_shape_rejected(self):
+        t = tableau_validate(shape(K2N4, (1, 0), (0, 0)), [[3], []])
+        for b in (Box(0, 0), Box(0, 2), Box(1, 1)):
+            message = rf"^box {re.escape(repr(b))} is not in the shape$"
+            with pytest.raises(TableauError, match=message):
+                t.entry(b)
 
     def test_row_length_mismatch(self):
         with pytest.raises(RowLengthMismatch):
@@ -159,11 +168,16 @@ class TestFlipTableau:
     def test_involution_and_validity_sweep(self):
         from sweeps import iter_params, iter_shapes
 
+        boxes = 0
         for params in iter_params(max_k=3, max_width=3):
             for sh in iter_shapes(params, max_boxes=4):
                 for t in enumerate_ssct(sh, 3):
                     f = flip_tableau(t, alphabet_bound=3)  # validates on build
                     assert flip_tableau(f, alphabet_bound=3) == t
+                    for b in t.boxes():  # each entry lands on the rotated box
+                        assert f.entry(flip_box(b, params)) == 4 - t.entry(b), (t, b)
+                        boxes += 1
+        assert boxes == 5028
 
 
 class TestWord:

@@ -228,6 +228,10 @@ class TestLiftWord:
     def test_all_equal(self):
         assert lift_word((2, 2, 2)).permutation == (1, 2, 3)
 
+    def test_empty_rejected(self):
+        with pytest.raises(WordError, match="^word must be nonempty$"):
+            lift_word(())
+
 
 class TestConnect:
     def test_identity(self):
