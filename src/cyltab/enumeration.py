@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, product
+from operator import add, lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CyltabError
@@ -22,10 +23,13 @@ from .geometry import (
     SkewShape,
     cyl_embed,
     flip_partition,
+    flip_window,
     project,  # noqa: F401  (no longer called here; bench/tracer.py rebinds it)
 )
 from .polynomials import IdentityReport, SparsePolynomial
 from .tableau import CylTableau
+
+Terms = dict[tuple[int, ...], int]  # exponent vector -> coefficient
 
 
 class EnumerationError(CyltabError):
@@ -211,7 +215,7 @@ def _arrangements(e: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple((x,) + r for x, others in rest.items() for r in _arrangements(others)) or ((),)
 
 
-def _expand(dominant: dict[tuple[int, ...], int], blocks: Sequence[int]) -> SparsePolynomial:
+def _expand(dominant: Terms, blocks: Sequence[int]) -> SparsePolynomial:
     """The polynomial, symmetric in each block of variables, with these dominant terms.
 
     Each key, weakly decreasing within each block (consecutive runs of the given
@@ -225,6 +229,14 @@ def _expand(dominant: dict[tuple[int, ...], int], blocks: Sequence[int]) -> Spar
             rows = [r + p for r in rows for p in _arrangements(e[i:j])]
         expanded.update(dict.fromkeys(rows, c))
     return SparsePolynomial(cuts[-1], expanded)
+
+
+def _pair(acc: Terms, xs: Terms, ys: Terms) -> None:
+    """Add each product of an x term and a y term to acc, keyed by the exponents ex + ey."""
+    for ey, cy in ys.items():
+        for ex, cx in xs.items():
+            e = ex + ey
+            acc[e] = acc.get(e, 0) + cx * cy
 
 
 def schur_poly(shape: SkewShape, num_vars: int) -> SparsePolynomial:
@@ -261,15 +273,12 @@ def cauchy_sides(
     vx, vy, d = num_vars_x, num_vars_y, max_degree
     d_y = sum(b) - sum(a) + d  # |beta/mu| = |alpha/mu| + |beta| - |alpha|, as for lam
     sides = []
-    for x_from, y_from in ((a, b), (flip_partition(beta).window, flip_partition(alpha).window)):
+    for x_from, y_from in ((a, b), (flip_window(b, width), flip_window(a, width))):
         bound = [p - d for p in x_from]
         ys = _strip_chains(y_from, vy, width, d_y, bound)
-        acc: dict[tuple[int, ...], int] = {}
+        acc: Terms = {}
         for window, xterms in _strip_chains(x_from, vx, width, d, bound).items():
-            for ey, cy in ys.get(window, {}).items():
-                for ex, cx in xterms.items():
-                    e = ex + ey
-                    acc[e] = acc.get(e, 0) + cx * cy
+            _pair(acc, xterms, ys.get(window, {}))
         sides.append(_expand(acc, (vx, vy)))
     return sides[0], sides[1]
 
@@ -297,7 +306,7 @@ def verify_oneschur(alpha: CylPartition, max_degree: int, num_vars: int) -> Iden
     width, d = alpha.params.width, max_degree
     lhs, rhs = Counter(), Counter()
     # each s(lam/alpha) is counted on its rotation flip(alpha) / flip(lam)
-    for side, start in ((lhs, alpha.window), (rhs, flip_partition(alpha).window)):
+    for side, start in ((lhs, alpha.window), (rhs, flip_window(alpha.window, width))):
         for terms in _strip_chains(start, num_vars, width, d, [p - d for p in start]).values():
             side.update(terms)
     return IdentityReport(_expand(lhs, (num_vars,)), _expand(rhs, (num_vars,)))
@@ -316,7 +325,7 @@ def verify_fcount(alpha: CylPartition, beta: CylPartition, m: int) -> tuple[int,
     a, b, width = alpha.window, beta.window, alpha.params.width
     m_y = sum(b) - sum(a) + m  # |beta/mu| = |alpha/mu| + |beta| - |alpha|, as for lam
     sides = []
-    for x, y in ((a, b), (flip_partition(beta).window, flip_partition(alpha).window)):
+    for x, y in ((a, b), (flip_window(b, width), flip_window(a, width))):
         bound = [p - m for p in x]
         ys = _box_chains(y, m_y, width, bound)
         sides.append(sum(c * ys.get(w, 0) for w, c in _box_chains(x, m, width, bound).items()))
@@ -329,7 +338,7 @@ def verify_fcount(alpha: CylPartition, beta: CylPartition, m: int) -> tuple[int,
 
 def regular_normalize(parts: Iterable[int]) -> tuple[int, ...]:
     ps = tuple(parts)
-    if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)) or any(p < 0 for p in ps):
+    if any(map(lt, ps, ps[1:])) or min(ps, default=0) < 0:
         raise GeometryError(f"{ps} is not a partition")
     while ps and ps[-1] == 0:
         ps = ps[:-1]
@@ -352,18 +361,20 @@ def enumerate_regular_ssyt(
     return _fillings(inner, outer, max(outer, default=0), num_letters)
 
 
+def _regular_counts(outer: tuple[int, ...], inner: tuple[int, ...], num_vars: int) -> Terms:
+    """{exponent vector: number of fillings} of a regular skew shape, by enumeration."""
+    counts: Terms = {}
+    for rows in enumerate_regular_ssyt(outer, inner, num_vars):
+        e = tuple(map(sum(rows, ()).count, range(1, num_vars + 1)))
+        counts[e] = counts.get(e, 0) + 1
+    return counts
+
+
 def regular_skew_schur(
     outer: Iterable[int], inner: Iterable[int], num_vars: int
 ) -> SparsePolynomial:
-    """Schur polynomial of a regular skew shape by direct enumeration."""
-    counts: Counter[tuple[int, ...]] = Counter()
-    for rows in enumerate_regular_ssyt(tuple(outer), tuple(inner), num_vars):
-        exps = [0] * num_vars
-        for row in rows:
-            for v in row:
-                exps[v - 1] += 1
-        counts[tuple(exps)] += 1
-    return SparsePolynomial(num_vars, counts)
+    """Schur polynomial of a regular skew shape: the filling counts skew_reduction_sides pairs."""
+    return SparsePolynomial(num_vars, _regular_counts(tuple(outer), tuple(inner), num_vars))
 
 
 def regular_partitions_of(size: int, max_rows: int | None = None) -> list[tuple[int, ...]]:
@@ -375,37 +386,42 @@ def regular_partitions_of(size: int, max_rows: int | None = None) -> list[tuple[
 def skew_reduction_sides(
     alpha: Iterable[int], beta: Iterable[int], max_degree: int, num_vars: int
 ) -> tuple[SparsePolynomial, SparsePolynomial]:
-    """Both sides of the regular-partition reduction identity, x-degree truncated."""
+    """Both sides of the regular-partition reduction identity, x-degree truncated.
+
+    Every skew Schur count comes from one generator, enumerate_regular_ssyt, paired
+    in x and y straight into exponent keys. The left side is the sum of s(alpha/mu)(x)
+    s(beta/mu)(y), of x-degree j = |alpha/mu|, times the sum of s(gamma)(x) s(gamma)(y),
+    of x-degree g = |gamma|; both are kept by degree, and only j + g <= max_degree is
+    multiplied. The right side sums s(lam/beta)(x) s(lam/alpha)(y), |lam/beta| = j.
+    """
     _require_nonnegative(max_degree=max_degree, num_vars=num_vars)
     a = regular_normalize(alpha)
     b = regular_normalize(beta)
     rows = max(len(a), len(b))
     a, b = (p + (0,) * (rows - len(p)) for p in (a, b))
-    v = num_vars
-    arity = 2 * v
-    cap = tuple(map(min, a, b))
-    pair_sum = SparsePolynomial.zero(arity)
-    for j in range(max_degree + 1):
+    v, d = num_vars, max_degree
+    cap, base = tuple(map(min, a, b)), tuple(map(max, a, b))
+    diag: list[Terms] = [{} for _ in range(d + 1)]  # by g
+    for g, terms in enumerate(diag):
+        for gamma in regular_partitions_of(g, max_rows=v):
+            s = _regular_counts(gamma, (), v)
+            _pair(terms, s, s)
+    lhs: Terms = {}
+    rhs: Terms = {}
+    for j in range(d + 1):
+        pair_sum: Terms = {}  # the pairs of x-degree j
         size = sum(a) - j
         for mu in _windows((0,) * rows, cap, size, size):
-            pair_sum = pair_sum + regular_skew_schur(a, mu, v).embed(
-                arity, 0
-            ) * regular_skew_schur(b, mu, v).embed(arity, v)
-    diag = SparsePolynomial.zero(arity)
-    for g in range(max_degree + 1):
-        for gamma in regular_partitions_of(g, max_rows=v):
-            s = regular_skew_schur(gamma, (), v)
-            diag = diag + s.embed(arity, 0) * s.embed(arity, v)
-    lhs = (pair_sum * diag).truncate(max_degree, slice(0, v))
-    base = tuple(map(max, a, b))
-    rhs = SparsePolynomial.zero(arity)
-    for j in range(max_degree + 1):
+            _pair(pair_sum, _regular_counts(a, mu, v), _regular_counts(b, mu, v))
+        for terms in diag[: d + 1 - j]:
+            for e2, c2 in terms.items():
+                for e1, c1 in pair_sum.items():
+                    e = tuple(map(add, e1, e2))
+                    lhs[e] = lhs.get(e, 0) + c1 * c2
         size = sum(b) + j
         for lam in _windows(base + (0,) * j, (size,) * (rows + j), size, size):
-            rhs = rhs + regular_skew_schur(lam, b, v).embed(
-                arity, 0
-            ) * regular_skew_schur(lam, a, v).embed(arity, v)
-    return lhs, rhs
+            _pair(rhs, _regular_counts(lam, b, v), _regular_counts(lam, a, v))
+    return SparsePolynomial(2 * v, lhs), SparsePolynomial(2 * v, rhs)
 
 
 def verify_skew_reduction(

@@ -10,7 +10,7 @@ stored as the window (lam[0], ..., lam[k-1]).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CyltabError
 
@@ -153,13 +153,14 @@ def partition_contains(mu: CylPartition, lam: CylPartition) -> bool:
     return all(a <= b for a, b in zip(mu.window, lam.window))
 
 
-def flip_partition(lam: CylPartition) -> CylPartition:
-    """The 180-degree rotation of a partition: part m becomes -1 - lam[-m].
+def flip_window(w: Sequence[int], width: int) -> tuple[int, ...]:
+    """The rotated window: part m is -1 - lam[-m], and lam[-m] = w[k - m] + width for 0 < m < k."""
+    return (-1 - w[0], *(-1 - width - p for p in reversed(w[1:])))
 
-    Read off the window: lam[-m] is window part k - m plus one period for 0 < m < k.
-    """
-    w, width = lam.window, lam.params.width
-    return CylPartition(lam.params, (-1 - w[0], *(-1 - width - p for p in reversed(w[1:]))))
+
+def flip_partition(lam: CylPartition) -> CylPartition:
+    """The 180-degree rotation of a partition (an involution)."""
+    return CylPartition(lam.params, flip_window(lam.window, lam.params.width))
 
 
 def cyl_embed(parts: Iterable[int], params: CylParams) -> CylPartition:

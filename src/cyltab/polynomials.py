@@ -23,14 +23,13 @@ class SparsePolynomial:
 
     def __init__(self, arity: int, coeffs: dict[tuple[int, ...], int] | None = None):
         self.arity = arity
-        self._coeffs: dict[tuple[int, ...], int] = {}
-        if coeffs:
-            for exps, c in coeffs.items():
-                if c == 0:
-                    continue
-                if len(exps) != arity:
-                    raise PolynomialError(f"exponent vector {exps} has arity != {arity}")
-                self._coeffs[tuple(exps)] = c
+        # One C-level copy, never the caller's dict; zero terms go before the arity check.
+        self._coeffs = out = dict(coeffs) if coeffs else {}
+        if 0 in out.values():
+            self._coeffs = out = {e: c for e, c in out.items() if c != 0}
+        if out and set(map(len, out)) != {arity}:
+            exps = next(e for e in out if len(e) != arity)
+            raise PolynomialError(f"exponent vector {exps} has arity != {arity}")
 
     @staticmethod
     def zero(arity: int) -> "SparsePolynomial":
@@ -53,10 +52,6 @@ class SparsePolynomial:
 
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    def coefficient_sum(self) -> int:
-        """Value at all variables set to one."""
-        return sum(self._coeffs.values())
 
     def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         self._check(other)

@@ -116,18 +116,6 @@ def empty_tableau(partition: CylPartition) -> CylTableau:
     return CylTableau(shape, tuple(() for _ in range(partition.params.k)))
 
 
-def from_box_entries(
-    outer: CylPartition, inner: CylPartition, entries: dict[Box, int]
-) -> CylTableau:
-    """Assemble a tableau from a box-to-letter map covering the whole shape."""
-    shape = SkewShape(outer, inner)
-    rows = []
-    for r in range(outer.params.k):
-        lo, hi = shape.row_interval(r)
-        rows.append(tuple(entries[Box(r, c)] for c in range(lo + 1, hi + 1)))
-    return CylTableau(shape, tuple(rows))
-
-
 def strip_counts(t: CylTableau) -> dict[int, list[int]]:
     """Map each letter to its strip: its count in each row, which is its marble turn."""
     k = t.params.k

@@ -13,11 +13,14 @@ from cyltab import marbles, words
 from cyltab.crsk import CrskInput, CrskOutput
 from cyltab.enumeration import (
     EnumerationError,
+    _require_nonnegative,
     _windows,
     enumerate_inner,
     enumerate_outer,
     enumerate_ssct,
     regular_normalize,
+    regular_partitions_of,
+    regular_skew_schur,
 )
 from cyltab.geometry import (
     Box,
@@ -49,7 +52,7 @@ from cyltab.reverse import (
     _reverse_round,
     reverse_full_multi,
 )
-from cyltab.tableau import CylTableau, from_box_entries, weight
+from cyltab.tableau import CylTableau, weight
 
 
 def iter_params(max_k=3, max_width=3):
@@ -285,6 +288,44 @@ def regular_superpartitions_oracle(base: tuple[int, ...], over: tuple[int, ...],
 
     rec(0, target, 0, [])
     return list(dict.fromkeys(out))
+
+
+def skew_reduction_sides_oracle(alpha, beta, max_degree, num_vars):
+    """Both sides of the regular-partition reduction identity by polynomial algebra.
+
+    One SparsePolynomial per term through embed, * and +, and the full product
+    pair_sum * diag truncated afterwards.
+    """
+    _require_nonnegative(max_degree=max_degree, num_vars=num_vars)
+    a = regular_normalize(alpha)
+    b = regular_normalize(beta)
+    rows = max(len(a), len(b))
+    a, b = (p + (0,) * (rows - len(p)) for p in (a, b))
+    v = num_vars
+    arity = 2 * v
+    cap = tuple(map(min, a, b))
+    pair_sum = SparsePolynomial.zero(arity)
+    for j in range(max_degree + 1):
+        size = sum(a) - j
+        for mu in _windows((0,) * rows, cap, size, size):
+            pair_sum = pair_sum + regular_skew_schur(a, mu, v).embed(
+                arity, 0
+            ) * regular_skew_schur(b, mu, v).embed(arity, v)
+    diag = SparsePolynomial.zero(arity)
+    for g in range(max_degree + 1):
+        for gamma in regular_partitions_of(g, max_rows=v):
+            s = regular_skew_schur(gamma, (), v)
+            diag = diag + s.embed(arity, 0) * s.embed(arity, v)
+    lhs = (pair_sum * diag).truncate(max_degree, slice(0, v))
+    base = tuple(map(max, a, b))
+    rhs = SparsePolynomial.zero(arity)
+    for j in range(max_degree + 1):
+        size = sum(b) + j
+        for lam in _windows(base + (0,) * j, (size,) * (rows + j), size, size):
+            rhs = rhs + regular_skew_schur(lam, b, v).embed(
+                arity, 0
+            ) * regular_skew_schur(lam, a, v).embed(arity, v)
+    return lhs, rhs
 
 
 def enumerate_tableaux_with_inner(mu, num_letters):
@@ -875,6 +916,16 @@ def game_to_tableau_oracle(mu, game):
             frontier[r] += turn[r]
     lam = CylPartition(mu.params, tuple(frontier))
     return CylTableau(SkewShape(lam, mu), tuple(tuple(r) for r in rows))
+
+
+def from_box_entries(outer, inner, entries):
+    """Assemble a tableau from a box-to-letter map covering the whole shape."""
+    shape = SkewShape(outer, inner)
+    rows = []
+    for r in range(outer.params.k):
+        lo, hi = shape.row_interval(r)
+        rows.append(tuple(entries[Box(r, c)] for c in range(lo + 1, hi + 1)))
+    return CylTableau(shape, tuple(rows))
 
 
 def crsk_per_batch_oracle(t, u):

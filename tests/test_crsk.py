@@ -7,12 +7,13 @@ from cyltab.enumeration import enumerate_outer, enumerate_ssct
 from cyltab.geometry import CylParams, CylPartition, SkewShape
 from cyltab.insertion import full_multi
 from cyltab.reverse import reverse_full_multi
-from cyltab.tableau import empty_tableau, from_box_entries, tableau_validate, weight
+from cyltab.tableau import empty_tableau, tableau_validate, weight
 from sweeps import (
     anchored_partitions,
     crsk_criterion_4_instances,
     crsk_inverse_per_batch_oracle,
     crsk_per_batch_oracle,
+    from_box_entries,
     random_crsk_pairs,
 )
 

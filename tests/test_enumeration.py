@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import permutations, product, zip_longest
 
 import pytest
@@ -19,6 +20,7 @@ from cyltab.enumeration import (
     skew_reduction_cross_check,
     skew_reduction_embedding_params,
     skew_reduction_embedding_sides,
+    skew_reduction_sides,
     verify_cauchy,
     verify_fcount,
     verify_oneschur,
@@ -54,10 +56,13 @@ from sweeps import (
     regular_superpartitions_oracle,
     schur_poly_by_enumeration,
     schur_poly_per_shape,
+    skew_reduction_sides_oracle,
     verify_fcount_per_shape_oracle,
 )
 
 K2N4 = CylParams(2, 4)
+# the regular partitions of the skew reduction sweeps
+REGULAR = ((), (1,), (2,), (1, 1), (3,), (2, 1))
 
 
 def part(window, params=K2N4):
@@ -179,7 +184,7 @@ class TestTableauEnumeration:
     def test_count_matches_all_ones_evaluation(self):
         for sh in [shape((2, 1), (0, 0)), shape((2, 0), (0, -1))]:
             for v in (2, 3):
-                assert len(enumerate_ssct(sh, v)) == schur_poly(sh, v).coefficient_sum()
+                assert len(enumerate_ssct(sh, v)) == sum(c for _, c in schur_poly(sh, v).terms())
 
     def test_wrap_constraints_respected(self):
         # single-row cylinder: width-separated entries must strictly increase
@@ -336,7 +341,7 @@ class TestSchurPolynomials:
         assert poly.arity == 6 and len(poly.terms()) == 12 * 1 + 4 * 2
         assert poly.coefficient((1, 0, 2, 1, 3, 3)) == 5
         assert poly.coefficient((0, 0, 1, 0, 0, 2)) == 7
-        assert poly.coefficient_sum() == 12 * 5 + 8 * 7
+        assert sum(c for _, c in poly.terms()) == 12 * 5 + 8 * 7
         empty_x = _expand({(2, 0): 3}, (0, 2))  # the (0, 2) budget: no x variables
         assert empty_x == SparsePolynomial(2, {(2, 0): 3, (0, 2): 3})
         assert _expand({(): 4}, (0, 0)) == SparsePolynomial(0, {(): 4})
@@ -394,11 +399,10 @@ class TestIdentities:
 
     def test_embedding_sides_match_per_shape_oracle(self):
         # the regular pairs of the skew cross-check, at most degree - 1 boxes apart
-        regular = ((), (1,), (2,), (1, 1), (3,), (2, 1))
         cases = 0
         for d in range(1, 4):
-            for a in regular:
-                for b in regular:
+            for a in REGULAR:
+                for b in REGULAR:
                     if max(excess_regular(a, b), excess_regular(b, a)) >= d:
                         continue
                     params = skew_reduction_embedding_params(a, b, d)
@@ -536,6 +540,33 @@ class TestIdentityReport:
         )
 
 
+class TestSparsePolynomialConstructor:
+    def test_zero_coefficients_are_dropped(self):
+        p = SparsePolynomial(2, {(1, 0): 0, (0, 1): 3, (2, 0): 0})
+        assert p.terms() == [((0, 1), 3)]
+        assert SparsePolynomial(2, {(1, 0): 0}).is_zero()
+        assert SparsePolynomial(2, {(1, 0): 0}) == SparsePolynomial(2)
+
+    def test_arity_error_names_the_first_nonzero_offender(self):
+        # zero terms are dropped before the check, so a bad-arity zero is ignored
+        assert SparsePolynomial(2, {(1,): 0, (1, 1): 2}).terms() == [((1, 1), 2)]
+        coeffs = {(1, 0): 1, (1,): 0, (1, 2, 3): 4, (2,): 5}
+        with pytest.raises(PolynomialError, match=r"^exponent vector \(1, 2, 3\) has arity != 2$"):
+            SparsePolynomial(2, coeffs)
+
+    def test_the_callers_dict_is_copied(self):
+        coeffs = {(1, 0): 1, (0, 1): 0}
+        p = SparsePolynomial(2, coeffs)
+        coeffs[(1, 0)] = 7
+        coeffs[(2, 0)] = 1
+        assert p.terms() == [((1, 0), 1)]
+        assert coeffs == {(1, 0): 7, (0, 1): 0, (2, 0): 1}
+
+    def test_counter_input_is_accepted(self):
+        p = SparsePolynomial(2, Counter({(0, 1): 2, (1, 0): 1, (1, 1): 0}))
+        assert p.terms() == [((0, 1), 2), ((1, 0), 1)]
+
+
 class TestSparsePolynomialErrors:
     def test_exponent_arity_rejected(self):
         with pytest.raises(PolynomialError, match=r"^exponent vector \(1,\) has arity != 2$"):
@@ -636,6 +667,31 @@ class TestRegular:
     def test_skew_reduction_cross_check(self):
         lhs_rep, rhs_rep = skew_reduction_cross_check((1,), (), 1, 2)
         assert lhs_rep.equal and rhs_rep.equal
+
+    def test_sides_match_the_algebra_oracle(self):
+        # every pair of REGULAR at degrees 0-3 with 2 variables and 0-2 with 3
+        cases = 0
+        for a, b in product(REGULAR, repeat=2):
+            for num_vars, degrees in ((2, range(4)), (3, range(3))):
+                for d in degrees:
+                    got = skew_reduction_sides(a, b, d, num_vars)
+                    assert got == skew_reduction_sides_oracle(a, b, d, num_vars), (a, b, d, num_vars)
+                    cases += 1
+        assert cases == 36 * 7
+
+    def test_cross_check_sweep_matches_the_algebra_oracle(self):
+        # the pairs of the embedding sweep: both regular sides equal the oracle's
+        # and the cylindric embedding's
+        cases = 0
+        for d in range(1, 4):
+            for a, b in product(REGULAR, repeat=2):
+                if max(excess_regular(a, b), excess_regular(b, a)) >= d:
+                    continue
+                lhs_rep, rhs_rep = skew_reduction_cross_check(a, b, d, 2)
+                assert (lhs_rep.lhs, rhs_rep.lhs) == skew_reduction_sides_oracle(a, b, d, 2), (a, b, d)
+                assert lhs_rep.equal and rhs_rep.equal, (a, b, d)
+                cases += 1
+        assert cases == 60
 
 
 class TestTableauxByShape:
