@@ -36,7 +36,8 @@ def _load(path: str):
             return json.load(fh)
     except OSError as e:
         raise CliError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # Bad JSON or UTF-8, an integer past Python's digit limit, or nesting too deep.
         raise CliError(f"{path} is not valid JSON: {e}") from e
 
 
@@ -86,8 +87,8 @@ def _report_doc(report: IdentityReport) -> dict:
     }
 
 
-# One document builder per operation, printed by its command and replayed by
-# `fixtures run`, so the golden fixtures check what the commands print.
+# The builders of OPERATIONS. Their defaults are what the golden files fix:
+# `insert` fixtures hold the routes, the `reverse` fixture does not.
 
 
 def _queues_doc(res, new_set: str, routes: bool) -> dict:
@@ -101,17 +102,17 @@ def _queues_doc(res, new_set: str, routes: bool) -> dict:
     return doc
 
 
-def _insert_doc(t, boxes, seed_row: int, routes: bool) -> dict:
+def _insert_doc(tableau, boxes, seed_row: int = 0, trace: bool = True) -> dict:
     from . import insertion
 
-    return _queues_doc(insertion.full_multi(t, boxes, seed_row=seed_row), "new_set", routes)
+    return _queues_doc(insertion.full_multi(tableau, boxes, seed_row=seed_row), "new_set", trace)
 
 
-def _reverse_doc(t, boxes, seed_row: int, routes: bool) -> dict:
+def _reverse_doc(tableau, boxes, seed_row: int = 0, trace: bool = False) -> dict:
     from . import reverse
 
-    res = reverse.reverse_full_multi(t, boxes, seed_row=seed_row)
-    return _queues_doc(res, "reverse_new_set", routes)
+    res = reverse.reverse_full_multi(tableau, boxes, seed_row=seed_row)
+    return _queues_doc(res, "reverse_new_set", trace)
 
 
 def _crsk_doc(t, u) -> dict:
@@ -136,17 +137,17 @@ def _crsk_inverse_doc(p, q) -> dict:
     }
 
 
-def _encode_doc(t, letters: int | None) -> dict:
+def _encode_doc(tableau, letters: int | None = None) -> dict:
     from . import marbles
 
-    return {"game": ser.serialize_game(marbles.tableau_to_game(t, letters))}
+    return {"game": ser.serialize_game(marbles.tableau_to_game(tableau, letters))}
 
 
-def _decode_doc(mu, game_doc) -> dict:
+def _decode_doc(mu, game) -> dict:
     """The game document is read on mu's cylinder, so it is parsed here."""
     from . import marbles
 
-    game = ser.parse_game(game_doc, mu.params)
+    game = ser.parse_game(game, mu.params)
     return {"tableau": ser.serialize_tableau(marbles.game_to_tableau(mu, game))}
 
 
@@ -165,22 +166,40 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_queues(args) -> int:
-    t = ser.parse_tableau(_load(args.tableau))
-    boxes = ser.parse_boxes(_load(args.boxes))
-    _emit(args.build(t, boxes, args.seed_row, args.trace))
-    return 0
+def _same(doc):
+    return doc
 
 
-def cmd_crsk(args) -> int:
-    t = ser.parse_tableau(_load(args.t))
-    _emit(_crsk_doc(t, ser.parse_tableau(_load(args.u))))
-    return 0
+# Each operation that a command prints and `fixtures run` replays: its command
+# words, its input documents as (name, parser) pairs, read from `--<name>` files
+# or the fixture payload, its other options as (name, argparse keywords) pairs
+# and its builder.
+_TABLEAU = ser.parse_tableau
+_QUEUE_INPUTS = (("tableau", _TABLEAU), ("boxes", ser.parse_boxes))
+_QUEUE_OPTIONS = (("trace", {"action": "store_true"}), ("seed_row", {"type": int, "default": 0}))
+OPERATIONS = {
+    "insert": (("insert",), _QUEUE_INPUTS, _QUEUE_OPTIONS, _insert_doc),
+    "reverse": (("reverse",), _QUEUE_INPUTS, _QUEUE_OPTIONS, _reverse_doc),
+    "crsk": (("crsk",), (("t", _TABLEAU), ("u", _TABLEAU)), (), _crsk_doc),
+    "crsk_inverse": (("crsk-inv",), (("p", _TABLEAU), ("q", _TABLEAU)), (), _crsk_inverse_doc),
+    "marble_encode": (
+        ("marble", "encode"), (("tableau", _TABLEAU),), (("letters", {"type": int}),), _encode_doc
+    ),
+    "marble_decode": (
+        ("marble", "decode"), (("mu", ser.parse_partition), ("game", _same)), (), _decode_doc
+    ),
+}
 
 
-def cmd_crsk_inv(args) -> int:
-    p = ser.parse_tableau(_load(args.p))
-    _emit(_crsk_inverse_doc(p, ser.parse_tableau(_load(args.q))))
+def _build(name: str, values: dict, read=_same) -> dict:
+    """Read and parse each document of operation `name` before the next, then build."""
+    _, documents, options, build = OPERATIONS[name]
+    docs = {doc: parse(read(values[doc])) for doc, parse in documents}
+    return build(**docs, **{option: values[option] for option, _ in options if option in values})
+
+
+def cmd_operation(args) -> int:
+    _emit(_build(args.operation, vars(args), _load))
     return 0
 
 
@@ -225,15 +244,6 @@ def cmd_verify(args) -> int:
         raise CliError("both sides are zero: nothing was compared")
     _emit({**_report_doc(report), **checks})
     return 0 if report.equal and all(checks.values()) else 1
-
-
-def cmd_marble(args) -> int:
-    if args.direction == "encode":
-        _emit(_encode_doc(ser.parse_tableau(_load(args.tableau)), args.letters))
-        return 0
-    mu = ser.parse_partition(_load(args.mu))
-    _emit(_decode_doc(mu, _load(args.game)))
-    return 0
 
 
 def cmd_knuth(args) -> int:
@@ -287,19 +297,8 @@ def _fx_weight(payload):
     return {"weight": [w.get(i, 0) for i in range(1, top + 1)]}
 
 
-# The golden files fix the documents: `insert` fixtures hold the routes, the
-# `reverse` fixture does not.
+# The fixture operations that no command prints.
 FIXTURE_OPS = {
-    "insert": lambda p: _insert_doc(
-        ser.parse_tableau(p["tableau"]), ser.parse_boxes(p["boxes"]), p.get("seed_row", 0), True
-    ),
-    "reverse": lambda p: _reverse_doc(
-        ser.parse_tableau(p["tableau"]), ser.parse_boxes(p["boxes"]), p.get("seed_row", 0), False
-    ),
-    "crsk": lambda p: _crsk_doc(ser.parse_tableau(p["t"]), ser.parse_tableau(p["u"])),
-    "crsk_inverse": lambda p: _crsk_inverse_doc(ser.parse_tableau(p["p"]), ser.parse_tableau(p["q"])),
-    "marble_encode": lambda p: _encode_doc(ser.parse_tableau(p["tableau"]), p.get("letters")),
-    "marble_decode": lambda p: _decode_doc(ser.parse_partition(p["mu"]), p["game"]),
     "knuth_transform": _fx_knuth_transform,
     "lift_word": _fx_lift_word,
     "tableau_word": _fx_tableau_word,
@@ -317,7 +316,8 @@ def run_fixtures(emit=print) -> int:
     )
     for name in names:
         doc = json.loads(fixture_dir.joinpath(name).read_text())
-        got = FIXTURE_OPS[doc["operation"]](doc["payload"])
+        op, payload = doc["operation"], doc["payload"]
+        got = FIXTURE_OPS[op](payload) if op in FIXTURE_OPS else _build(op, payload)
         if ser.canonical_json(got) == ser.canonical_json(doc["expected"]):
             emit(f"ok      {doc['name']}")
         else:
@@ -343,25 +343,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(fn=cmd_validate)
 
-    for name, build in (("insert", _insert_doc), ("reverse", _reverse_doc)):
-        p = sub.add_parser(name)
-        p.add_argument("--tableau", required=True)
-        p.add_argument("--boxes", required=True)
-        p.add_argument("--trace", action="store_true")
-        p.add_argument("--seed-row", type=int, default=0, dest="seed_row")
-        p.set_defaults(fn=cmd_queues, build=build)
+    # Every other subcommand is made first, so the choice list keeps this order.
+    names = ("insert", "reverse", "crsk", "crsk-inv", "verify", "marble", "knuth", "fixtures")
+    parsers = {name: sub.add_parser(name) for name in names}
+    ms = parsers["marble"].add_subparsers(dest="direction", required=True)
+    for op, (words, documents, options, _) in OPERATIONS.items():
+        p = parsers[words[0]] if len(words) == 1 else ms.add_parser(words[1])
+        for name, _ in documents:
+            p.add_argument(f"--{name}", required=True)
+        for name, keywords in options:
+            p.add_argument("--" + name.replace("_", "-"), **keywords)
+        p.set_defaults(fn=cmd_operation, operation=op)
 
-    p = sub.add_parser("crsk")
-    p.add_argument("--t", required=True)
-    p.add_argument("--u", required=True)
-    p.set_defaults(fn=cmd_crsk)
-
-    p = sub.add_parser("crsk-inv")
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
-    p.set_defaults(fn=cmd_crsk_inv)
-
-    p = sub.add_parser("verify")
+    p = parsers["verify"]
     vs = p.add_subparsers(dest="identity", required=True)
     pc = vs.add_parser("cauchy")
     pc.add_argument("--k", type=int, required=True)
@@ -391,17 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--cross-check", action="store_true", dest="cross_check")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("marble")
-    ms = p.add_subparsers(dest="direction", required=True)
-    me = ms.add_parser("encode")
-    me.add_argument("--tableau", required=True)
-    me.add_argument("--letters", type=int, default=None)
-    md = ms.add_parser("decode")
-    md.add_argument("--mu", required=True)
-    md.add_argument("--game", required=True)
-    p.set_defaults(fn=cmd_marble)
-
-    p = sub.add_parser("knuth")
+    p = parsers["knuth"]
     ks = p.add_subparsers(dest="action", required=True)
     kt = ks.add_parser("transform")
     kt.add_argument("word")
@@ -411,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     kc.add_argument("--replay", action="store_true")
     p.set_defaults(fn=cmd_knuth)
 
-    p = sub.add_parser("fixtures")
+    p = parsers["fixtures"]
     p.add_argument("action", choices=["run"])
     p.set_defaults(fn=cmd_fixtures)
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import cyltab as ct
 from cyltab import enumeration, serialization as ser
-from cyltab.cli import main, run_fixtures
+from cyltab.cli import FIXTURE_OPS, OPERATIONS, main, run_fixtures
 from cyltab.geometry import CylParams
 from cyltab.serialization import SchemaError
 
@@ -350,7 +350,7 @@ COMMANDS = {
     "marble_decode": (["marble", "decode"], {"mu": "--mu", "game": "--game"}),
 }
 FIXTURE_DIR = resources.files("cyltab").joinpath("fixtures")
-FIXTURES = (json.loads(e.read_text()) for e in FIXTURE_DIR.iterdir() if e.name.endswith(".json"))
+FIXTURES = [json.loads(e.read_text()) for e in FIXTURE_DIR.iterdir() if e.name.endswith(".json")]
 GOLDEN = sorted((doc for doc in FIXTURES if doc["operation"] in COMMANDS), key=lambda doc: doc["name"])
 
 
@@ -367,6 +367,48 @@ def test_command_prints_the_golden_document(doc, tmp_path, capsys):
             argv += [options[field], str(path)]
     assert main(argv) == 0
     assert capsys.readouterr().out == ser.canonical_json(doc["expected"]) + "\n"
+
+
+def test_every_fixture_operation_is_replayed_by_the_table_or_fixture_only():
+    operations = {doc["operation"] for doc in FIXTURES}
+    assert set(OPERATIONS) <= operations
+    assert set(FIXTURE_OPS) == {"knuth_transform", "lift_word", "tableau_word", "weight"}
+    assert operations <= set(OPERATIONS) | set(FIXTURE_OPS)
+    assert set(COMMANDS) == set(OPERATIONS)
+
+
+# Input files that no JSON document can come from, by name and raw bytes.
+MALFORMED = {
+    "nested_200000_deep": b"[" * 200_000 + b"]" * 200_000,
+    "utf16_byte_order_mark": b"\xff\xfe[\x00]\x00",
+    "integer_of_5000_digits": b"1" + b"0" * 4999,
+}
+
+
+class TestUnreadableFiles:
+    """A file that cannot be read or decoded ends in a CliError, never a traceback."""
+
+    @pytest.mark.parametrize("name", [*MALFORMED, "missing"])
+    @pytest.mark.parametrize(
+        "command", [["validate", "FILE"], ["crsk", "--t", "FILE", "--u", "FILE"]], ids=["validate", "crsk"]
+    )
+    def test_reported_as_cli_error(self, name, command, tmp_path, capsys):
+        path = tmp_path / f"{name}.json"
+        if name in MALFORMED:
+            path.write_bytes(MALFORMED[name])
+        assert main([str(path) if word == "FILE" else word for word in command]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert '"error":"CliError"' in err
+
+    def test_no_traceback_in_a_fresh_interpreter(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_bytes(MALFORMED["nested_200000_deep"])
+        res = run_python("-m", "cyltab.cli", "validate", str(path))
+        assert res.returncode == 1, res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"] == "CliError"
 
 
 class TestBadVerifyInputs:
