@@ -79,10 +79,11 @@ def _partition(args, window: tuple[int, ...]) -> CylPartition:
 
 
 def _report_doc(report: IdentityReport) -> dict:
+    lhs = report.lhs.terms()
     return {
         "equal": report.equal,
-        "lhs": report.lhs.terms(),
-        "rhs": report.rhs.terms(),
+        "lhs": lhs,
+        "rhs": lhs if report.rhs is report.lhs else report.rhs.terms(),
         "mismatches": report.mismatches,
     }
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, product, starmap
 from operator import add, lt
 from typing import Iterable, Iterator, Sequence
 
@@ -224,11 +224,19 @@ def _expand(dominant: Terms, blocks: Sequence[int]) -> SparsePolynomial:
     cuts = list(accumulate(blocks, initial=0))
     expanded: dict[tuple[int, ...], int] = {}
     for e, c in dominant.items():
-        rows = [()]
+        keys = ((),)
         for i, j in zip(cuts, cuts[1:]):
-            rows = [r + p for r in rows for p in _arrangements(e[i:j])]
-        expanded.update(dict.fromkeys(rows, c))
+            keys = starmap(add, product(keys, _arrangements(e[i:j])))
+        expanded.update(dict.fromkeys(keys, c))
     return SparsePolynomial(cuts[-1], expanded)
+
+
+def _expand_sides(
+    lhs: Terms, rhs: Terms, blocks: Sequence[int]
+) -> tuple[SparsePolynomial, SparsePolynomial]:
+    """Expand both sides; equal dominant dicts give one shared polynomial."""
+    left = _expand(lhs, blocks)
+    return left, left if rhs == lhs else _expand(rhs, blocks)
 
 
 def _pair(acc: Terms, xs: Terms, ys: Terms) -> None:
@@ -264,7 +272,7 @@ def cauchy_sides(
     is counted on its rotation flip(beta) / flip(lam), which has the same polynomial),
     so it is one strip-chain DP down from there. A side pairs its families' dominant
     x and y terms on the windows mu (or flip(lam)) both reach, then expands once,
-    since each product is symmetric in x and in y.
+    since each product is symmetric in x and in y; equal sides share one expansion.
     """
     if alpha.params != beta.params:
         raise ParamsMismatch("alpha and beta live on different cylinders")
@@ -279,8 +287,8 @@ def cauchy_sides(
         acc: Terms = {}
         for window, xterms in _strip_chains(x_from, vx, width, d, bound).items():
             _pair(acc, xterms, ys.get(window, {}))
-        sides.append(_expand(acc, (vx, vy)))
-    return sides[0], sides[1]
+        sides.append(acc)
+    return _expand_sides(*sides, (vx, vy))
 
 
 def verify_cauchy(
@@ -309,7 +317,7 @@ def verify_oneschur(alpha: CylPartition, max_degree: int, num_vars: int) -> Iden
     for side, start in ((lhs, alpha.window), (rhs, flip_window(alpha.window, width))):
         for terms in _strip_chains(start, num_vars, width, d, [p - d for p in start]).values():
             side.update(terms)
-    return IdentityReport(_expand(lhs, (num_vars,)), _expand(rhs, (num_vars,)))
+    return IdentityReport(*_expand_sides(lhs, rhs, (num_vars,)))
 
 
 def verify_fcount(alpha: CylPartition, beta: CylPartition, m: int) -> tuple[int, int]:

@@ -135,7 +135,7 @@ class IdentityReport:
     def __post_init__(self) -> None:
         bad = []
         lhs, rhs = self.lhs._coeffs, self.rhs._coeffs
-        if lhs != rhs:
+        if self.lhs is not self.rhs and lhs != rhs:
             for e in sorted(lhs.keys() | rhs.keys()):
                 lc, rc = lhs.get(e, 0), rhs.get(e, 0)
                 if lc != rc:

@@ -7,7 +7,7 @@ translation.
 
 import random
 from collections import Counter, defaultdict
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import accumulate, combinations, combinations_with_replacement, permutations, product
 
 from cyltab import marbles, words
 from cyltab.crsk import CrskInput, CrskOutput
@@ -167,6 +167,22 @@ def oneschur_sides_per_shape(alpha, max_degree, num_vars):
         for lam in enumerate_outer(alpha, alpha, j):
             rhs.update(dict(schur_poly_per_shape(SkewShape(lam, alpha), num_vars).terms()))
     return SparsePolynomial(num_vars, lhs), SparsePolynomial(num_vars, rhs)
+
+
+def expand_oracle(dominant, blocks):
+    """Reference expansion: each key's coefficient to every block-wise permutation of it.
+
+    One list of rows per key, each block's rearrangements read from
+    itertools.permutations rather than from the engine's _arrangements.
+    """
+    cuts = list(accumulate(blocks, initial=0))
+    expanded = {}
+    for e, c in dominant.items():
+        rows = [()]
+        for i, j in zip(cuts, cuts[1:]):
+            rows = [r + p for r in rows for p in set(permutations(e[i:j]))]
+        expanded.update(dict.fromkeys(rows, c))
+    return SparsePolynomial(cuts[-1], expanded)
 
 
 def count_standard_bitmask_oracle(shape):

@@ -1,10 +1,11 @@
 from collections import Counter
-from itertools import permutations, product, zip_longest
+from itertools import combinations_with_replacement, permutations, product, zip_longest
 
 import pytest
 
 from cyltab.enumeration import (
     _expand,
+    _expand_sides,
     _strip_chains,
     _windows,
     cauchy_sides,
@@ -48,6 +49,7 @@ from sweeps import (
     enumerate_ssct_oracle,
     enumerate_tableaux_with_inner,
     enumerate_tableaux_with_outer,
+    expand_oracle,
     iter_params,
     iter_shapes,
     oneschur_sides_per_shape,
@@ -347,6 +349,28 @@ class TestSchurPolynomials:
         assert _expand({(): 4}, (0, 0)) == SparsePolynomial(0, {(): 4})
         assert _expand({}, (2,)).is_zero()
 
+    def test_expand_matches_the_oracle_on_every_small_dominant_key(self):
+        cases = 0
+        for blocks in ((0, 2), (1, 1), (2, 2), (3, 1), (3, 3), (4, 2)):
+            runs = [combinations_with_replacement(range(3, -1, -1), b) for b in blocks]
+            for parts in product(*runs):  # weakly decreasing in each block, entries 0-3
+                dominant = {sum(parts, ()): cases + 1}
+                assert _expand(dominant, blocks).terms() == expand_oracle(dominant, blocks).terms()
+                cases += 1
+        assert cases == 10 + 16 + 100 + 80 + 400 + 350
+
+    def test_unequal_dominant_dicts_are_expanded_apart(self):
+        lhs = {(2, 1, 1, 0, 3, 3): 5, (1, 0, 0, 0, 2, 0): 7}
+        for rhs in (
+            {(2, 1, 1, 0, 3, 3): 5, (1, 1, 0, 0, 2, 0): 7},  # one key moved
+            {(2, 1, 1, 0, 3, 3): 5, (1, 0, 0, 0, 2, 0): 6},  # one coefficient changed
+        ):
+            got = _expand_sides(lhs, rhs, (4, 2))
+            want = expand_oracle(lhs, (4, 2)), expand_oracle(rhs, (4, 2))
+            assert got[0] is not got[1] and got == want
+            report = IdentityReport(*got)
+            assert not report.equal and report.mismatches == IdentityReport(*want).mismatches
+
 
 class TestIdentities:
     def test_cauchy_degree_zero(self):
@@ -395,7 +419,27 @@ class TestIdentities:
         alpha, beta = part((1, 0, -1), params), part((0, 0, -1), params)
         lhs, rhs = cauchy_sides(alpha, beta, 8, 4, 4)
         assert (lhs, rhs) == cauchy_sides_per_shape(alpha, beta, 8, 4, 4)
-        assert lhs == rhs and len(lhs.terms()) == 6864
+        assert lhs is rhs and len(lhs.terms()) == 6864
+        # the terms weakly decreasing within x and within y
+        dominant = {e: c for e, c in lhs.terms() if all(e[i] >= e[i + 1] for i in (0, 1, 2, 4, 5, 6))}
+        assert _expand(dominant, (4, 4)).terms() == expand_oracle(dominant, (4, 4)).terms()
+        assert expand_oracle(dominant, (4, 4)) == lhs
+
+    def test_equal_sides_share_one_expansion(self):
+        # one instance of each bench identity class; skew reaches cauchy_sides
+        # through the cylindric embeddings of its cross-check
+        k3n6, k2n5 = CylParams(3, 6), CylParams(2, 5)
+        reports = [
+            verify_cauchy(part((2, 1, 0), k3n6), part((1, 1, 0), k3n6), 4, 3, 3),
+            verify_cauchy(part((3, 1, 0), k3n6), part((2, 1, 0), k3n6), 5, 3, 3),
+            verify_oneschur(part((2, 0), k2n5), 6, 4),
+            verify_oneschur(part((3, 0), k2n5), 7, 4),
+        ]
+        for report in reports:
+            assert report.equal and report.lhs is report.rhs and not report.lhs.is_zero()
+        for a, b, d in (((1,), (2,), 2), ((2, 1), (1, 1), 3)):
+            lower, upper = skew_reduction_cross_check(a, b, d, 2)
+            assert lower.equal and upper.equal and lower.rhs is upper.rhs
 
     def test_embedding_sides_match_per_shape_oracle(self):
         # the regular pairs of the skew cross-check, at most degree - 1 boxes apart
@@ -517,6 +561,8 @@ class TestIdentityReport:
         lhs = SparsePolynomial(2, {(1, 0): 1, (0, 1): 2})
         report = IdentityReport(lhs, SparsePolynomial(2, {(0, 1): 2, (1, 0): 1}))
         assert report.equal and report.mismatches == ()
+        shared = IdentityReport(lhs, lhs)  # one polynomial on both sides
+        assert shared.equal and shared.mismatches == ()
 
     def test_unequal_report_lists_every_mismatch_in_order(self):
         lhs = SparsePolynomial(2, {(2, 0): 3, (0, 1): 2, (1, 0): 1})
