@@ -72,24 +72,37 @@ def _parse_word(text: str) -> tuple[int, ...]:
     return tuple(int(c) for c in text)
 
 
-def _partition(args, window: tuple[int, ...]) -> CylPartition:
+def _partition(k: int, n: int, text: str) -> CylPartition:
     from .geometry import CylParams, CylPartition
 
-    return CylPartition(CylParams(args.k, args.n), window)
+    window = _parse_window(text)  # read before the cylinder is checked
+    return CylPartition(CylParams(k, n), window)
 
 
-def _report_doc(report: IdentityReport) -> dict:
+def _require_compared(both_zero: bool) -> None:
+    if both_zero:
+        raise CliError("both sides are zero: nothing was compared")
+
+
+def _report_doc(report: IdentityReport, **flags: bool) -> dict:
+    _require_compared(report.lhs.is_zero() and report.rhs.is_zero())
     lhs = report.lhs.terms()
     return {
         "equal": report.equal,
         "lhs": lhs,
         "rhs": lhs if report.rhs is report.lhs else report.rhs.terms(),
         "mismatches": report.mismatches,
+        **flags,
     }
 
 
 # The builders of OPERATIONS. Their defaults are what the golden files fix:
 # `insert` fixtures hold the routes, the `reverse` fixture does not.
+
+
+def _valid_doc(file: str) -> dict:
+    ser.parse_tableau(_load(file))
+    return {"valid": True}
 
 
 def _queues_doc(res, new_set: str, routes: bool) -> dict:
@@ -138,6 +151,39 @@ def _crsk_inverse_doc(p, q) -> dict:
     }
 
 
+def _cauchy_doc(k, n, alpha, beta, degree, xvars, yvars) -> dict:
+    from . import enumeration
+
+    alpha, beta = _partition(k, n, alpha), _partition(k, n, beta)
+    return _report_doc(enumeration.verify_cauchy(alpha, beta, degree, xvars, yvars))
+
+
+def _oneschur_doc(k, n, alpha, degree, vars) -> dict:
+    from . import enumeration
+
+    return _report_doc(enumeration.verify_oneschur(_partition(k, n, alpha), degree, vars))
+
+
+def _fcount_doc(k, n, alpha, beta, m) -> dict:
+    from . import enumeration
+
+    lhs, rhs = enumeration.verify_fcount(_partition(k, n, alpha), _partition(k, n, beta), m)
+    _require_compared(lhs == rhs == 0)
+    return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
+
+
+def _skew_doc(alpha, beta, degree, vars, cross_check) -> dict:
+    from . import enumeration
+    from .polynomials import IdentityReport
+
+    alpha, beta = _parse_window(alpha), _parse_window(beta)
+    if not cross_check:
+        return _report_doc(enumeration.verify_skew_reduction(alpha, beta, degree, vars))
+    lhs, rhs = enumeration.skew_reduction_cross_check(alpha, beta, degree, vars)
+    checks = {"embedding_lhs_equal": lhs.equal, "embedding_rhs_equal": rhs.equal}
+    return _report_doc(IdentityReport(lhs.lhs, rhs.lhs), **checks)
+
+
 def _encode_doc(tableau, letters: int | None = None) -> dict:
     from . import marbles
 
@@ -161,150 +207,124 @@ def _critical_doc(res) -> dict:
     }
 
 
-def cmd_validate(args) -> int:
-    ser.parse_tableau(_load(args.file))
-    _emit({"valid": True})
-    return 0
+def _transform_doc(word: str) -> dict:
+    from . import words
+
+    res = words.word_transform(_parse_word(word))
+    return {
+        "certificate": ser.serialize_certificate(res.certificate),
+        "switch_positions": list(res.switch_positions),
+        **_critical_doc(res),
+    }
+
+
+def _connect_doc(w: str, v: str, replay: bool) -> dict:
+    from . import words
+
+    cert = words.connect(_parse_word(w), _parse_word(v))
+    doc = {"certificate": ser.serialize_certificate(cert)}
+    if replay:
+        doc["replayed"] = list(cert.replay())
+    return doc
+
+
+def _transform_end_doc(word) -> dict:
+    from . import words
+
+    res = words.word_transform(word)
+    return {"end": list(res.certificate.end), **_critical_doc(res)}
+
+
+def _lift_doc(word) -> dict:
+    from . import words
+
+    lifted = words.lift_word(word)
+    return {"permutation": list(lifted.permutation), "anchor": lifted.anchor}
+
+
+def _tableau_word_doc(tableau) -> dict:
+    from .tableau import tableau_word
+
+    return {"word": list(tableau_word(tableau))}
+
+
+def _weight_doc(tableau) -> dict:
+    from .tableau import weight
+
+    w = weight(tableau)
+    return {"weight": [w.get(i, 0) for i in range(1, max(w, default=0) + 1)]}
 
 
 def _same(doc):
     return doc
 
 
-# Each operation that a command prints and `fixtures run` replays: its command
-# words, its input documents as (name, parser) pairs, read from `--<name>` files
-# or the fixture payload, its other options as (name, argparse keywords) pairs
-# and its builder.
+# Every command but `fixtures run`, and every operation that `fixtures run`
+# replays: its command words (none for an operation only a fixture runs), its
+# input documents as (name, parser) pairs, read from `--<name>` files or the
+# fixture payload, its other arguments as (flag, argparse keywords) pairs, and
+# its builder, which takes each argument under the flag's dest.
 _TABLEAU = ser.parse_tableau
-_QUEUE_INPUTS = (("tableau", _TABLEAU), ("boxes", ser.parse_boxes))
-_QUEUE_OPTIONS = (("trace", {"action": "store_true"}), ("seed_row", {"type": int, "default": 0}))
+_ONE_TABLEAU = (("tableau", _TABLEAU),)
+_QUEUE_INPUTS = (*_ONE_TABLEAU, ("boxes", ser.parse_boxes))
+_SWITCH = {"action": "store_true"}
+_QUEUE_OPTIONS = (("--trace", _SWITCH), ("--seed-row", {"type": int, "default": 0}))
+_INT, _TEXT = {"type": int, "required": True}, {"required": True}
+_BUDGET = {"type": nonnegative_int, "required": True}
+_VARS = {"type": nonnegative_int, "default": 2}
+_ALPHA, _BETA, _DEGREE = ("--alpha", _TEXT), ("--beta", _TEXT), ("--degree", _BUDGET)
+_SHAPE = (("--k", _INT), ("--n", _INT), _ALPHA)
 OPERATIONS = {
+    "validate": (("validate",), (), (("file", {}),), _valid_doc),
     "insert": (("insert",), _QUEUE_INPUTS, _QUEUE_OPTIONS, _insert_doc),
     "reverse": (("reverse",), _QUEUE_INPUTS, _QUEUE_OPTIONS, _reverse_doc),
     "crsk": (("crsk",), (("t", _TABLEAU), ("u", _TABLEAU)), (), _crsk_doc),
     "crsk_inverse": (("crsk-inv",), (("p", _TABLEAU), ("q", _TABLEAU)), (), _crsk_inverse_doc),
+    "cauchy": (
+        ("verify", "cauchy"),
+        (),
+        (*_SHAPE, _BETA, _DEGREE, ("--xvars", _VARS), ("--yvars", _VARS)),
+        _cauchy_doc,
+    ),
+    "oneschur": (("verify", "oneschur"), (), (*_SHAPE, _DEGREE, ("--vars", _VARS)), _oneschur_doc),
+    "fcount": (("verify", "fcount"), (), (*_SHAPE, _BETA, ("--m", _BUDGET)), _fcount_doc),
+    "skew": (
+        ("verify", "skew"),
+        (),
+        (_ALPHA, _BETA, _DEGREE, ("--vars", _VARS), ("--cross-check", _SWITCH)),
+        _skew_doc,
+    ),
     "marble_encode": (
-        ("marble", "encode"), (("tableau", _TABLEAU),), (("letters", {"type": int}),), _encode_doc
+        ("marble", "encode"), _ONE_TABLEAU, (("--letters", {"type": int}),), _encode_doc
     ),
     "marble_decode": (
         ("marble", "decode"), (("mu", ser.parse_partition), ("game", _same)), (), _decode_doc
     ),
+    "word_transform": (("knuth", "transform"), (), (("word", {}),), _transform_doc),
+    "connect": (
+        ("knuth", "connect"), (), (("w", {}), ("v", {}), ("--replay", _SWITCH)), _connect_doc
+    ),
+    "knuth_transform": ((), (("word", tuple),), (), _transform_end_doc),
+    "lift_word": ((), (("word", tuple),), (), _lift_doc),
+    "tableau_word": ((), _ONE_TABLEAU, (), _tableau_word_doc),
+    "weight": ((), _ONE_TABLEAU, (), _weight_doc),
 }
 
 
 def _build(name: str, values: dict, read=_same) -> dict:
     """Read and parse each document of operation `name` before the next, then build."""
-    _, documents, options, build = OPERATIONS[name]
+    _, documents, arguments, build = OPERATIONS[name]
     docs = {doc: parse(read(values[doc])) for doc, parse in documents}
-    return build(**docs, **{option: values[option] for option, _ in options if option in values})
+    dests = (flag.lstrip("-").replace("-", "_") for flag, _ in arguments)
+    return build(**docs, **{dest: values[dest] for dest in dests if dest in values})
 
 
 def cmd_operation(args) -> int:
-    _emit(_build(args.operation, vars(args), _load))
-    return 0
-
-
-def cmd_verify(args) -> int:
-    from . import enumeration
-    from .polynomials import IdentityReport
-
-    if args.identity == "fcount":
-        lhs, rhs = enumeration.verify_fcount(
-            _partition(args, _parse_window(args.alpha)),
-            _partition(args, _parse_window(args.beta)),
-            args.m,
-        )
-        if lhs == rhs == 0:
-            raise CliError("both sides are zero: nothing was compared")
-        _emit({"lhs": lhs, "rhs": rhs, "equal": lhs == rhs})
-        return 0 if lhs == rhs else 1
-    checks = {}
-    if args.identity == "cauchy":
-        report = enumeration.verify_cauchy(
-            _partition(args, _parse_window(args.alpha)),
-            _partition(args, _parse_window(args.beta)),
-            args.degree,
-            args.xvars,
-            args.yvars,
-        )
-    elif args.identity == "oneschur":
-        report = enumeration.verify_oneschur(
-            _partition(args, _parse_window(args.alpha)), args.degree, args.vars
-        )
-    else:
-        alpha, beta = _parse_window(args.alpha), _parse_window(args.beta)
-        if not args.cross_check:
-            report = enumeration.verify_skew_reduction(alpha, beta, args.degree, args.vars)
-        else:
-            lhs_check, rhs_check = enumeration.skew_reduction_cross_check(
-                alpha, beta, args.degree, args.vars
-            )
-            report = IdentityReport(lhs_check.lhs, rhs_check.lhs)
-            checks = {"embedding_lhs_equal": lhs_check.equal, "embedding_rhs_equal": rhs_check.equal}
-    if report.lhs.is_zero() and report.rhs.is_zero():
-        raise CliError("both sides are zero: nothing was compared")
-    _emit({**_report_doc(report), **checks})
-    return 0 if report.equal and all(checks.values()) else 1
-
-
-def cmd_knuth(args) -> int:
-    from . import words
-
-    if args.action == "transform":
-        res = words.word_transform(_parse_word(args.word))
-        _emit(
-            {
-                "certificate": ser.serialize_certificate(res.certificate),
-                "switch_positions": list(res.switch_positions),
-                **_critical_doc(res),
-            }
-        )
-        return 0
-    w, v = _parse_word(args.w), _parse_word(args.v)
-    cert = words.connect(w, v)
-    doc = {"certificate": ser.serialize_certificate(cert)}
-    if args.replay:
-        doc["replayed"] = list(cert.replay())
+    doc = _build(args.operation, vars(args), _load)
     _emit(doc)
-    return 0
-
-
-def _fx_knuth_transform(payload):
-    from . import words
-
-    res = words.word_transform(tuple(payload["word"]))
-    return {"end": list(res.certificate.end), **_critical_doc(res)}
-
-
-def _fx_lift_word(payload):
-    from . import words
-
-    lifted = words.lift_word(tuple(payload["word"]))
-    return {"permutation": list(lifted.permutation), "anchor": lifted.anchor}
-
-
-def _fx_tableau_word(payload):
-    from . import tableau
-
-    return {"word": list(tableau.tableau_word(ser.parse_tableau(payload["tableau"])))}
-
-
-def _fx_weight(payload):
-    from . import tableau
-
-    t = ser.parse_tableau(payload["tableau"])
-    w = tableau.weight(t)
-    top = max(w, default=0)
-    return {"weight": [w.get(i, 0) for i in range(1, top + 1)]}
-
-
-# The fixture operations that no command prints.
-FIXTURE_OPS = {
-    "knuth_transform": _fx_knuth_transform,
-    "lift_word": _fx_lift_word,
-    "tableau_word": _fx_tableau_word,
-    "weight": _fx_weight,
-}
+    # A verify document that records a failed identity exits 1.
+    checks = ("equal", "embedding_lhs_equal", "embedding_rhs_equal")
+    return 1 if any(doc.get(check) is False for check in checks) else 0
 
 
 def run_fixtures(emit=print) -> int:
@@ -317,8 +337,7 @@ def run_fixtures(emit=print) -> int:
     )
     for name in names:
         doc = json.loads(fixture_dir.joinpath(name).read_text())
-        op, payload = doc["operation"], doc["payload"]
-        got = FIXTURE_OPS[op](payload) if op in FIXTURE_OPS else _build(op, payload)
+        got = _build(doc["operation"], doc["payload"])
         if ser.canonical_json(got) == ser.canonical_json(doc["expected"]):
             emit(f"ok      {doc['name']}")
         else:
@@ -334,69 +353,35 @@ def cmd_fixtures(args) -> int:
     return run_fixtures()
 
 
+# The dest of the subcommand of each command that has subcommands.
+_SUBCOMMANDS = {"verify": "identity", "marble": "direction", "knuth": "action"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cyltab")
     # JSON is the only output format; the flag exists for interface stability.
     ap.add_argument("--json", action="store_true", default=True, help=argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="validate a tableau JSON file")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_validate)
-
-    # Every other subcommand is made first, so the choice list keeps this order.
-    names = ("insert", "reverse", "crsk", "crsk-inv", "verify", "marble", "knuth", "fixtures")
-    parsers = {name: sub.add_parser(name) for name in names}
-    ms = parsers["marble"].add_subparsers(dest="direction", required=True)
-    for op, (words, documents, options, _) in OPERATIONS.items():
-        p = parsers[words[0]] if len(words) == 1 else ms.add_parser(words[1])
+    # A command's parser is made where the table first names it, so the choice
+    # lists keep the table's order; `validate` alone has a help line. A command
+    # with subcommands is kept as its list of subcommands.
+    parsers = {"validate": sub.add_parser("validate", help="validate a tableau JSON file")}
+    for op, (words, documents, arguments, _) in OPERATIONS.items():
+        if not words:
+            continue
+        head, *rest = words
+        if head not in parsers:
+            p = sub.add_parser(head)
+            parsers[head] = p.add_subparsers(dest=_SUBCOMMANDS[head], required=True) if rest else p
+        p = parsers[head].add_parser(*rest) if rest else parsers[head]
         for name, _ in documents:
             p.add_argument(f"--{name}", required=True)
-        for name, keywords in options:
-            p.add_argument("--" + name.replace("_", "-"), **keywords)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
         p.set_defaults(fn=cmd_operation, operation=op)
 
-    p = parsers["verify"]
-    vs = p.add_subparsers(dest="identity", required=True)
-    pc = vs.add_parser("cauchy")
-    pc.add_argument("--k", type=int, required=True)
-    pc.add_argument("--n", type=int, required=True)
-    pc.add_argument("--alpha", required=True)
-    pc.add_argument("--beta", required=True)
-    pc.add_argument("--degree", type=nonnegative_int, required=True)
-    pc.add_argument("--xvars", type=nonnegative_int, default=2)
-    pc.add_argument("--yvars", type=nonnegative_int, default=2)
-    po = vs.add_parser("oneschur")
-    po.add_argument("--k", type=int, required=True)
-    po.add_argument("--n", type=int, required=True)
-    po.add_argument("--alpha", required=True)
-    po.add_argument("--degree", type=nonnegative_int, required=True)
-    po.add_argument("--vars", type=nonnegative_int, default=2)
-    pf = vs.add_parser("fcount")
-    pf.add_argument("--k", type=int, required=True)
-    pf.add_argument("--n", type=int, required=True)
-    pf.add_argument("--alpha", required=True)
-    pf.add_argument("--beta", required=True)
-    pf.add_argument("--m", type=nonnegative_int, required=True)
-    ps = vs.add_parser("skew")
-    ps.add_argument("--alpha", required=True)
-    ps.add_argument("--beta", required=True)
-    ps.add_argument("--degree", type=nonnegative_int, required=True)
-    ps.add_argument("--vars", type=nonnegative_int, default=2)
-    ps.add_argument("--cross-check", action="store_true", dest="cross_check")
-    p.set_defaults(fn=cmd_verify)
-
-    p = parsers["knuth"]
-    ks = p.add_subparsers(dest="action", required=True)
-    kt = ks.add_parser("transform")
-    kt.add_argument("word")
-    kc = ks.add_parser("connect")
-    kc.add_argument("w")
-    kc.add_argument("v")
-    kc.add_argument("--replay", action="store_true")
-    p.set_defaults(fn=cmd_knuth)
-
-    p = parsers["fixtures"]
+    p = sub.add_parser("fixtures")
     p.add_argument("action", choices=["run"])
     p.set_defaults(fn=cmd_fixtures)
 

@@ -8,6 +8,7 @@ translation.
 import random
 from collections import Counter, defaultdict
 from itertools import accumulate, combinations, combinations_with_replacement, permutations, product
+from operator import add
 
 from cyltab import marbles, words
 from cyltab.crsk import CrskInput, CrskOutput
@@ -94,13 +95,11 @@ def iter_shapes(params, max_boxes):
 
 def schur_poly_by_enumeration(shape, num_vars):
     """Reference Schur polynomial: sum of weight monomials over enumerate_ssct."""
-    poly = SparsePolynomial.zero(num_vars)
+    counts = Counter()
     for t in enumerate_ssct(shape, num_vars):
-        exps = [0] * num_vars
-        for a, c in weight(t).items():
-            exps[a - 1] = c
-        poly = poly + SparsePolynomial.monomial(tuple(exps))
-    return poly
+        w = weight(t)
+        counts[tuple(w.get(a, 0) for a in range(1, num_vars + 1))] += 1
+    return SparsePolynomial(num_vars, counts)
 
 
 def schur_poly_per_shape(shape, num_vars):
@@ -132,14 +131,19 @@ def schur_poly_per_shape(shape, num_vars):
     return SparsePolynomial(num_vars, states.get(lam))
 
 
+def _add_pairs(acc, p, q):
+    """Add p(x) q(y) to the dict acc: x the first variables, y the next ones."""
+    ys = q.terms()
+    for ex, cx in p.terms():
+        for ey, cy in ys:
+            e = ex + ey
+            acc[e] = acc.get(e, 0) + cx * cy
+
+
 def _pair_sum_per_shape(shapes, vx, vy):
     acc = {}
     for sx, sy in shapes:
-        ys = schur_poly_per_shape(sy, vy).terms()
-        for ex, cx in schur_poly_per_shape(sx, vx).terms():
-            for ey, cy in ys:
-                e = ex + ey
-                acc[e] = acc.get(e, 0) + cx * cy
+        _add_pairs(acc, schur_poly_per_shape(sx, vx), schur_poly_per_shape(sy, vy))
     return SparsePolynomial(vx + vy, acc)
 
 
@@ -306,11 +310,21 @@ def regular_superpartitions_oracle(base: tuple[int, ...], over: tuple[int, ...],
     return list(dict.fromkeys(out))
 
 
+def _dict_product(p, q):
+    """The product of two polynomials given as dicts of exponent vectors, term by term."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
 def skew_reduction_sides_oracle(alpha, beta, max_degree, num_vars):
     """Both sides of the regular-partition reduction identity by polynomial algebra.
 
-    One SparsePolynomial per term through embed, * and +, and the full product
-    pair_sum * diag truncated afterwards.
+    Plain dicts throughout: each term's x and y factors concatenated, and the
+    full product pair_sum * diag truncated afterwards.
     """
     _require_nonnegative(max_degree=max_degree, num_vars=num_vars)
     a = regular_normalize(alpha)
@@ -318,30 +332,25 @@ def skew_reduction_sides_oracle(alpha, beta, max_degree, num_vars):
     rows = max(len(a), len(b))
     a, b = (p + (0,) * (rows - len(p)) for p in (a, b))
     v = num_vars
-    arity = 2 * v
     cap = tuple(map(min, a, b))
-    pair_sum = SparsePolynomial.zero(arity)
+    pair_sum = {}
     for j in range(max_degree + 1):
         size = sum(a) - j
         for mu in _windows((0,) * rows, cap, size, size):
-            pair_sum = pair_sum + regular_skew_schur(a, mu, v).embed(
-                arity, 0
-            ) * regular_skew_schur(b, mu, v).embed(arity, v)
-    diag = SparsePolynomial.zero(arity)
+            _add_pairs(pair_sum, regular_skew_schur(a, mu, v), regular_skew_schur(b, mu, v))
+    diag = {}
     for g in range(max_degree + 1):
         for gamma in regular_partitions_of(g, max_rows=v):
             s = regular_skew_schur(gamma, (), v)
-            diag = diag + s.embed(arity, 0) * s.embed(arity, v)
-    lhs = (pair_sum * diag).truncate(max_degree, slice(0, v))
+            _add_pairs(diag, s, s)
+    lhs = {e: c for e, c in _dict_product(pair_sum, diag).items() if sum(e[:v]) <= max_degree}
     base = tuple(map(max, a, b))
-    rhs = SparsePolynomial.zero(arity)
+    rhs = {}
     for j in range(max_degree + 1):
         size = sum(b) + j
         for lam in _windows(base + (0,) * j, (size,) * (rows + j), size, size):
-            rhs = rhs + regular_skew_schur(lam, b, v).embed(
-                arity, 0
-            ) * regular_skew_schur(lam, a, v).embed(arity, v)
-    return lhs, rhs
+            _add_pairs(rhs, regular_skew_schur(lam, b, v), regular_skew_schur(lam, a, v))
+    return SparsePolynomial(2 * v, lhs), SparsePolynomial(2 * v, rhs)
 
 
 def enumerate_tableaux_with_inner(mu, num_letters):

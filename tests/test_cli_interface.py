@@ -4,7 +4,8 @@ The CLI transcript compares usage errors by exit code only, because
 argparse's usage text differs between Python versions. This record holds
 what the text is made from instead: for each subcommand path, in order, each
 action's option strings, dest, required, default, nargs, const, type name,
-choices and whether its help is suppressed. To record it again, write
+choices and whether its help is suppressed, and for a list of subcommands the
+help line of each choice that has one. To record it again, write
 `dump(describe(build_parser()))` to the golden file.
 """
 
@@ -19,7 +20,7 @@ GOLDEN = Path(__file__).parent / "cli_interface.json"
 
 def _action(action: argparse.Action) -> dict:
     choices = action.choices
-    return {
+    entry = {
         "option_strings": list(action.option_strings),
         "dest": action.dest,
         "required": action.required,
@@ -30,6 +31,9 @@ def _action(action: argparse.Action) -> dict:
         "choices": None if choices is None else list(choices),
         "help_suppressed": action.help == argparse.SUPPRESS,
     }
+    if isinstance(action, argparse._SubParsersAction):
+        entry["choice_help"] = [[choice.dest, choice.help] for choice in action._choices_actions]
+    return entry
 
 
 def describe(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()) -> list[dict]:

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import cyltab as ct
 from cyltab import enumeration, serialization as ser
-from cyltab.cli import FIXTURE_OPS, OPERATIONS, main, run_fixtures
+from cyltab.cli import OPERATIONS, main, run_fixtures
 from cyltab.geometry import CylParams
+from cyltab.polynomials import IdentityReport, SparsePolynomial
 from cyltab.serialization import SchemaError
 
 
@@ -220,6 +221,58 @@ def test_verify_with_both_sides_zero_is_an_error(argv, capsys):
     assert capsys.readouterr() == ("", stderr)
 
 
+def _poly(*terms):
+    return SparsePolynomial(len(terms[0][0]), dict(terms))
+
+
+_UNEQUAL = IdentityReport(_poly(((1, 0), 1)), _poly(((0, 1), 2)))
+_UNEQUAL_DOC = '{"equal":false,"lhs":[[[1,0],1]],"mismatches":[[[0,1],0,2],[[1,0],1,0]],"rhs":[[[0,1],2]]}'
+_SHAPE = ["--k", "2", "--n", "4", "--alpha", "0,0"]
+
+
+@pytest.mark.parametrize(
+    "function, result, argv, stdout",
+    [
+        (
+            "verify_cauchy",
+            _UNEQUAL,
+            ["verify", "cauchy", *_SHAPE, "--beta", "0,0", "--degree", "1"],
+            _UNEQUAL_DOC,
+        ),
+        ("verify_oneschur", _UNEQUAL, ["verify", "oneschur", *_SHAPE, "--degree", "1"], _UNEQUAL_DOC),
+        (
+            "verify_fcount",
+            (3, 4),
+            ["verify", "fcount", *_SHAPE, "--beta", "0,0", "--m", "1"],
+            '{"equal":false,"lhs":3,"rhs":4}',
+        ),
+        (
+            "verify_skew_reduction",
+            _UNEQUAL,
+            ["verify", "skew", "--alpha", "1", "--beta", "1", "--degree", "1"],
+            _UNEQUAL_DOC,
+        ),
+        (
+            "skew_reduction_cross_check",
+            (
+                IdentityReport(_poly(((1,), 1)), _poly(((1,), 1))),
+                IdentityReport(_poly(((1,), 1)), _poly(((1,), 2))),
+            ),
+            ["verify", "skew", "--alpha", "1", "--beta", "1", "--degree", "1", "--cross-check"],
+            '{"embedding_lhs_equal":true,"embedding_rhs_equal":false,"equal":true,'
+            '"lhs":[[[1],1]],"mismatches":[],"rhs":[[[1],1]]}',
+        ),
+    ],
+    ids=["cauchy", "oneschur", "fcount", "skew", "skew-cross-check"],
+)
+def test_verify_of_an_unequal_identity_prints_it_and_exits_one(
+    function, result, argv, stdout, monkeypatch, capsys
+):
+    monkeypatch.setattr(enumeration, function, lambda *args: result)
+    assert main(argv) == 1
+    assert capsys.readouterr() == (stdout + "\n", "")
+
+
 class TestCli:
     def test_validate_ok(self, tmp_path, capsys):
         f = tmp_path / "t.json"
@@ -369,12 +422,103 @@ def test_command_prints_the_golden_document(doc, tmp_path, capsys):
     assert capsys.readouterr().out == ser.canonical_json(doc["expected"]) + "\n"
 
 
-def test_every_fixture_operation_is_replayed_by_the_table_or_fixture_only():
+def test_every_fixture_operation_is_a_row_of_the_table():
     operations = {doc["operation"] for doc in FIXTURES}
-    assert set(OPERATIONS) <= operations
-    assert set(FIXTURE_OPS) == {"knuth_transform", "lift_word", "tableau_word", "weight"}
-    assert operations <= set(OPERATIONS) | set(FIXTURE_OPS)
-    assert set(COMMANDS) == set(OPERATIONS)
+    fixture_only = {op for op, (words, *_) in OPERATIONS.items() if not words}
+    assert fixture_only == {"knuth_transform", "lift_word", "tableau_word", "weight"}
+    assert operations <= set(OPERATIONS)
+    assert set(COMMANDS) == {op for op in operations if OPERATIONS[op][0]}
+
+
+# Input files for the argument fuzz, by name; "missing" is never written.
+ARGUMENT_FILES = {
+    "tableau": TABLEAU_DOC,
+    "partition": PARTITION_DOC,
+    "boxes": [{"row": 0, "col": 2}],
+    "game": {"initial": [1, 1], "turns": [[1, 0]]},
+    "junk": "not a document",
+}
+FILE = st.sampled_from([*ARGUMENT_FILES, "missing"]).map(lambda name: "@" + name)
+BUDGET = st.integers(0, 3)
+SMALL_INTS = st.lists(st.integers(-2, 4), max_size=4)
+JUNK_TEXT = st.text(st.sampled_from("0123456789,- x\u00b2"), max_size=6)
+PARTS = st.lists(st.integers(0, 2), min_size=1, max_size=3).map(lambda v: sorted(v, reverse=True))
+WINDOW = st.one_of(PARTS, PARTS, SMALL_INTS).map(lambda v: ",".join(map(str, v))) | JUNK_TEXT
+WORD = WINDOW | SMALL_INTS.map(lambda v: "".join(str(abs(x)) for x in v))
+# A strategy for each flag of the table; a row with a flag not listed here fails the fuzz.
+ARGUMENTS = {
+    "--k": st.integers(1, 3),
+    "--n": st.integers(1, 6),
+    "--alpha": WINDOW,
+    "--beta": WINDOW,
+    "--degree": BUDGET,
+    "--m": BUDGET,
+    "--vars": BUDGET,
+    "--xvars": BUDGET,
+    "--yvars": BUDGET,
+    "--seed-row": st.integers(-2, 3),
+    "--letters": st.integers(-1, 6),
+    "word": WORD,
+    "w": WORD,
+    "v": WORD,
+    "file": FILE,
+}
+COMMAND_ROWS = [row for row in OPERATIONS.values() if row[0]]
+
+
+@st.composite
+def row_arguments(draw):
+    """The argv of one command of the table, each argument drawn for its own flag.
+
+    A document or file argument is "@name", a name of ARGUMENT_FILES or "missing".
+    """
+    words, documents, arguments, _ = draw(st.sampled_from(COMMAND_ROWS))
+    argv = list(words)
+    for name, _ in documents:
+        argv += [f"--{name}", draw(FILE)]
+    for flag, keywords in arguments:
+        if keywords.get("action") == "store_true":
+            argv += [flag] if draw(st.booleans()) else []
+        elif not flag.startswith("-"):
+            argv.append(str(draw(ARGUMENTS[flag])))
+        elif keywords.get("required") or draw(st.booleans()):
+            argv += [flag, str(draw(ARGUMENTS[flag]))]
+    return argv
+
+
+@settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(row_arguments())
+def test_fuzzed_arguments_of_every_command(tmp_path, capsys, argv):
+    """Small arguments of every command end in a document, one report or a usage error.
+
+    Exit 0 prints one canonical document, and exit 1 prints either a document
+    that records a failed identity or one canonical {"error", "detail"} line on
+    stderr. Exit 2 is argparse's usage error. Any other exception fails the test.
+    """
+    for name, doc in ARGUMENT_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(tmp_path / word[1:]) if word.startswith("@") else word for word in argv]
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert not out and err.startswith("usage: cyltab")
+    elif err:
+        report = json.loads(err)
+        assert (code, out) == (1, "")
+        assert set(report) == {"error", "detail"} and err == ser.canonical_json(report) + "\n"
+    else:
+        doc = json.loads(out)
+        assert out == ser.canonical_json(doc) + "\n"
+        checks = ("equal", "embedding_lhs_equal", "embedding_rhs_equal")
+        assert code == (1 if any(doc.get(check) is False for check in checks) else 0)
 
 
 # Input files that no JSON document can come from, by name and raw bytes.
