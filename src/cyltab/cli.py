@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import TYPE_CHECKING
 
@@ -379,6 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{name}", required=True)
         for flag, keywords in arguments:
             p.add_argument(flag, **keywords)
+        # argparse reads a "-"-led token that names no option as a value only
+        # if it matches this negative-number pattern. Set after the options,
+        # it matches every such token: `--alpha -1,-1` reads as `--alpha=-1,-1`,
+        # and `knuth connect -1,2 2,-1` as `knuth connect -- -1,2 2,-1`.
+        p._negative_number_matcher = re.compile("-")
         p.set_defaults(fn=cmd_operation, operation=op)
 
     p = sub.add_parser("fixtures")

@@ -29,14 +29,18 @@ def _expect_int(value: Any, path: str) -> int:
     return value
 
 
-def _expect_list(value: Any, path: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(path, f"expected a list, got {type(value).__name__}")
-    return value
+def _each(read):
+    """A reader of a list that reads item i with read at path[i]."""
+
+    def read_list(value: Any, path: str) -> tuple:
+        if not isinstance(value, list):
+            raise SchemaError(path, f"expected a list, got {type(value).__name__}")
+        return tuple(read(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return read_list
 
 
-def _expect_ints(value: Any, path: str) -> tuple[int, ...]:
-    return tuple(_expect_int(v, f"{path}[{i}]") for i, v in enumerate(_expect_list(value, path)))
+_expect_ints = _each(_expect_int)
 
 
 def _build(path: str, make):
@@ -49,25 +53,27 @@ def _build(path: str, make):
         raise SchemaError(path, str(e)) from e
 
 
-def _expect_obj(value: Any, path: str, keys: set[str]) -> dict:
+def _fields(value: Any, path: str, readers: dict) -> tuple:
+    """Read an object with exactly the keys of readers, in order, each at path.key.
+
+    Callers build readers inside the call, so a parser named there is the one
+    bound in this module when the document is read, even if a tracer rebound it.
+    """
     if not isinstance(value, dict):
         raise SchemaError(path, f"expected an object, got {type(value).__name__}")
-    missing = keys - value.keys()
+    missing = readers.keys() - value.keys()
     if missing:
         raise SchemaError(path, f"missing keys {sorted(missing)}")
-    extra = value.keys() - keys
+    extra = value.keys() - readers.keys()
     if extra:
         raise SchemaError(path, f"unexpected keys {sorted(extra)}")
-    return value
+    return tuple(read(value[key], f"{path}.{key}") for key, read in readers.items())
 
 
 def parse_partition(doc: Any, path: str = "partition") -> CylPartition:
     from .geometry import CylParams, CylPartition
 
-    obj = _expect_obj(doc, path, {"k", "n", "window"})
-    k = _expect_int(obj["k"], f"{path}.k")
-    n = _expect_int(obj["n"], f"{path}.n")
-    window = _expect_ints(obj["window"], f"{path}.window")
+    k, n, window = _fields(doc, path, {"k": _expect_int, "n": _expect_int, "window": _expect_ints})
     if len(window) != k:
         raise SchemaError(f"{path}.window", f"length {len(window)} != k={k}")
     return _build(path, lambda: CylPartition(CylParams(k, n), window))
@@ -80,8 +86,7 @@ def serialize_partition(p: CylPartition) -> dict:
 def parse_box(doc: Any, path: str = "box") -> Box:
     from .geometry import Box
 
-    obj = _expect_obj(doc, path, {"row", "col"})
-    return Box(_expect_int(obj["row"], f"{path}.row"), _expect_int(obj["col"], f"{path}.col"))
+    return Box(*_fields(doc, path, {"row": _expect_int, "col": _expect_int}))
 
 
 def serialize_box(b: Box) -> dict:
@@ -91,9 +96,7 @@ def serialize_box(b: Box) -> dict:
 def parse_shape(doc: Any, path: str = "shape") -> SkewShape:
     from .geometry import SkewShape
 
-    obj = _expect_obj(doc, path, {"outer", "inner"})
-    outer = parse_partition(obj["outer"], f"{path}.outer")
-    inner = parse_partition(obj["inner"], f"{path}.inner")
+    outer, inner = _fields(doc, path, {"outer": parse_partition, "inner": parse_partition})
     return _build(path, lambda: SkewShape(outer, inner))
 
 
@@ -104,11 +107,8 @@ def serialize_shape(s: SkewShape) -> dict:
 def parse_tableau(doc: Any, path: str = "tableau") -> CylTableau:
     from .tableau import CylTableau
 
-    obj = _expect_obj(doc, path, {"shape", "rows"})
-    shape = parse_shape(obj["shape"], f"{path}.shape")
-    rows = _expect_list(obj["rows"], f"{path}.rows")
-    parsed = tuple(_expect_ints(row, f"{path}.rows[{r}]") for r, row in enumerate(rows))
-    return _build(path, lambda: CylTableau(shape, parsed))
+    shape, rows = _fields(doc, path, {"shape": parse_shape, "rows": _each(_expect_ints)})
+    return _build(path, lambda: CylTableau(shape, rows))
 
 
 def serialize_tableau(t: CylTableau) -> dict:
@@ -116,7 +116,7 @@ def serialize_tableau(t: CylTableau) -> dict:
 
 
 def parse_boxes(doc: Any, path: str = "boxes") -> list[Box]:
-    return [parse_box(b, f"{path}[{i}]") for i, b in enumerate(_expect_list(doc, path))]
+    return list(_each(parse_box)(doc, path))
 
 
 def serialize_boxes(bs) -> list:
@@ -126,9 +126,7 @@ def serialize_boxes(bs) -> list:
 def parse_game(doc: Any, params: CylParams, path: str = "game") -> MarbleGame:
     from .marbles import Arrangement, MarbleGame
 
-    obj = _expect_obj(doc, path, {"initial", "turns"})
-    initial = _expect_ints(obj["initial"], f"{path}.initial")
-    turns = tuple(_expect_ints(t, f"{path}.turns[{j}]") for j, t in enumerate(_expect_list(obj["turns"], f"{path}.turns")))
+    initial, turns = _fields(doc, path, {"initial": _expect_ints, "turns": _each(_expect_ints)})
     return _build(path, lambda: MarbleGame(Arrangement(params, initial), turns))
 
 
@@ -139,11 +137,12 @@ def serialize_game(g: MarbleGame) -> dict:
 def parse_move(doc: Any, path: str = "move") -> Move:
     from .words import MOVE_KINDS, Move
 
-    obj = _expect_obj(doc, path, {"kind", "pos"})
-    kind = obj["kind"]
-    if kind not in MOVE_KINDS:
-        raise SchemaError(f"{path}.kind", f"unknown kind {kind!r}")
-    return Move(kind, _expect_int(obj["pos"], f"{path}.pos"))
+    def kind(value: Any, path: str) -> str:
+        if value not in MOVE_KINDS:
+            raise SchemaError(path, f"unknown kind {value!r}")
+        return value
+
+    return Move(*_fields(doc, path, {"kind": kind, "pos": _expect_int}))
 
 
 def serialize_move(m: Move) -> dict:
@@ -153,10 +152,8 @@ def serialize_move(m: Move) -> dict:
 def parse_certificate(doc: Any, path: str = "certificate") -> Certificate:
     from .words import Certificate
 
-    obj = _expect_obj(doc, path, {"start", "moves", "end"})
-    start = _expect_ints(obj["start"], f"{path}.start")
-    end = _expect_ints(obj["end"], f"{path}.end")
-    moves = tuple(parse_move(m, f"{path}.moves[{i}]") for i, m in enumerate(_expect_list(obj["moves"], f"{path}.moves")))
+    readers = {"start": _expect_ints, "end": _expect_ints, "moves": _each(parse_move)}
+    start, end, moves = _fields(doc, path, readers)
     return Certificate(start, moves, end)
 
 

@@ -143,18 +143,15 @@ def inverse_moves(moves: tuple[Move, ...] | list[Move], length: int) -> list[Mov
 
 
 def applicable_moves(w: Word) -> list[Move]:
-    """Every move whose precondition holds; rotation is always available."""
+    """Every move that the checked applier accepts on w; rotation always is."""
     out = [_ROTATE]
     for p in range(len(w) - 2):
-        a, b, c = w[p], w[p + 1], w[p + 2]
-        if c < a <= b:
-            out.append(_move(KPRIME, p))
-        if b < a <= c:
-            out.append(_move(KPRIME_INV, p))
-        if a <= c < b:
-            out.append(_move(KDPRIME, p))
-        if b <= c < a:
-            out.append(_move(KDPRIME_INV, p))
+        for kind in _PATTERNS:  # the triple moves, in MOVE_KINDS order
+            try:
+                _apply(list(w[p : p + 3]), (_move(kind, 0),))
+            except PatternMismatch:
+                continue
+            out.append(_move(kind, p))
     return out
 
 
@@ -288,25 +285,17 @@ class LiftedWord:
 def lift_word(w: Word) -> LiftedWord:
     """Lift a word to the order-isomorphic permutation of its perturbation.
 
-    Letter i gains the exact fraction ((i - t) mod m) / m, where the anchor t
-    points at an occurrence of the smallest letter chosen so that sorting the
-    perturbed word respects the cyclic order of equal letters.  Ties are
-    impossible, so ranking by (letter, fraction numerator) is exact.
+    Letter i gains the exact fraction ((i - t) mod m) / m.  The anchor t is 1
+    plus the first index i with w[i] == s != w[i - 1] (cyclically; s is the
+    smallest letter), or 1 if every letter is s, so that sorting the perturbed
+    word respects the cyclic order of equal letters.  Ties are impossible.
     """
     if not w:
         raise WordError("word must be nonempty")
     m = len(w)
     s = min(w)
-    if w[-1] != s:
-        t = w.index(s) + 1
-    else:
-        t = 1
-        for i in range(2, m + 1):
-            if w[i - 1] == s and w[i - 2] != s:
-                t = i
-                break
-    keys = [(w[i], (i + 1 - t) % m) for i in range(m)]
-    order = sorted(range(m), key=lambda i: keys[i])
+    t = next((i for i in range(m) if w[i] == s != w[i - 1]), 0) + 1
+    order = sorted(range(m), key=lambda i: (w[i], (i + 1 - t) % m))
     p = [0] * m
     for rank, i in enumerate(order, start=1):
         p[i] = rank

@@ -1169,3 +1169,47 @@ def sorting_moves_oracle(w):
             break
     assert u == tuple(sorted(w))
     return tuple(moves)
+
+
+# The words module's lift anchor and move preconditions as it wrote them out
+# before it stated each rule once: the anchor by two branches on the last
+# letter, and each triple move's precondition as its own comparison.
+
+
+def lift_word_oracle(w):
+    m, s = len(w), min(w)
+    if w[-1] != s:
+        t = w.index(s) + 1
+    else:
+        t = 1
+        for i in range(2, m + 1):
+            if w[i - 1] == s and w[i - 2] != s:
+                t = i
+                break
+    keys = [(w[i], (i + 1 - t) % m) for i in range(m)]
+    order = sorted(range(m), key=lambda i: keys[i])
+    p = [0] * m
+    for rank, i in enumerate(order, start=1):
+        p[i] = rank
+    return words.LiftedWord(tuple(p), t, s)
+
+
+def applicable_moves_oracle(w):
+    out = [words.Move(words.ROTATE)]
+    for p in range(len(w) - 2):
+        a, b, c = w[p], w[p + 1], w[p + 2]
+        if c < a <= b:
+            out.append(words.Move(words.KPRIME, p))
+        if b < a <= c:
+            out.append(words.Move(words.KPRIME_INV, p))
+        if a <= c < b:
+            out.append(words.Move(words.KDPRIME, p))
+        if b <= c < a:
+            out.append(words.Move(words.KDPRIME_INV, p))
+    return out
+
+
+def short_words(max_length=6, letters=4):
+    """Every word of length 1..max_length over 1..letters (5,460 for 6 and 4)."""
+    for length in range(1, max_length + 1):
+        yield from product(range(1, letters + 1), repeat=length)

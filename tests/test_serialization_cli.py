@@ -468,22 +468,43 @@ COMMAND_ROWS = [row for row in OPERATIONS.values() if row[0]]
 
 @st.composite
 def row_arguments(draw):
-    """The argv of one command of the table, each argument drawn for its own flag.
+    """The command words and (flag, value) pairs of one command of the table.
 
-    A document or file argument is "@name", a name of ARGUMENT_FILES or "missing".
+    Each value is drawn for its own flag; a switch's value is None. A
+    document or file argument is "@name", a name of ARGUMENT_FILES or "missing".
     """
     words, documents, arguments, _ = draw(st.sampled_from(COMMAND_ROWS))
-    argv = list(words)
-    for name, _ in documents:
-        argv += [f"--{name}", draw(FILE)]
+    pairs = [(f"--{name}", draw(FILE)) for name, _ in documents]
     for flag, keywords in arguments:
         if keywords.get("action") == "store_true":
-            argv += [flag] if draw(st.booleans()) else []
+            pairs += [(flag, None)] if draw(st.booleans()) else []
+        elif not flag.startswith("-") or keywords.get("required") or draw(st.booleans()):
+            pairs.append((flag, str(draw(ARGUMENTS[flag]))))
+    return words, pairs
+
+
+def spell(words, pairs, joined: bool) -> list[str]:
+    """The argv of a command: each option as `--flag X` and each positional as X
+    in table order, or, if joined, each option as `--flag=X` and the
+    positionals last, after `--`."""
+    argv, positionals = list(words), []
+    for flag, value in pairs:
+        if value is None:
+            argv.append(flag)
         elif not flag.startswith("-"):
-            argv.append(str(draw(ARGUMENTS[flag])))
-        elif keywords.get("required") or draw(st.booleans()):
-            argv += [flag, str(draw(ARGUMENTS[flag]))]
-    return argv
+            (positionals if joined else argv).append(value)
+        else:
+            argv += [f"{flag}={value}"] if joined else [flag, value]
+    return argv + (["--", *positionals] if positionals else [])
+
+
+def run_main(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 @settings(
@@ -493,21 +514,21 @@ def row_arguments(draw):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(row_arguments())
-def test_fuzzed_arguments_of_every_command(tmp_path, capsys, argv):
+def test_fuzzed_arguments_of_every_command(tmp_path, capsys, command):
     """Small arguments of every command end in a document, one report or a usage error.
 
     Exit 0 prints one canonical document, and exit 1 prints either a document
     that records a failed identity or one canonical {"error", "detail"} line on
     stderr. Exit 2 is argparse's usage error. Any other exception fails the test.
+    Every value, even one that begins with "-", is read the same in both
+    spellings: `--flag X` as `--flag=X`, and a positional X as `-- X`. The
+    one token argparse reserves, "--" itself, is left out of that comparison.
     """
     for name, doc in ARGUMENT_FILES.items():
         (tmp_path / name).write_text(json.dumps(doc))
-    argv = [str(tmp_path / word[1:]) if word.startswith("@") else word for word in argv]
-    try:
-        code = main(argv)
-    except SystemExit as e:
-        code = e.code
-    out, err = capsys.readouterr()
+    words, pairs = command
+    pairs = [(flag, str(tmp_path / v[1:]) if v and v.startswith("@") else v) for flag, v in pairs]
+    code, out, err = run_main(spell(words, pairs, joined=False), capsys)
     if code == 2:
         assert not out and err.startswith("usage: cyltab")
     elif err:
@@ -519,6 +540,8 @@ def test_fuzzed_arguments_of_every_command(tmp_path, capsys, argv):
         assert out == ser.canonical_json(doc) + "\n"
         checks = ("equal", "embedding_lhs_equal", "embedding_rhs_equal")
         assert code == (1 if any(doc.get(check) is False for check in checks) else 0)
+    if all(value != "--" for _, value in pairs):
+        assert run_main(spell(words, pairs, joined=True), capsys) == (code, out, err)
 
 
 # Input files that no JSON document can come from, by name and raw bytes.

@@ -31,10 +31,13 @@ from cyltab.words import (
     word_transform,
 )
 from sweeps import (
+    applicable_moves_oracle,
     apply_move_oracle,
     knuth_pairs,
     knuth_permutations,
+    lift_word_oracle,
     replay_oracle,
+    short_words,
     sorting_moves_oracle,
     word_transform_oracle,
 )
@@ -372,3 +375,19 @@ class TestFastPathsMatchOracles:
             assert _outcome(apply_move, start, moves[0]) == _outcome(
                 apply_move_oracle, start, moves[0]
             )
+
+
+class TestEachRuleStatedOnce:
+    """The lift anchor and the move preconditions, each written once, give what
+    their written-out forms gave on every word of length 1-6 over 1-4."""
+
+    def test_lift_word_on_short_words(self):
+        count = 0
+        for w in short_words():
+            assert lift_word(w) == lift_word_oracle(w)
+            count += 1
+        assert count == 5460
+
+    def test_applicable_moves_on_short_words(self):
+        for w in short_words():
+            assert applicable_moves(w) == applicable_moves_oracle(w)
