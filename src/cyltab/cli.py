@@ -8,11 +8,13 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
+import cyltab
+
 from . import serialization as ser
 from .errors import CyltabError
 
-# Each command imports the library modules it runs, so that a command loads
-# only what it needs.
+# Each command reaches the library as cyltab.<name>, which loads the module
+# that defines the name on first use, so a command loads only what it runs.
 if TYPE_CHECKING:
     from .geometry import CylPartition
     from .polynomials import IdentityReport
@@ -25,9 +27,7 @@ class CliError(CyltabError):
 def __getattr__(name: str):
     # The correspondence under the names this module has always exported.
     if name in ("run_crsk", "run_crsk_inverse"):
-        from .crsk import crsk, crsk_inverse
-
-        return crsk if name == "run_crsk" else crsk_inverse
+        return getattr(cyltab, name.removeprefix("run_"))
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -74,10 +74,8 @@ def _parse_word(text: str) -> tuple[int, ...]:
 
 
 def _partition(k: int, n: int, text: str) -> CylPartition:
-    from .geometry import CylParams, CylPartition
-
     window = _parse_window(text)  # read before the cylinder is checked
-    return CylPartition(CylParams(k, n), window)
+    return cyltab.CylPartition(cyltab.CylParams(k, n), window)
 
 
 def _require_compared(both_zero: bool) -> None:
@@ -118,22 +116,16 @@ def _queues_doc(res, new_set: str, routes: bool) -> dict:
 
 
 def _insert_doc(tableau, boxes, seed_row: int = 0, trace: bool = True) -> dict:
-    from . import insertion
-
-    return _queues_doc(insertion.full_multi(tableau, boxes, seed_row=seed_row), "new_set", trace)
+    return _queues_doc(cyltab.full_multi(tableau, boxes, seed_row=seed_row), "new_set", trace)
 
 
 def _reverse_doc(tableau, boxes, seed_row: int = 0, trace: bool = False) -> dict:
-    from . import reverse
-
-    res = reverse.reverse_full_multi(tableau, boxes, seed_row=seed_row)
+    res = cyltab.reverse_full_multi(tableau, boxes, seed_row=seed_row)
     return _queues_doc(res, "reverse_new_set", trace)
 
 
 def _crsk_doc(t, u) -> dict:
-    from .crsk import crsk as run_crsk
-
-    out = run_crsk(t, u)
+    out = cyltab.crsk(t, u)
     return {
         "p": ser.serialize_tableau(out.p),
         "q": ser.serialize_tableau(out.q),
@@ -142,9 +134,7 @@ def _crsk_doc(t, u) -> dict:
 
 
 def _crsk_inverse_doc(p, q) -> dict:
-    from .crsk import crsk_inverse as run_crsk_inverse
-
-    out = run_crsk_inverse(p, q)
+    out = cyltab.crsk_inverse(p, q)
     return {
         "t": ser.serialize_tableau(out.t),
         "u": ser.serialize_tableau(out.u),
@@ -153,65 +143,48 @@ def _crsk_inverse_doc(p, q) -> dict:
 
 
 def _cauchy_doc(k, n, alpha, beta, degree, xvars, yvars) -> dict:
-    from . import enumeration
-
     alpha, beta = _partition(k, n, alpha), _partition(k, n, beta)
-    return _report_doc(enumeration.verify_cauchy(alpha, beta, degree, xvars, yvars))
+    return _report_doc(cyltab.verify_cauchy(alpha, beta, degree, xvars, yvars))
 
 
 def _oneschur_doc(k, n, alpha, degree, vars) -> dict:
-    from . import enumeration
-
-    return _report_doc(enumeration.verify_oneschur(_partition(k, n, alpha), degree, vars))
+    return _report_doc(cyltab.verify_oneschur(_partition(k, n, alpha), degree, vars))
 
 
 def _fcount_doc(k, n, alpha, beta, m) -> dict:
-    from . import enumeration
-
-    lhs, rhs = enumeration.verify_fcount(_partition(k, n, alpha), _partition(k, n, beta), m)
+    lhs, rhs = cyltab.verify_fcount(_partition(k, n, alpha), _partition(k, n, beta), m)
     _require_compared(lhs == rhs == 0)
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
 
 def _skew_doc(alpha, beta, degree, vars, cross_check) -> dict:
-    from . import enumeration
-    from .polynomials import IdentityReport
-
     alpha, beta = _parse_window(alpha), _parse_window(beta)
     if not cross_check:
-        return _report_doc(enumeration.verify_skew_reduction(alpha, beta, degree, vars))
-    lhs, rhs = enumeration.skew_reduction_cross_check(alpha, beta, degree, vars)
+        return _report_doc(cyltab.verify_skew_reduction(alpha, beta, degree, vars))
+    lhs, rhs = cyltab.enumeration.skew_reduction_cross_check(alpha, beta, degree, vars)
     checks = {"embedding_lhs_equal": lhs.equal, "embedding_rhs_equal": rhs.equal}
-    return _report_doc(IdentityReport(lhs.lhs, rhs.lhs), **checks)
+    return _report_doc(cyltab.IdentityReport(lhs.lhs, rhs.lhs), **checks)
 
 
 def _encode_doc(tableau, letters: int | None = None) -> dict:
-    from . import marbles
-
-    return {"game": ser.serialize_game(marbles.tableau_to_game(tableau, letters))}
+    return {"game": ser.serialize_game(cyltab.tableau_to_game(tableau, letters))}
 
 
 def _decode_doc(mu, game) -> dict:
     """The game document is read on mu's cylinder, so it is parsed here."""
-    from . import marbles
-
     game = ser.parse_game(game, mu.params)
-    return {"tableau": ser.serialize_tableau(marbles.game_to_tableau(mu, game))}
+    return {"tableau": ser.serialize_tableau(cyltab.game_to_tableau(mu, game))}
 
 
 def _critical_doc(res) -> dict:
-    from .words import monovariant
-
     return {
         "critical_words": [list(w) for w in res.critical_words],
-        "monovariants": [monovariant(w) for w in res.critical_words],
+        "monovariants": [cyltab.monovariant(w) for w in res.critical_words],
     }
 
 
 def _transform_doc(word: str) -> dict:
-    from . import words
-
-    res = words.word_transform(_parse_word(word))
+    res = cyltab.word_transform(_parse_word(word))
     return {
         "certificate": ser.serialize_certificate(res.certificate),
         "switch_positions": list(res.switch_positions),
@@ -220,9 +193,7 @@ def _transform_doc(word: str) -> dict:
 
 
 def _connect_doc(w: str, v: str, replay: bool) -> dict:
-    from . import words
-
-    cert = words.connect(_parse_word(w), _parse_word(v))
+    cert = cyltab.connect(_parse_word(w), _parse_word(v))
     doc = {"certificate": ser.serialize_certificate(cert)}
     if replay:
         doc["replayed"] = list(cert.replay())
@@ -230,29 +201,21 @@ def _connect_doc(w: str, v: str, replay: bool) -> dict:
 
 
 def _transform_end_doc(word) -> dict:
-    from . import words
-
-    res = words.word_transform(word)
+    res = cyltab.word_transform(word)
     return {"end": list(res.certificate.end), **_critical_doc(res)}
 
 
 def _lift_doc(word) -> dict:
-    from . import words
-
-    lifted = words.lift_word(word)
+    lifted = cyltab.lift_word(word)
     return {"permutation": list(lifted.permutation), "anchor": lifted.anchor}
 
 
 def _tableau_word_doc(tableau) -> dict:
-    from .tableau import tableau_word
-
-    return {"word": list(tableau_word(tableau))}
+    return {"word": list(cyltab.tableau_word(tableau))}
 
 
 def _weight_doc(tableau) -> dict:
-    from .tableau import weight
-
-    w = weight(tableau)
+    w = cyltab.weight(tableau)
     return {"weight": [w.get(i, 0) for i in range(1, max(w, default=0) + 1)]}
 
 

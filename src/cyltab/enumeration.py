@@ -38,6 +38,8 @@ class EnumerationError(CyltabError):
 
 def _require_nonnegative(**counts: int) -> None:
     for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise EnumerationError(f"{name} must be an integer, got {value!r}")
         if value < 0:
             raise EnumerationError(f"{name} must be nonnegative, got {value}")
 

@@ -112,6 +112,8 @@ def tableau_to_game(t: CylTableau, num_letters: int | None = None) -> MarbleGame
 
     Turn j is the strip of letter j: how many j's each row holds.
     """
+    if isinstance(num_letters, bool) or not isinstance(num_letters, int | None):
+        raise MarbleError(f"num_letters must be an integer, got {num_letters!r}")
     strips = strip_counts(t)
     top = max(strips, default=0)
     m = top if num_letters is None else num_letters

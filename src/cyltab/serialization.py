@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any
 
+import cyltab
+
 from .errors import CyltabError
 
-# Each parser imports the classes it builds, so that reading one kind of
-# document loads only the modules that define it.
+# Each parser reaches the classes it builds as cyltab.<name>, so that reading
+# one kind of document loads only the modules that define it.
 if TYPE_CHECKING:
     from .geometry import Box, CylParams, CylPartition, SkewShape
     from .marbles import MarbleGame
@@ -45,11 +47,9 @@ _expect_ints = _each(_expect_int)
 
 def _build(path: str, make):
     """Return make(); a GeometryError it raises is reported as a SchemaError at path."""
-    from .geometry import GeometryError
-
     try:
         return make()
-    except GeometryError as e:
+    except cyltab.geometry.GeometryError as e:
         raise SchemaError(path, str(e)) from e
 
 
@@ -71,12 +71,10 @@ def _fields(value: Any, path: str, readers: dict) -> tuple:
 
 
 def parse_partition(doc: Any, path: str = "partition") -> CylPartition:
-    from .geometry import CylParams, CylPartition
-
     k, n, window = _fields(doc, path, {"k": _expect_int, "n": _expect_int, "window": _expect_ints})
     if len(window) != k:
         raise SchemaError(f"{path}.window", f"length {len(window)} != k={k}")
-    return _build(path, lambda: CylPartition(CylParams(k, n), window))
+    return _build(path, lambda: cyltab.CylPartition(cyltab.CylParams(k, n), window))
 
 
 def serialize_partition(p: CylPartition) -> dict:
@@ -84,9 +82,7 @@ def serialize_partition(p: CylPartition) -> dict:
 
 
 def parse_box(doc: Any, path: str = "box") -> Box:
-    from .geometry import Box
-
-    return Box(*_fields(doc, path, {"row": _expect_int, "col": _expect_int}))
+    return cyltab.Box(*_fields(doc, path, {"row": _expect_int, "col": _expect_int}))
 
 
 def serialize_box(b: Box) -> dict:
@@ -94,10 +90,8 @@ def serialize_box(b: Box) -> dict:
 
 
 def parse_shape(doc: Any, path: str = "shape") -> SkewShape:
-    from .geometry import SkewShape
-
     outer, inner = _fields(doc, path, {"outer": parse_partition, "inner": parse_partition})
-    return _build(path, lambda: SkewShape(outer, inner))
+    return _build(path, lambda: cyltab.SkewShape(outer, inner))
 
 
 def serialize_shape(s: SkewShape) -> dict:
@@ -105,10 +99,8 @@ def serialize_shape(s: SkewShape) -> dict:
 
 
 def parse_tableau(doc: Any, path: str = "tableau") -> CylTableau:
-    from .tableau import CylTableau
-
     shape, rows = _fields(doc, path, {"shape": parse_shape, "rows": _each(_expect_ints)})
-    return _build(path, lambda: CylTableau(shape, rows))
+    return _build(path, lambda: cyltab.CylTableau(shape, rows))
 
 
 def serialize_tableau(t: CylTableau) -> dict:
@@ -124,10 +116,8 @@ def serialize_boxes(bs) -> list:
 
 
 def parse_game(doc: Any, params: CylParams, path: str = "game") -> MarbleGame:
-    from .marbles import Arrangement, MarbleGame
-
     initial, turns = _fields(doc, path, {"initial": _expect_ints, "turns": _each(_expect_ints)})
-    return _build(path, lambda: MarbleGame(Arrangement(params, initial), turns))
+    return _build(path, lambda: cyltab.MarbleGame(cyltab.Arrangement(params, initial), turns))
 
 
 def serialize_game(g: MarbleGame) -> dict:
@@ -135,14 +125,12 @@ def serialize_game(g: MarbleGame) -> dict:
 
 
 def parse_move(doc: Any, path: str = "move") -> Move:
-    from .words import MOVE_KINDS, Move
-
     def kind(value: Any, path: str) -> str:
-        if value not in MOVE_KINDS:
+        if value not in cyltab.words.MOVE_KINDS:
             raise SchemaError(path, f"unknown kind {value!r}")
         return value
 
-    return Move(*_fields(doc, path, {"kind": kind, "pos": _expect_int}))
+    return cyltab.Move(*_fields(doc, path, {"kind": kind, "pos": _expect_int}))
 
 
 def serialize_move(m: Move) -> dict:
@@ -150,11 +138,9 @@ def serialize_move(m: Move) -> dict:
 
 
 def parse_certificate(doc: Any, path: str = "certificate") -> Certificate:
-    from .words import Certificate
-
     readers = {"start": _expect_ints, "end": _expect_ints, "moves": _each(parse_move)}
     start, end, moves = _fields(doc, path, readers)
-    return Certificate(start, moves, end)
+    return cyltab.Certificate(start, moves, end)
 
 
 def serialize_certificate(c: Certificate) -> dict:

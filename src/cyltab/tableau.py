@@ -150,9 +150,13 @@ def flip_tableau(t: CylTableau, alphabet_bound: int | None = None) -> CylTableau
 
     Entry a becomes alphabet_bound + 1 - a, which realizes order reversal
     while keeping letters positive.  Row r of the result is row -r mod k of t
-    read right to left.  Flipping twice with the same bound returns t.
+    read right to left.  Flipping twice with the same bound returns t.  A bound
+    below the largest entry is a TableauError.
     """
-    bound = t.max_entry() if alphabet_bound is None else alphabet_bound
+    top = t.max_entry()
+    bound = top if alphabet_bound is None else alphabet_bound
+    if bound < top:
+        raise TableauError(f"alphabet bound {bound} is below the largest entry {top}")
     k = t.params.k
     rows = tuple(tuple(bound + 1 - a for a in reversed(t.rows[-r % k])) for r in range(k))
     return CylTableau(SkewShape(flip_partition(t.inner), flip_partition(t.outer)), rows)

@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement, permutations, product, zip_
 import pytest
 
 from cyltab.enumeration import (
+    EnumerationError,
     _expand,
     _expand_sides,
     _strip_chains,
@@ -479,20 +480,26 @@ class TestIdentities:
                 call()
 
     def test_negative_counts_are_cyltab_errors(self):
+        # A count must be an exact int: True would read as 1, and 2.0 fail deep inside.
         alpha = part((0, 0))
         for call in (
-            lambda: enumerate_inner(alpha, alpha, -1),
-            lambda: enumerate_outer(alpha, alpha, -1),
-            lambda: schur_poly(shape((0, 0), (0, 0)), -1),
-            lambda: verify_cauchy(alpha, alpha, 1, 2, -1),
-            lambda: verify_oneschur(alpha, -1, 2),
-            lambda: verify_fcount(alpha, alpha, -1),
-            lambda: verify_skew_reduction((), (), 1, -1),
-            lambda: enumerate_ssct(shape((0, 0), (0, 0)), -1),
-            lambda: enumerate_regular_ssyt((), (), -2),
+            lambda m: enumerate_inner(alpha, alpha, m),
+            lambda m: enumerate_outer(alpha, alpha, m),
+            lambda m: schur_poly(shape((0, 0), (0, 0)), m),
+            lambda m: verify_cauchy(alpha, alpha, m, 2, 2),
+            lambda m: verify_cauchy(alpha, alpha, 1, 2, m),
+            lambda m: verify_oneschur(alpha, m, 2),
+            lambda m: verify_fcount(alpha, alpha, m),
+            lambda m: verify_skew_reduction((), (), 1, m),
+            lambda m: skew_reduction_cross_check((), (), m, 2),
+            lambda m: enumerate_ssct(shape((0, 0), (0, 0)), m),
+            lambda m: enumerate_regular_ssyt((), (), m),
         ):
-            with pytest.raises(CyltabError, match="must be nonnegative"):
-                call()
+            with pytest.raises(CyltabError, match="must be nonnegative, got -2"):
+                call(-2)
+            for bad in (True, 2.0, "2"):
+                with pytest.raises(EnumerationError, match=rf"must be an integer, got {bad!r}"):
+                    call(bad)
 
     def test_fcount(self):
         assert verify_fcount(part((0, 0)), part((0, 0)), 1) == (1, 1)

@@ -50,50 +50,93 @@ SUBMODULES = {
     "errors", "geometry", "tableau", "insertion", "reverse", "crsk", "polynomials", "enumeration", "marbles", "words"
 }
 
-TABLEAU_DOC = {
-    "shape": {
-        "outer": {"k": 2, "n": 4, "window": [2, 1]},
-        "inner": {"k": 2, "n": 4, "window": [0, 0]},
-    },
-    "rows": [[1, 2], [3]],
-}
 
-
-def run_python(*args):
+def run_python(*args, code=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     res = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
-    assert res.returncode == 0, res.stderr
+    assert res.returncode == code, res.stderr
     return res.stdout
 
 
-def loaded_by(*argv) -> set[str]:
-    return set(json.loads(run_python("-c", PROBE, *argv).splitlines()[-1]))
+def loaded_by(*argv, code=0) -> set[str]:
+    return set(json.loads(run_python("-c", PROBE, *argv, code=code).splitlines()[-1]))
+
+
+# One succeeding command per command of cli.OPERATIONS, and `fixtures run`,
+# with the exact modules it loads, recorded when each command still imported
+# its modules itself. "@fixture:key" is the file of that fixture's payload
+# document.
+CORE = {"cli", "errors", "serialization"}
+TABLEAUX = CORE | {"geometry", "tableau"}
+IDENTITIES = TABLEAUX | {"enumeration", "polynomials"}
+CORRESPONDENCE = TABLEAUX | {"crsk", "insertion", "reverse"}
+PINNED = [
+    (["validate", "@insert_single_box_chain:tableau"], TABLEAUX),
+    (
+        ["insert", "--tableau", "@insert_single_box_chain:tableau", "--boxes", "@insert_single_box_chain:boxes"],
+        TABLEAUX | {"insertion"},
+    ),
+    (
+        ["reverse", "--tableau", "@reverse_multi_queue_trace:tableau",
+         "--boxes", "@reverse_multi_queue_trace:boxes", "--seed-row", "1"],
+        TABLEAUX | {"insertion", "reverse"},
+    ),
+    (["crsk", "--t", "@crsk_pair:t", "--u", "@crsk_pair:u"], CORRESPONDENCE),
+    (["crsk-inv", "--p", "@crsk_inverse_pair:p", "--q", "@crsk_inverse_pair:q"], CORRESPONDENCE),
+    (["verify", "cauchy", "--k", "2", "--n", "4", "--alpha", "1,0", "--beta", "0,0", "--degree", "2"], IDENTITIES),
+    (["verify", "oneschur", "--k", "2", "--n", "4", "--alpha", "0,0", "--degree", "2"], IDENTITIES),
+    (["verify", "fcount", "--k", "2", "--n", "4", "--alpha", "1,0", "--beta", "0,0", "--m", "2"], IDENTITIES),
+    (["verify", "skew", "--alpha", "2,1", "--beta", "1", "--degree", "2", "--cross-check"], IDENTITIES),
+    (["marble", "encode", "--tableau", "@marble_turn_list:tableau", "--letters", "6"], TABLEAUX | {"marbles"}),
+    (["marble", "decode", "--mu", "@marble_decode_round_trip:mu", "--game", "@marble_decode_round_trip:game"],
+     TABLEAUX | {"marbles"}),
+    (["knuth", "transform", "159362847"], CORE | {"words"}),
+    (["knuth", "connect", "312", "231", "--replay"], CORE | {"words"}),
+    (["fixtures", "run"], CORRESPONDENCE | {"marbles", "words"}),
+]
+# Refused inputs: an error path loads no more than the success path of its
+# command, and a bad window is refused before the checker is loaded.
+REFUSED = [
+    ["verify", "cauchy", "--k", "2", "--n", "4", "--alpha", alpha, "--beta", "0,0", "--degree", "1"]
+    for alpha in ("0,1", "0,0,0", "3,0", "a,0")
+] + [
+    ["verify", "cauchy", "--k", "2", "--n", "2", "--alpha", "0,0", "--beta", "0,0", "--degree", "1"],
+    ["verify", "skew", "--alpha", "1,x", "--beta", "1", "--degree", "1"],
+]
+
+
+def test_every_command_is_pinned():
+    for words, *_ in cli.OPERATIONS.values():
+        assert not words or any(argv[: len(words)] == list(words) for argv, _ in PINNED), words
+
+
+def _command(argv: list[str]) -> str:
+    return " ".join(a for a in argv[:2] if not a.startswith(("-", "@")))
+
+
+@pytest.mark.parametrize("argv, modules", PINNED, ids=[_command(argv) for argv, _ in PINNED])
+def test_command_loads_the_pinned_modules(argv, modules, tmp_path):
+    def document(arg: str) -> str:
+        if not arg.startswith("@"):
+            return arg
+        name, key = arg[1:].split(":")
+        fixture = json.loads((Path(cyltab.__file__).parent / "fixtures" / f"{name}.json").read_text())
+        path = tmp_path / f"{name}.{key}.json"
+        path.write_text(json.dumps(fixture["payload"][key]))
+        return str(path)
+
+    assert loaded_by(*map(document, argv)) == modules
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
+def test_refused_input_loads_no_more_than_before(argv):
+    assert loaded_by(*argv, code=1) <= IDENTITIES
 
 
 def test_import_loads_no_submodule_but_errors():
     out = run_python("-c", "import json, sys, cyltab; print(json.dumps(sorted(sys.modules)))")
     assert {m for m in json.loads(out) if m.startswith("cyltab.")} <= {"cyltab.errors"}
-
-
-def test_knuth_loads_no_tableau_module():
-    loaded = loaded_by("knuth", "transform", "3,1,2")
-    assert "words" in loaded
-    assert not loaded & {
-        "geometry", "tableau", "insertion", "reverse", "crsk", "polynomials", "enumeration", "marbles"
-    }
-
-
-def test_verify_loads_no_bijection_module():
-    loaded = loaded_by("verify", "fcount", "--k", "2", "--n", "4", "--alpha", "1,0", "--beta", "0,0", "--m", "2")
-    assert "enumeration" in loaded
-    assert not loaded & {"insertion", "reverse", "crsk", "marbles", "words"}
-
-
-def test_validate_loads_only_the_tableau(tmp_path):
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps(TABLEAU_DOC))
-    assert loaded_by("validate", str(path)) <= {"cli", "errors", "serialization", "geometry", "tableau"}
 
 
 def test_all_is_unchanged_and_resolves():

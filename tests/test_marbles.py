@@ -76,6 +76,11 @@ class TestEncoding:
             with pytest.raises(MarbleError, match="letter 0"):
                 tableau_to_game(t, letters)
 
+    def test_rejects_a_letter_count_that_is_not_an_integer(self):
+        for letters in (True, 4.0, "4"):
+            with pytest.raises(MarbleError, match=rf"num_letters must be an integer, got {letters!r}"):
+                tableau_to_game(RING, letters)
+
     def test_decode_worked_example(self):
         mu = CylPartition(K3N7, (5, 4, 2))
         game = MarbleGame(arrangement(mu), RING_TURNS)

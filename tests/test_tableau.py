@@ -165,6 +165,13 @@ class TestFlipTableau:
         f = flip_tableau(t, alphabet_bound=1)
         assert f.size() == 0
 
+    def test_bound_below_the_largest_entry_is_rejected(self):
+        t = tableau_validate(shape(K2N4, (2, 1), (0, 0)), [[1, 2], [3]])
+        for bound in (0, 1, 2):
+            with pytest.raises(TableauError, match=f"alphabet bound {bound} is below the largest entry 3"):
+                flip_tableau(t, alphabet_bound=bound)
+        assert flip_tableau(t, alphabet_bound=3).rows == ((2, 3), (1,))
+
     def test_involution_and_validity_sweep(self):
         from sweeps import iter_params, iter_shapes
 
