@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import TYPE_CHECKING
@@ -148,11 +149,13 @@ def _cauchy_doc(k, n, alpha, beta, degree, xvars, yvars) -> dict:
 
 
 def _oneschur_doc(k, n, alpha, degree, vars) -> dict:
-    return _report_doc(cyltab.verify_oneschur(_partition(k, n, alpha), degree, vars))
+    alpha = _partition(k, n, alpha)
+    return _report_doc(cyltab.verify_oneschur(alpha, degree, vars))
 
 
 def _fcount_doc(k, n, alpha, beta, m) -> dict:
-    lhs, rhs = cyltab.verify_fcount(_partition(k, n, alpha), _partition(k, n, beta), m)
+    alpha, beta = _partition(k, n, alpha), _partition(k, n, beta)
+    lhs, rhs = cyltab.verify_fcount(alpha, beta, m)
     _require_compared(lhs == rhs == 0)
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
@@ -292,15 +295,12 @@ def cmd_operation(args) -> int:
 
 
 def run_fixtures(emit=print) -> int:
-    from importlib import resources
-
+    # A plain directory read: importlib.resources loads inspect on Python 3.12+.
     failures = 0
-    fixture_dir = resources.files("cyltab").joinpath("fixtures")
-    names = sorted(
-        entry.name for entry in fixture_dir.iterdir() if entry.name.endswith(".json")
-    )
+    fixture_dir = os.path.join(os.path.dirname(__file__), "fixtures")
+    names = sorted(name for name in os.listdir(fixture_dir) if name.endswith(".json"))
     for name in names:
-        doc = json.loads(fixture_dir.joinpath(name).read_text())
+        doc = _load(os.path.join(fixture_dir, name))
         got = _build(doc["operation"], doc["payload"])
         if ser.canonical_json(got) == ser.canonical_json(doc["expected"]):
             emit(f"ok      {doc['name']}")
@@ -321,7 +321,14 @@ def cmd_fixtures(args) -> int:
 _SUBCOMMANDS = {"verify": "identity", "marble": "direction", "knuth": "action"}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every command, or, given a command line, of the commands it can run.
+
+    argparse runs a command only if each of its words is a token of `argv`,
+    so only those commands get their arguments. Every command keeps its
+    parser, so help and invalid-choice texts read as with the full parser.
+    """
+    tokens = None if argv is None else set(argv)
     ap = argparse.ArgumentParser(prog="cyltab")
     # JSON is the only output format; the flag exists for interface stability.
     ap.add_argument("--json", action="store_true", default=True, help=argparse.SUPPRESS)
@@ -339,6 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
             p = sub.add_parser(head)
             parsers[head] = p.add_subparsers(dest=_SUBCOMMANDS[head], required=True) if rest else p
         p = parsers[head].add_parser(*rest) if rest else parsers[head]
+        p.set_defaults(fn=cmd_operation, operation=op)
+        if tokens is not None and not tokens.issuperset(words):
+            continue
         for name, _ in documents:
             p.add_argument(f"--{name}", required=True)
         for flag, keywords in arguments:
@@ -348,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
         # it matches every such token: `--alpha -1,-1` reads as `--alpha=-1,-1`,
         # and `knuth connect -1,2 2,-1` as `knuth connect -- -1,2 2,-1`.
         p._negative_number_matcher = re.compile("-")
-        p.set_defaults(fn=cmd_operation, operation=op)
 
     p = sub.add_parser("fixtures")
     p.add_argument("action", choices=["run"])
@@ -358,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.fn(args)
     except CyltabError as e:

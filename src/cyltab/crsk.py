@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .errors import Record
 from .geometry import CylPartition, SkewShape
 # `full_multi`/`reverse_full_multi` are no longer called here; bench/tracer.py rebinds them.
 from .insertion import InsertionError, TableauState, _insert_strip, full_multi  # noqa: F401
@@ -19,15 +18,13 @@ class MismatchedOuterShapes(InsertionError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class CrskInput:
+class CrskInput(Record):
     t: CylTableau
     u: CylTableau
     mu: CylPartition
 
 
-@dataclass(frozen=True, slots=True)
-class CrskOutput:
+class CrskOutput(Record):
     p: CylTableau
     q: CylTableau
     lam: CylPartition

@@ -9,10 +9,9 @@ stored as the window (lam[0], ..., lam[k-1]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CyltabError
+from .errors import CyltabError, Record
 
 
 class GeometryError(CyltabError):
@@ -43,14 +42,16 @@ class PartTooWide(GeometryError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class CylParams:
+class CylParams(Record):
     """Vertical period k and total period parameter n (n > k)."""
 
     k: int
     n: int
 
     def __post_init__(self) -> None:
+        for name, value in (("k", self.k), ("n", self.n)):
+            if type(value) is not int:
+                raise GeometryError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise GeometryError(f"k must be positive, got {self.k}")
         if self.n <= self.k:
@@ -62,16 +63,14 @@ class CylParams:
         return self.n - self.k
 
 
-@dataclass(frozen=True, slots=True)
-class Point:
+class Point(Record):
     """Plane point (x, y): x is the plane row, y the plane column."""
 
     x: int
     y: int
 
 
-@dataclass(frozen=True, slots=True)
-class Box:
+class Box(Record):
     """Canonical representative of a point orbit: row in [0, k), col unbounded."""
 
     row: int
@@ -104,8 +103,7 @@ def flip_box(b: Box, params: CylParams) -> Box:
     return project(Point(-b.row, -b.col), params)
 
 
-@dataclass(frozen=True, slots=True)
-class CylPartition:
+class CylPartition(Record):
     """One window of a cylindric partition."""
 
     params: CylParams
@@ -116,6 +114,9 @@ class CylPartition:
         w = self.window
         if len(w) != k:
             raise GeometryError(f"window length {len(w)} != k={k}")
+        for v in w:
+            if type(v) is not int:
+                raise GeometryError(f"window parts must be integers, got {v!r}")
         for i in range(k - 1):
             if w[i] < w[i + 1]:
                 raise WindowNotDecreasing(f"window {w} increases at index {i}")
@@ -179,8 +180,7 @@ def cyl_embed(parts: Iterable[int], params: CylParams) -> CylPartition:
     return CylPartition(params, ps + (0,) * (params.k - len(ps)))
 
 
-@dataclass(frozen=True, slots=True)
-class SkewShape:
+class SkewShape(Record):
     """Ordered pair of partitions (outer, inner) with inner contained in outer.
 
     The pair itself is the shape; two shapes with equal box sets but

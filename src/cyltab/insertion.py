@@ -13,10 +13,10 @@ per-row counts; `full_multi` checks a `Box` list, converts it and wraps it.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import le
 from typing import Iterable, Sequence
 
+from .errors import Record
 from .geometry import Box, CylParams, CylPartition, Point, SkewShape, lift
 from .tableau import CylTableau, TableauError
 
@@ -39,8 +39,7 @@ class PreconditionViolated(InsertionError):
         super().__init__(clause)
 
 
-@dataclass(frozen=True, slots=True)
-class _Queue:
+class _Queue(Record):
     """FIFO of (letter, row) pairs; rows are stored canonically in [0, k)."""
 
     items: tuple[tuple[int, int], ...]
@@ -66,14 +65,11 @@ class _Queue:
 class InsertionQueue(_Queue):
     """Regular means that among pairs sharing a row, smaller letters come first."""
 
-    __slots__ = ()
-
     def is_regular(self) -> bool:
         return self._rows_ordered(le)
 
 
-@dataclass(frozen=True, slots=True)
-class BumpingRoute:
+class BumpingRoute(Record):
     """Plane points visited by one insertion chain, with global step stamps.
 
     Rows are consecutive: increasing for forward routes, decreasing for
@@ -98,8 +94,7 @@ class BumpingRoute:
         return None if idx is None else self.steps[idx]
 
 
-@dataclass(frozen=True, slots=True)
-class InsertionEvent:
+class InsertionEvent(Record):
     """One state change: a seed removal, a bump, or a landing."""
 
     step: int
@@ -166,8 +161,7 @@ class _LogViews:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class MultiInsertResult(_LogViews):
+class MultiInsertResult(_LogViews, Record):
     """A forward multi-insertion; routes, queues and events are views of its log."""
 
     tableau: CylTableau
@@ -179,8 +173,7 @@ class MultiInsertResult(_LogViews):
     _queue_type = InsertionQueue
 
 
-@dataclass
-class TableauState:
+class TableauState(Record, frozen=False):
     """Mutable working copy of a tableau; not necessarily valid mid-run."""
 
     params: CylParams

@@ -9,8 +9,7 @@ with inner shape mu over the alphabet {1..t}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .errors import Record
 from .geometry import CylParams, CylPartition, GeometryError, SkewShape
 from .tableau import CylTableau, strip_counts
 
@@ -29,8 +28,7 @@ class InvalidTurn(MarbleError):
         super().__init__(f"turn {index}: {detail}")
 
 
-@dataclass(frozen=True, slots=True)
-class Arrangement:
+class Arrangement(Record):
     """Marble counts held by players 0..k-1; total is always n - k."""
 
     params: CylParams
@@ -47,8 +45,7 @@ class Arrangement:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class MarbleGame:
+class MarbleGame(Record):
     """An initial arrangement plus a sequence of turns.
 
     Turn vectors are 0-indexed by player; turn j of the game corresponds to

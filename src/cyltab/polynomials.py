@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import add
 
-from .errors import CyltabError
+from .errors import CyltabError, Record
 
 
 class PolynomialError(CyltabError):
@@ -123,14 +122,13 @@ class SparsePolynomial:
             raise PolynomialError(f"arity mismatch: {self.arity} vs {other.arity}")
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record, derived=("equal", "mismatches")):
     """Coefficientwise comparison of two polynomials."""
 
     lhs: SparsePolynomial
     rhs: SparsePolynomial
-    equal: bool = field(init=False)
-    mismatches: tuple[tuple[tuple[int, ...], int, int], ...] = field(init=False)
+    equal: bool
+    mismatches: tuple[tuple[tuple[int, ...], int, int], ...]
 
     def __post_init__(self) -> None:
         bad = []

@@ -10,10 +10,10 @@ per-row counts; `reverse_full_multi` checks a `Box` list, converts it and wraps 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import ge
 from typing import Iterable, Sequence
 
+from .errors import Record
 # `lift` is no longer called here but stays a module name: bench/tracer.py rebinds it.
 from .geometry import Box, CylParams, SkewShape, lift  # noqa: F401
 from .insertion import (
@@ -46,14 +46,11 @@ class ReversePreconditionViolated(InsertionError):
 class ReverseQueue(_Queue):
     """Reverse-regular means that among pairs sharing a row, larger letters come first."""
 
-    __slots__ = ()
-
     def is_reverse_regular(self) -> bool:
         return self._rows_ordered(ge)
 
 
-@dataclass(frozen=True, slots=True)
-class ReverseMultiResult(_LogViews):
+class ReverseMultiResult(_LogViews, Record):
     """A reverse multi-insertion; routes, queues and events are views of its log."""
 
     tableau: CylTableau

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .errors import Record
 from .geometry import (
     Box,
     CylParams,
@@ -36,8 +36,7 @@ class ColumnNotStrictlyIncreasing(TableauError):
         super().__init__(f"column {col} is not strictly increasing")
 
 
-@dataclass(frozen=True, slots=True)
-class CylTableau:
+class CylTableau(Record):
     """A semistandard filling of a skew cylindric shape.
 
     Row r holds the entries of columns inner[r]+1 .. outer[r], left to right.

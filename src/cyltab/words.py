@@ -13,11 +13,10 @@ each move's pattern as it applies the move in place on one list buffer.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Iterable, Iterator
 
-from .errors import CyltabError
+from .errors import CyltabError, Record
 
 Word = tuple[int, ...]
 
@@ -48,8 +47,7 @@ class NotSameMultiset(WordError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Move:
+class Move(Record):
     """One elementary transformation; pos is the 0-based start of the triple."""
 
     kind: str
@@ -65,8 +63,7 @@ def _move(kind: str, pos: int) -> Move:
 _ROTATE = _move(ROTATE, 0)
 
 
-@dataclass(frozen=True, slots=True)
-class Certificate:
+class Certificate(Record):
     """A replayable chain of moves from start to end."""
 
     start: Word
@@ -171,8 +168,7 @@ def monovariant(w: Word) -> int:
     return n
 
 
-@dataclass(frozen=True, slots=True)
-class TransformResult:
+class TransformResult(Record):
     certificate: Certificate
     switch_positions: tuple[int, ...]
     words: tuple[Word, ...]
@@ -273,8 +269,7 @@ def word_transform(w: Word) -> TransformResult:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class LiftedWord:
+class LiftedWord(Record):
     """A word lifted to a permutation by an exact fractional perturbation."""
 
     permutation: Word

@@ -96,6 +96,21 @@ class TestPartition:
         # window check agrees with a three-period materialization
         assert all(mu.part(m) <= lam.part(m) for m in range(-2, 5))
 
+    @pytest.mark.parametrize(
+        "make, bad",
+        [
+            (lambda: CylParams("a", 3), "'a'"),
+            (lambda: CylParams(True, 3), "True"),
+            (lambda: CylParams(2, 4.0), "4.0"),
+            (lambda: CylPartition(K2N4, (1.5, 0)), "1.5"),
+            (lambda: CylPartition(K2N4, (True, False)), "True"),
+            (lambda: CylPartition(K2N4, (1, "0")), "'0'"),
+        ],
+    )
+    def test_parameters_and_parts_must_be_exact_integers(self, make, bad):
+        with pytest.raises(GeometryError, match=rf"must be (an integer|integers), got {bad}$"):
+            make()
+
     def test_contains_params_mismatch(self):
         with pytest.raises(ParamsMismatch):
             partition_contains(CylPartition(K2N4, (0, 0)), CylPartition(K3N6, (0, 0, 0)))
