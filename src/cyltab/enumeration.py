@@ -14,7 +14,7 @@ from itertools import accumulate, product, starmap
 from operator import add, lt
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CyltabError
+from .errors import CyltabError, exact_ints
 from .geometry import (
     CylParams,
     CylPartition,
@@ -38,7 +38,7 @@ class EnumerationError(CyltabError):
 
 def _require_nonnegative(**counts: int) -> None:
     for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not exact_ints(value):
             raise EnumerationError(f"{name} must be an integer, got {value!r}")
         if value < 0:
             raise EnumerationError(f"{name} must be nonnegative, got {value}")

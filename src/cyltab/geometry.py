@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CyltabError, Record
+from .errors import CyltabError, Record, exact_ints
 
 
 class GeometryError(CyltabError):
@@ -50,7 +50,7 @@ class CylParams(Record):
 
     def __post_init__(self) -> None:
         for name, value in (("k", self.k), ("n", self.n)):
-            if type(value) is not int:
+            if not exact_ints(value):
                 raise GeometryError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise GeometryError(f"k must be positive, got {self.k}")
@@ -114,9 +114,9 @@ class CylPartition(Record):
         w = self.window
         if len(w) != k:
             raise GeometryError(f"window length {len(w)} != k={k}")
-        for v in w:
-            if type(v) is not int:
-                raise GeometryError(f"window parts must be integers, got {v!r}")
+        if not exact_ints(*w):
+            bad = next(v for v in w if not exact_ints(v))
+            raise GeometryError(f"window parts must be integers, got {bad!r}")
         for i in range(k - 1):
             if w[i] < w[i + 1]:
                 raise WindowNotDecreasing(f"window {w} increases at index {i}")

@@ -9,7 +9,7 @@ with inner shape mu over the alphabet {1..t}.
 
 from __future__ import annotations
 
-from .errors import Record
+from .errors import Record, exact_ints
 from .geometry import CylParams, CylPartition, GeometryError, SkewShape
 from .tableau import CylTableau, strip_counts
 
@@ -109,7 +109,7 @@ def tableau_to_game(t: CylTableau, num_letters: int | None = None) -> MarbleGame
 
     Turn j is the strip of letter j: how many j's each row holds.
     """
-    if isinstance(num_letters, bool) or not isinstance(num_letters, int | None):
+    if num_letters is not None and not exact_ints(num_letters):
         raise MarbleError(f"num_letters must be an integer, got {num_letters!r}")
     strips = strip_counts(t)
     top = max(strips, default=0)

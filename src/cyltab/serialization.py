@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Any
 
 import cyltab
 
-from .errors import CyltabError
+from .errors import CyltabError, exact_ints
 
 # Each parser reaches the classes it builds as cyltab.<name>, so that reading
 # one kind of document loads only the modules that define it.
@@ -26,7 +26,7 @@ class SchemaError(CyltabError):
 
 
 def _expect_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not exact_ints(value):
         raise SchemaError(path, f"expected an integer, got {value!r}")
     return value
 

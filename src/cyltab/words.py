@@ -179,37 +179,29 @@ class TransformResult(Record):
         return tuple(w for w, c in zip(self.words, self.critical) if c)
 
 
-def _find_switch(w: Word | list[int], start: int = 1) -> int | None:
-    """Leftmost 1-based position from start on whose pair admits a catalyzed switch.
+def _find_switch(w: Word | list[int], start: int = 1) -> tuple[int, tuple[Move, ...]] | None:
+    """The leftmost catalyzed switch from 1-based position start on, and its moves.
 
-    Pair i's neighbors are w[i - 2] and w[i + 1 - m], cyclically.  A switch at i
-    changes letters i - 1 and i, read only by pairs i - 2 .. i + 2 and, for the
-    last letter, pair 1: resuming at max(1, i - 2), or at 1 if i == m - 1, finds
-    the same leftmost switch as a full rescan.
+    Pair i's neighbors are w[i - 2] (a Kprime catalyst) and w[i + 1 - m] (a Kdprime
+    one), cyclically; the anchor pair i = 1 tries the right one first, then rotates
+    1 back to the front.  A switch at i changes letters i - 1 and i, read only by
+    pairs i - 2 .. i + 2 and, for the last letter, pair 1: resuming at max(1, i - 2),
+    or at 1 if i == m - 1, finds the same leftmost switch as a full rescan.
     """
     m = len(w)
     for i in range(start, m):
         a, b = w[i - 1], w[i]
-        if a > b:
-            a, b = b, a
-        if a < w[i - 2] < b or a < w[i + 1 - m] < b:
-            return i
+        lo, hi = (a, b) if a < b else (b, a)
+        if i == 1:
+            if 2 < m and lo < w[2] < hi:
+                return 1, (_move(KDPRIME, 0),) + (_ROTATE,) * (m - 1)
+            if lo < w[-1] < hi:
+                return 1, (_ROTATE, _move(KPRIME_INV, 0)) + (_ROTATE,) * (m - 2)
+        elif lo < w[i - 2] < hi:
+            return i, (_move(KPRIME if a > b else KPRIME_INV, i - 2),)
+        elif lo < w[i + 1 - m] < hi:
+            return i, (_move(KDPRIME if a < b else KDPRIME_INV, i - 1),)
     return None
-
-
-def _switch_moves(w: list[int], i: int) -> tuple[Move, ...]:
-    """Moves realizing the switch at 1-based position i on an anchored word."""
-    m = len(w)
-    a, b = w[i - 1], w[i]
-    lo, hi = (a, b) if a < b else (b, a)
-    if i >= 2:
-        if lo < w[i - 2] < hi:
-            return (_move(KPRIME if a > b else KPRIME_INV, i - 2),)
-        return (_move(KDPRIME if a < b else KDPRIME_INV, i - 1),)
-    # Switching the anchor pair: realize, then rotate 1 back to the front.
-    if i + 1 < m and lo < w[i + 1] < hi:
-        return (_move(KDPRIME, 0),) + (_ROTATE,) * (m - 1)
-    return (_ROTATE, _move(KPRIME_INV, 0)) + (_ROTATE,) * (m - 2)
 
 
 def _switches(p: list[int]) -> Iterator[tuple[int, tuple[Move, ...]]]:
@@ -224,10 +216,10 @@ def _switches(p: list[int]) -> Iterator[tuple[int, tuple[Move, ...]]]:
     identity = list(range(1, m + 1))
     start, run = 1, 0
     while p != identity:
-        i = _find_switch(p, start)
-        if i is None:
+        found = _find_switch(p, start)
+        if found is None:
             raise AssertionError(f"no switch available on {tuple(p)}")
-        moves = _switch_moves(p, i)
+        i, moves = found
         if i == 1:
             p.append(p.pop(1))  # 1 x rest -> x 1 rest, re-anchored: 1 rest x
             run = 0

@@ -16,6 +16,7 @@ import pytest
 
 import cyltab
 from cyltab import serialization as ser
+from cyltab.errors import Record
 from cyltab.insertion import InsertionEvent, TableauState
 from cyltab.polynomials import IdentityReport, SparsePolynomial
 from cyltab.words import LiftedWord, TransformResult
@@ -221,3 +222,32 @@ def test_post_init_is_looked_up_on_each_construction(cls, monkeypatch):
     monkeypatch.setattr(cls, "__post_init__", lambda self: calls.append(original(self)))
     cls(*init_values(SAMPLES[cls][0]))
     assert len(calls) == 1
+
+
+def test_value_methods_are_records_and_each_class_compiles_its_own_init(cls):
+    assert (cls.__repr__, cls.__eq__) == (Record.__repr__, Record.__eq__)
+    assert cls.__hash__ is (None if cls in MUTABLE else Record.__hash__)
+    # The class that annotates the fields owns the one compiled method; a
+    # field-less subclass (InsertionQueue, ReverseQueue) inherits it.
+    owner = next(c for c in cls.__mro__ if vars(c).get("__slots__"))
+    assert cls is owner or cls.__base__ is owner
+    assert cls.__init__ is vars(owner)["__init__"]
+    assert cls.__init__.__qualname__ == f"{owner.__qualname__}.__init__"
+
+
+class OneField(Record):
+    """A throwaway record with a single field."""
+
+    x: object
+
+
+def test_one_field_record_matches_its_dataclass():
+    # attrgetter over one name returns the bare value, not a 1-tuple.
+    Twin = make_dataclass("OneField", [("x", object)], frozen=True, slots=True)
+    for v in (3, (1, 2), "a", None):
+        one, twin = OneField(v), Twin(v)
+        assert repr(one) == repr(twin)
+        assert hash(one) == hash(twin) == hash((v,))
+        assert (one == OneField(v), one != OneField(v)) == (twin == Twin(v), twin != Twin(v))
+        assert (one == twin, one == (v,), one == v) == (False, False, False)
+    assert (OneField(1) == OneField(2), OneField(1) == OneField(1.0)) == (False, True)

@@ -31,8 +31,10 @@ from cyltab.words import (
     word_transform,
 )
 from sweeps import (
+    _switch_moves_oracle,
     applicable_moves_oracle,
     apply_move_oracle,
+    find_switch_oracle,
     knuth_pairs,
     knuth_permutations,
     lift_word_oracle,
@@ -195,12 +197,12 @@ class TestWordTransform:
         # and again swaps it back and forth, each swap a valid move, so only
         # the bound of m non-anchor switches in a row stops the sort.
         w = tuple(range(1, m - 1)) + (m, m - 1)
-        first, calls = _find_switch(w), []
-        assert first == m - 2
+        assert _find_switch(w)[0] == m - 2
+        calls = []
 
         def stalled(p, start=1):
             calls.append(p)
-            return first
+            return _find_switch(p, m - 2)
 
         monkeypatch.setattr("cyltab.words._find_switch", stalled)
         for sort in (word_transform, _sorting_moves.__wrapped__):
@@ -329,6 +331,16 @@ class TestFastPathsMatchOracles:
         count = 0
         for w in knuth_permutations():
             assert word_transform(w) == word_transform_oracle(w)
+            count += 1
+        assert count == 5913
+
+    def test_switch_scan_on_criterion_7_permutations(self):
+        # One scan finds the leftmost switch and the moves that realize it.
+        count = 0
+        for w in knuth_permutations():
+            i = find_switch_oracle(w)
+            expected = None if i is None else (i, tuple(_switch_moves_oracle(w, i)))
+            assert _find_switch(w) == expected
             count += 1
         assert count == 5913
 
