@@ -43,10 +43,6 @@ def _load(path: str):
         raise CliError(f"{path} is not valid JSON: {e}") from e
 
 
-def _emit(doc) -> None:
-    sys.stdout.write(ser.canonical_json(doc) + "\n")
-
-
 def _parse_window(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -90,7 +86,7 @@ def _report_doc(report: IdentityReport, **flags: bool) -> dict:
     return {
         "equal": report.equal,
         "lhs": lhs,
-        "rhs": lhs if report.rhs is report.lhs else report.rhs.terms(),
+        "rhs": lhs if report.equal else report.rhs.terms(),
         "mismatches": report.mismatches,
         **flags,
     }
@@ -288,7 +284,7 @@ def _build(name: str, values: dict, read=_same) -> dict:
 
 def cmd_operation(args) -> int:
     doc = _build(args.operation, vars(args), _load)
-    _emit(doc)
+    sys.stdout.write(ser.canonical_json(doc) + "\n")
     # A verify document that records a failed identity exits 1.
     checks = ("equal", "embedding_lhs_equal", "embedding_rhs_equal")
     return 1 if any(doc.get(check) is False for check in checks) else 0
@@ -311,10 +307,6 @@ def run_fixtures(emit=print) -> int:
             emit(f"  got      {ser.canonical_json(got)}")
     emit(f"{len(names) - failures}/{len(names)} fixtures passed")
     return 0 if failures == 0 else 1
-
-
-def cmd_fixtures(args) -> int:
-    return run_fixtures()
 
 
 # The dest of the subcommand of each command that has subcommands.
@@ -346,7 +338,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
             p = sub.add_parser(head)
             parsers[head] = p.add_subparsers(dest=_SUBCOMMANDS[head], required=True) if rest else p
         p = parsers[head].add_parser(*rest) if rest else parsers[head]
-        p.set_defaults(fn=cmd_operation, operation=op)
+        p.set_defaults(operation=op)
         if tokens is not None and not tokens.issuperset(words):
             continue
         for name, _ in documents:
@@ -361,7 +353,6 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixtures")
     p.add_argument("action", choices=["run"])
-    p.set_defaults(fn=cmd_fixtures)
 
     return ap
 
@@ -370,7 +361,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
     try:
-        return args.fn(args)
+        return run_fixtures() if args.command == "fixtures" else cmd_operation(args)
     except CyltabError as e:
         sys.stderr.write(
             ser.canonical_json({"error": type(e).__name__, "detail": str(e)}) + "\n"

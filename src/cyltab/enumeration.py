@@ -348,6 +348,8 @@ def verify_fcount(alpha: CylPartition, beta: CylPartition, m: int) -> tuple[int,
 
 def regular_normalize(parts: Iterable[int]) -> tuple[int, ...]:
     ps = tuple(parts)
+    if not exact_ints(*ps):
+        raise GeometryError(f"partition parts must be integers, got {ps}")
     if any(map(lt, ps, ps[1:])) or min(ps, default=0) < 0:
         raise GeometryError(f"{ps} is not a partition")
     while ps and ps[-1] == 0:
@@ -387,12 +389,6 @@ def regular_skew_schur(
     return SparsePolynomial(num_vars, _regular_counts(tuple(outer), tuple(inner), num_vars))
 
 
-def regular_partitions_of(size: int, max_rows: int | None = None) -> list[tuple[int, ...]]:
-    """All partitions of the given size, optionally with bounded row count, largest first."""
-    k = size if max_rows is None else max_rows
-    return [regular_normalize(w) for w in _windows((0,) * k, (size,) * k, size, size)][::-1]
-
-
 def skew_reduction_sides(
     alpha: Iterable[int], beta: Iterable[int], max_degree: int, num_vars: int
 ) -> tuple[SparsePolynomial, SparsePolynomial]:
@@ -411,9 +407,9 @@ def skew_reduction_sides(
     a, b = (p + (0,) * (rows - len(p)) for p in (a, b))
     v, d = num_vars, max_degree
     cap, base = tuple(map(min, a, b)), tuple(map(max, a, b))
-    diag: list[Terms] = [{} for _ in range(d + 1)]  # by g
+    diag: list[Terms] = [{} for _ in range(d + 1)]  # by g; each gamma as a v-part window
     for g, terms in enumerate(diag):
-        for gamma in regular_partitions_of(g, max_rows=v):
+        for gamma in _windows((0,) * v, (g,) * v, g, g):
             s = _regular_counts(gamma, (), v)
             _pair(terms, s, s)
     lhs: Terms = {}

@@ -18,20 +18,20 @@ class _RecordType(type):
 
     The fields are the names the class body annotates, in order, and become
     its __slots__; a default may be given to the last of them. `derived`
-    fields are left out of __init__ and set by __post_init__, and
-    `frozen=False` keeps instances mutable and unhashable. Only __init__ is
+    fields are left out of __init__ and set by __post_init__: it is how
+    IdentityReport keeps its (lhs, rhs) signature while its __post_init__,
+    which bench/tracer.py rebinds, computes the rest. Only __init__ is
     compiled, with no per-field loop at call time; it looks __post_init__ up
     on every call, so a rebinding of it is seen. Record's __repr__, __eq__
     and __hash__ read the fields and their values through _fields and
-    _values. A subclass that annotates no field keeps its parent's.
+    _values. A subclass that annotates no field keeps its parent's; one that
+    must be mutable sets its own __setattr__, __delattr__ and __hash__.
     """
 
-    def __new__(mcls, name, bases, ns, frozen=True, derived=()):
+    def __new__(mcls, name, bases, ns, derived=()):
         fields = tuple(ns.get("__annotations__", ()))
         defaults = tuple(ns.pop(f) for f in fields if f in ns)
         ns["__slots__"] = fields
-        if not frozen:
-            ns.update(__setattr__=object.__setattr__, __delattr__=object.__delattr__, __hash__=None)
         cls = super().__new__(mcls, name, bases, ns)
         if not fields:
             return cls

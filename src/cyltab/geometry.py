@@ -42,6 +42,13 @@ class PartTooWide(GeometryError):
     pass
 
 
+def _require_ints(record: Record) -> None:
+    """Raise GeometryError naming the first field of record that is not an exact integer."""
+    for name in record.__match_args__:
+        if not exact_ints(value := getattr(record, name)):
+            raise GeometryError(f"{name} must be an integer, got {value!r}")
+
+
 class CylParams(Record):
     """Vertical period k and total period parameter n (n > k)."""
 
@@ -49,9 +56,7 @@ class CylParams(Record):
     n: int
 
     def __post_init__(self) -> None:
-        for name, value in (("k", self.k), ("n", self.n)):
-            if not exact_ints(value):
-                raise GeometryError(f"{name} must be an integer, got {value!r}")
+        _require_ints(self)
         if self.k < 1:
             raise GeometryError(f"k must be positive, got {self.k}")
         if self.n <= self.k:
@@ -69,12 +74,16 @@ class Point(Record):
     x: int
     y: int
 
+    __post_init__ = _require_ints
+
 
 class Box(Record):
     """Canonical representative of a point orbit: row in [0, k), col unbounded."""
 
     row: int
     col: int
+
+    __post_init__ = _require_ints
 
 
 def project(p: Point, params: CylParams) -> Box:

@@ -173,8 +173,10 @@ class MultiInsertResult(_LogViews, Record):
     _queue_type = InsertionQueue
 
 
-class TableauState(Record, frozen=False):
+class TableauState(Record):
     """Mutable working copy of a tableau; not necessarily valid mid-run."""
+
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     params: CylParams
     mu: list[int]

@@ -37,6 +37,8 @@ class Arrangement(Record):
     def __post_init__(self) -> None:
         if len(self.counts) != self.params.k:
             raise MarbleError(f"expected {self.params.k} counts")
+        if not exact_ints(*self.counts):
+            raise MarbleError(f"marble counts must be integers, got {self.counts}")
         if any(c < 0 for c in self.counts):
             raise MarbleError(f"negative marble count in {self.counts}")
         if sum(self.counts) != self.params.width:
@@ -60,11 +62,14 @@ class MarbleGame(Record):
         return self.initial.params
 
 
+def _counts(alpha: CylPartition) -> tuple[int, ...]:
+    """The marble counts of arrangement(alpha), unchecked."""
+    return tuple([alpha.part(i - 1) - alpha.part(i) for i in range(alpha.params.k)])
+
+
 def arrangement(alpha: CylPartition) -> Arrangement:
     """Player i holds alpha[i-1] - alpha[i], indices wrapping."""
-    k = alpha.params.k
-    counts = tuple([alpha.part(i - 1) - alpha.part(i) for i in range(k)])
-    return Arrangement(alpha.params, counts)
+    return Arrangement(alpha.params, _counts(alpha))
 
 
 def _pass_marbles(counts: list[int], turn: tuple[int, ...]) -> None:
@@ -128,13 +133,15 @@ def game_to_tableau(mu: CylPartition, game: MarbleGame) -> CylTableau:
     """Decode a game into the unique tableau with inner shape mu producing it."""
     if game.params != mu.params:
         raise InitialMismatch("game and partition use different cylinder parameters")
-    if game.initial != arrangement(mu):
+    if game.initial.counts != _counts(mu):
         raise InitialMismatch(
             f"initial arrangement {game.initial.counts} is not Arr of {mu.window}"
         )
     counts = list(game.initial.counts)
     rows: list[list[int]] = [[] for _ in counts]
     for idx, turn in enumerate(game.turns, start=1):
+        if not exact_ints(*turn):
+            raise InvalidTurn(idx, f"entries must be integers, got {turn}")
         try:
             _pass_marbles(counts, turn)
         except MarbleError as e:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Iterator
 
-from .errors import Record
+from .errors import Record, exact_ints
 from .geometry import (
     Box,
     CylParams,
@@ -90,6 +90,9 @@ def _validate(shape: SkewShape, rows: tuple[tuple[int, ...], ...]) -> None:
     for r, (row, lo, hi) in enumerate(zip(rows, inner, outer)):
         if len(row) != hi - lo:
             raise RowLengthMismatch(f"row {r} has {len(row)} entries, shape wants {hi - lo}")
+        if not exact_ints(*row):
+            bad = next(v for v in row if not exact_ints(v))
+            raise TableauError(f"entries must be integers, got {bad!r}")
         for j in range(len(row) - 1):
             if row[j] > row[j + 1]:
                 raise RowNotWeaklyIncreasing(r, lo + j + 1)
@@ -150,10 +153,12 @@ def flip_tableau(t: CylTableau, alphabet_bound: int | None = None) -> CylTableau
     Entry a becomes alphabet_bound + 1 - a, which realizes order reversal
     while keeping letters positive.  Row r of the result is row -r mod k of t
     read right to left.  Flipping twice with the same bound returns t.  A bound
-    below the largest entry is a TableauError.
+    that is not an integer, or is below the largest entry, is a TableauError.
     """
     top = t.max_entry()
     bound = top if alphabet_bound is None else alphabet_bound
+    if not exact_ints(bound):
+        raise TableauError(f"alphabet bound must be an integer, got {bound!r}")
     if bound < top:
         raise TableauError(f"alphabet bound {bound} is below the largest entry {top}")
     k = t.params.k

@@ -16,7 +16,7 @@ from collections import Counter
 from functools import cache, lru_cache
 from typing import Iterable, Iterator
 
-from .errors import CyltabError, Record
+from .errors import CyltabError, Record, exact_ints
 
 Word = tuple[int, ...]
 
@@ -152,7 +152,15 @@ def applicable_moves(w: Word) -> list[Move]:
     return out
 
 
+def _require_letters(w: Word) -> None:
+    """Raise WordError at the first letter of w that is not an exact integer."""
+    if not exact_ints(*w):
+        bad = next(a for a in w if not exact_ints(a))
+        raise WordError(f"letters must be integers, got {bad!r}")
+
+
 def _check_permutation(w: Word) -> None:
+    _require_letters(w)
     if sorted(w) != list(range(1, len(w) + 1)):
         raise NotAPermutation(f"{w} is not a permutation of 1..{len(w)}")
 
@@ -279,6 +287,7 @@ def lift_word(w: Word) -> LiftedWord:
     """
     if not w:
         raise WordError("word must be nonempty")
+    _require_letters(w)
     m = len(w)
     s = min(w)
     t = next((i for i in range(m) if w[i] == s != w[i - 1]), 0) + 1
@@ -339,6 +348,7 @@ def connect(w: Word, v: Word) -> Certificate:
     the pattern preconditions on the original words.
     """
     w, v = tuple(w), tuple(v)
+    _require_letters(w + v)
     if Counter(w) != Counter(v):
         raise NotSameMultiset(f"{v} is not a rearrangement of {w}")
     if w == v:

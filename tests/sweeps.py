@@ -20,7 +20,6 @@ from cyltab.enumeration import (
     enumerate_outer,
     enumerate_ssct,
     regular_normalize,
-    regular_partitions_of,
     regular_skew_schur,
 )
 from cyltab.geometry import (
@@ -340,7 +339,7 @@ def skew_reduction_sides_oracle(alpha, beta, max_degree, num_vars):
             _add_pairs(pair_sum, regular_skew_schur(a, mu, v), regular_skew_schur(b, mu, v))
     diag = {}
     for g in range(max_degree + 1):
-        for gamma in regular_partitions_of(g, max_rows=v):
+        for gamma in regular_partitions_of_oracle(g, max_rows=v):
             s = regular_skew_schur(gamma, (), v)
             _add_pairs(diag, s, s)
     lhs = {e: c for e, c in _dict_product(pair_sum, diag).items() if sum(e[:v]) <= max_degree}

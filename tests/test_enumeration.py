@@ -16,7 +16,6 @@ from cyltab.enumeration import (
     enumerate_regular_ssyt,
     enumerate_ssct,
     regular_normalize,
-    regular_partitions_of,
     regular_skew_schur,
     schur_poly,
     skew_reduction_cross_check,
@@ -657,7 +656,7 @@ class TestRegular:
     def test_ssyt_matches_the_oracle_sweep(self):
         # same fillings in the same order: every inner inside every outer of at
         # most 7 boxes, 0-3 letters
-        sizes = [p for size in range(8) for p in regular_partitions_of(size)]
+        sizes = [p for size in range(8) for p in regular_partitions_of_oracle(size)]
         cases = 0
         for outer, inner in product(sizes, repeat=2):
             if len(inner) <= len(outer) and all(p <= q for p, q in zip(inner, outer)):
@@ -666,12 +665,6 @@ class TestRegular:
                     assert list(enumerate_regular_ssyt(outer, inner, v)) == want, (outer, inner, v)
                     cases += 1
         assert cases == 1796
-
-    def test_partitions_of(self):
-        assert regular_partitions_of(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-        assert regular_partitions_of(0) == [()]
-        assert regular_partitions_of(3, max_rows=2) == [(3,), (2, 1)]
-        assert regular_partitions_of(3, max_rows=0) == []
 
     def test_windows_with_no_parts_meet_only_a_zero_total(self):
         assert list(_windows((), (), 0)) == [()]
@@ -704,7 +697,9 @@ class TestRegular:
                 cases += 1
         for size in range(9):
             for max_rows in (None, 1, 2, 3):
-                assert regular_partitions_of(size, max_rows) == regular_partitions_of_oracle(size, max_rows)
+                rows = size if max_rows is None else max_rows
+                want = sorted(regular_partitions_of_oracle(size, max_rows))
+                assert regular((0,) * rows, (size,) * rows, size) == want
                 cases += 1
         assert cases == 14 * 14 * 4 + 9 * 4
 

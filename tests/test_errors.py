@@ -73,3 +73,53 @@ def test_every_integer_argument_refuses_an_int_enum_member(call, error, message)
         call(Two.TWO)
     assert (type(info.value).__name__, str(info.value)) == (error, message)
     assert call(2) is not None
+
+
+ONE_BOX = cyltab.SkewShape(cyltab.CylPartition(K2N4, (1, 0)), ZERO)
+ONE = cyltab.tableau_validate(ONE_BOX, [[1], []])
+ARR_ZERO = cyltab.arrangement(ZERO)  # counts (2, 0)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: cyltab.tableau_validate(ONE_BOX, [["a"], []]), "TableauError"),
+        (lambda: cyltab.tableau_validate(ONE_BOX, [[1.5], []]), "TableauError"),
+        (lambda: cyltab.tableau_validate(ONE_BOX, [[True], []]), "TableauError"),
+        (lambda: cyltab.flip_tableau(ONE, 2.5), "TableauError"),
+        (lambda: cyltab.Box("a", 1), "GeometryError"),
+        (lambda: cyltab.full_multi(ONE, [cyltab.Box("a", 1)]), "GeometryError"),
+        (lambda: cyltab.project(cyltab.Point(1.5, 0), K2N4), "GeometryError"),
+        (lambda: cyltab.regular_skew_schur(("a",), (), 2), "GeometryError"),
+        (lambda: cyltab.verify_skew_reduction((1.5,), (), 1, 1), "GeometryError"),
+        (
+            lambda: cyltab.game_to_tableau(ZERO, cyltab.MarbleGame(ARR_ZERO, (("a", "b"),))),
+            "InvalidTurn",
+        ),
+        (lambda: cyltab.Arrangement(K2N4, (True, 1)), "MarbleError"),
+        (lambda: cyltab.lift_word(("a", "b")), "WordError"),
+        (lambda: cyltab.word_transform((1.0, 2)), "WordError"),
+        (lambda: cyltab.connect(("a", "b"), ("b", "a")), "WordError"),
+    ],
+    ids=[
+        "str_entry",
+        "float_entry",
+        "bool_entry",
+        "flip_bound",
+        "box",
+        "full_multi_box",
+        "point",
+        "regular_skew_schur",
+        "verify_skew_reduction",
+        "decode_turn",
+        "arrangement",
+        "lift_word",
+        "word_transform",
+        "connect",
+    ],
+)
+def test_every_entry_point_refuses_a_non_integer_with_its_error(call, error):
+    # Each of these used to return a value or fail with a raw TypeError.
+    with pytest.raises(CyltabError) as info:
+        call()
+    assert type(info.value).__name__ == error
