@@ -105,6 +105,8 @@ def game_validate(game: MarbleGame) -> bool:
 def final_arrangement(game: MarbleGame) -> Arrangement:
     counts = list(game.initial.counts)
     for turn in game.turns:
+        if not exact_ints(*turn):
+            raise MarbleError(f"turn {turn} has a non-integer entry")
         _pass_marbles(counts, turn)
     return Arrangement(game.params, tuple(counts))
 

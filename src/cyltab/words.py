@@ -12,7 +12,6 @@ each move's pattern as it applies the move in place on one list buffer.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache, lru_cache
 from typing import Iterable, Iterator
 
@@ -53,6 +52,11 @@ class Move(Record):
     kind: str
     pos: int = 0
 
+    def __post_init__(self) -> None:
+        # Any kind is kept, so that replay reports an unknown one where it occurs.
+        if not exact_ints(self.pos):
+            raise WordError(f"move position must be an integer, got {self.pos!r}")
+
 
 @cache
 def _move(kind: str, pos: int) -> Move:
@@ -87,7 +91,11 @@ _FLIP = {KPRIME: KPRIME_INV, KPRIME_INV: KPRIME, KDPRIME: KDPRIME_INV, KDPRIME_I
 def _apply(buf: list[int], moves: Iterable[Move]) -> None:
     """Apply moves to buf in place, checking each; a run of rotations is one slice."""
     m, shift = len(buf), 0
+    rotate = _ROTATE if m else None  # the empty word's rotations take the checked path
     for mv in moves:
+        if mv is rotate:
+            shift += 1
+            continue
         kind = mv.kind
         if kind == ROTATE:
             if not m:
@@ -101,7 +109,7 @@ def _apply(buf: list[int], moves: Iterable[Move]) -> None:
         p = mv.pos
         if not 0 <= p <= m - 3:
             raise PatternMismatch(p, f"no letter triple at {p} in a word of length {m}")
-        a, b, c = buf[p : p + 3]
+        a, b, c = buf[p], buf[p + 1], buf[p + 2]  # not a slice, which builds a list
         if kind == KPRIME and c < a <= b or kind == KPRIME_INV and b < a <= c:
             buf[p + 1], buf[p + 2] = c, b  # y z x <-> y x z
         elif kind == KDPRIME and a <= c < b or kind == KDPRIME_INV and b <= c < a:
@@ -124,6 +132,7 @@ def _replay(w: Word, moves: Iterable[Move]) -> Word:
 
 def apply_move(w: Word, move: Move) -> Word:
     """Apply one move, checking its pattern precondition."""
+    _require_letters(w)
     return _replay(w, (move,))
 
 
@@ -141,6 +150,7 @@ def inverse_moves(moves: tuple[Move, ...] | list[Move], length: int) -> list[Mov
 
 def applicable_moves(w: Word) -> list[Move]:
     """Every move that the checked applier accepts on w; rotation always is."""
+    _require_letters(w)
     out = [_ROTATE]
     for p in range(len(w) - 2):
         for kind in _PATTERNS:  # the triple moves, in MOVE_KINDS order
@@ -168,11 +178,18 @@ def _check_permutation(w: Word) -> None:
 def monovariant(w: Word) -> int:
     """Positional number N(w): digit l is the position of letter l, base m + 1."""
     _check_permutation(w)
-    m = len(w)
-    pos = {letter: i + 1 for i, letter in enumerate(w)}
+    return _monovariant(w)
+
+
+def _monovariant(p: Word | list[int]) -> int:
+    """monovariant(p), for a permutation its caller has checked."""
+    m = len(p)
+    pos = [0] * (m + 1)
+    for i, letter in enumerate(p, start=1):
+        pos[letter] = i
     n = 0
-    for letter in range(1, m + 1):
-        n = n * (m + 1) + pos[letter]
+    for i in pos[1:]:
+        n = n * (m + 1) + i
     return n
 
 
@@ -187,57 +204,70 @@ class TransformResult(Record):
         return tuple(w for w, c in zip(self.words, self.critical) if c)
 
 
-def _find_switch(w: Word | list[int], start: int = 1) -> tuple[int, tuple[Move, ...]] | None:
-    """The leftmost catalyzed switch from 1-based position start on, and its moves.
+@cache
+def _switch_moves(m: int) -> tuple[tuple, list, list]:
+    """The moves of every switch on words of length m, built once per length.
 
-    Pair i's neighbors are w[i - 2] (a Kprime catalyst) and w[i + 1 - m] (a Kdprime
-    one), cyclically; the anchor pair i = 1 tries the right one first, then rotates
-    1 back to the front.  A switch at i changes letters i - 1 and i, read only by
-    pairs i - 2 .. i + 2 and, for the last letter, pair 1: resuming at max(1, i - 2),
-    or at 1 if i == m - 1, finds the same leftmost switch as a full rescan.
+    anchor holds the anchor pair's two realizations, right catalyst first;
+    left[i] and right[i] (i >= 2) hold pair i's Kprime and Kdprime switches,
+    indexed by whether its letters increase.
     """
-    m = len(w)
-    for i in range(start, m):
-        a, b = w[i - 1], w[i]
-        lo, hi = (a, b) if a < b else (b, a)
-        if i == 1:
-            if 2 < m and lo < w[2] < hi:
-                return 1, (_move(KDPRIME, 0),) + (_ROTATE,) * (m - 1)
-            if lo < w[-1] < hi:
-                return 1, (_ROTATE, _move(KPRIME_INV, 0)) + (_ROTATE,) * (m - 2)
-        elif lo < w[i - 2] < hi:
-            return i, (_move(KPRIME if a > b else KPRIME_INV, i - 2),)
-        elif lo < w[i + 1 - m] < hi:
-            return i, (_move(KDPRIME if a < b else KDPRIME_INV, i - 1),)
-    return None
+    anchor = (
+        (_move(KDPRIME, 0),) + (_ROTATE,) * (m - 1),
+        (_ROTATE, _move(KPRIME_INV, 0)) + (_ROTATE,) * (m - 2),
+    )
+    pairs = range(2, m)
+    left = [(), ()] + [((_move(KPRIME, i - 2),), (_move(KPRIME_INV, i - 2),)) for i in pairs]
+    right = [(), ()] + [((_move(KDPRIME_INV, i - 1),), (_move(KDPRIME, i - 1),)) for i in pairs]
+    return anchor, left, right
 
 
 def _switches(p: list[int]) -> Iterator[tuple[int, tuple[Move, ...]]]:
     """(position, moves) for each leftmost switch sorting p to 1 2 .. m in place.
 
     p is anchored with 1 first, and holds the word after the switch when it
-    is yielded.  A switch at i != 1 is followed by one at i - 1 or i - 2, so
-    a run of non-anchor switches is at most m - 1 long; one longer than m
-    means the scan has stopped making progress.
+    is yielded.  Pair i's neighbors are p[i - 2] (a Kprime catalyst) and
+    p[i + 1 - m] (a Kdprime one), cyclically; the anchor pair i = 1 tries the
+    right one first, then rotates 1 back to the front.  A switch at i
+    changes letters i - 1 and i, read only by pairs i - 2 .. i + 2 and, for
+    the last letter, pair 1: resuming at max(1, i - 2), or at 1 if
+    i == m - 1, finds the same leftmost switch as a full rescan, so a scan
+    that runs off the end has found none.  A switch at i != 1 is followed by
+    one at i - 1 or i - 2, so a run of non-anchor switches is at most m - 1
+    long; one longer than m means the scan has stopped making progress.
     """
     m = len(p)
-    identity = list(range(1, m + 1))
-    start, run = 1, 0
-    while p != identity:
-        found = _find_switch(p, start)
-        if found is None:
-            raise AssertionError(f"no switch available on {tuple(p)}")
-        i, moves = found
+    anchor, left, right = _switch_moves(m)
+    i, run = 1, 0
+    while i < m:
+        a, b = p[i - 1], p[i]
+        lo, hi = (a, b) if a < b else (b, a)
         if i == 1:
+            if 2 < m and lo < p[2] < hi:
+                moves = anchor[0]
+            elif lo < p[-1] < hi:
+                moves = anchor[1]
+            else:
+                i = 2
+                continue
             p.append(p.pop(1))  # 1 x rest -> x 1 rest, re-anchored: 1 rest x
             run = 0
         else:
-            p[i - 1], p[i] = p[i], p[i - 1]
+            if lo < p[i - 2] < hi:
+                moves = left[i][a < b]
+            elif lo < p[i + 1 - m] < hi:
+                moves = right[i][a < b]
+            else:
+                i += 1
+                continue
+            p[i - 1], p[i] = b, a
             run += 1
             if run > m:
                 raise AssertionError("switch scan failed to make progress")
         yield i, moves
-        start = 1 if i == m - 1 else max(1, i - 2)
+        i = i - 2 if 3 < i < m - 1 else 1
+    if p != list(range(1, m + 1)):
+        raise AssertionError(f"no switch available on {tuple(p)}")
 
 
 def word_transform(w: Word) -> TransformResult:
@@ -255,17 +285,15 @@ def word_transform(w: Word) -> TransformResult:
     buf = list(w[j:] + w[:j])
     positions: list[int] = []
     words: list[Word] = []
-    critical: list[bool] = []
     for i, switch in _switches(buf):
         moves += switch
         positions.append(i)
         words.append(tuple(buf))
-        critical.append(i == 1)
     return TransformResult(
         Certificate(w, tuple(moves), tuple(buf)),
         tuple(positions),
         tuple(words),
-        tuple(critical),
+        tuple([i == 1 for i in positions]),
     )
 
 
@@ -288,14 +316,23 @@ def lift_word(w: Word) -> LiftedWord:
     if not w:
         raise WordError("word must be nonempty")
     _require_letters(w)
+    p, t, s = _lift(w)
+    return LiftedWord(tuple(p), t, s)
+
+
+def _lift(w: Word | list[int]) -> tuple[list[int], int, int]:
+    """lift_word's permutation, anchor and smallest letter, for letters its caller has checked.
+
+    Listing the indices from t - 1 on, cyclically, puts equal letters in the
+    order of their perturbations, which a stable sort by letter keeps.
+    """
     m = len(w)
     s = min(w)
     t = next((i for i in range(m) if w[i] == s != w[i - 1]), 0) + 1
-    order = sorted(range(m), key=lambda i: (w[i], (i + 1 - t) % m))
     p = [0] * m
-    for rank, i in enumerate(order, start=1):
+    for rank, i in enumerate(sorted([*range(t - 1, m), *range(t - 1)], key=w.__getitem__), start=1):
         p[i] = rank
-    return LiftedWord(tuple(p), t, s)
+    return p, t, s
 
 
 @lru_cache(maxsize=4096)
@@ -308,32 +345,34 @@ def _sorting_moves(w: Word) -> tuple[Move, ...]:
     word aligned with increasing permutation values, without which a carried
     switch can demand a catalyst equal to one of the switched letters, which
     the move preconditions forbid.  The word is carried in one list, and
-    every move is checked on it as it is applied in place; the lift
-    monovariant strictly decreases from stretch to stretch, which bounds the
-    loop.  The moves are the shared instances of _move, so a cached path
-    holds no Move objects of its own.
+    each stretch's moves are checked on it, in order, as they are applied in
+    place; the lift monovariant strictly decreases from stretch to stretch,
+    which bounds the loop.  The letters are checked by the caller, once.
+    The moves are the shared instances of _move, so a cached path holds no
+    Move objects of its own.
     """
     u = list(w)
     m = len(w)
     moves: list[Move] = []
     prev_phi: int | None = None
     while True:
-        p = lift_word(u).permutation
+        p = _lift(u)[0]
         j = p.index(1)
-        p, rotations = p[j:] + p[:j], (_ROTATE,) * ((m - j) % m)
-        _apply(u, rotations)
-        moves += rotations
-        phi = monovariant(p)
+        p = p[j:] + p[:j]
+        phi = _monovariant(p)
         if prev_phi is not None and phi >= prev_phi:
             raise AssertionError("lift monovariant failed to decrease")
         prev_phi = phi
+        mark = len(moves)
+        moves += (_ROTATE,) * ((m - j) % m)
         # A stretch ends at its first anchor-pair switch, or the sort is done.
-        for i, switch in _switches(list(p)):
-            _apply(u, switch)
+        i = 0
+        for i, switch in _switches(p):
             moves += switch
             if i == 1:
                 break
-        else:
+        _apply(u, moves[mark:])
+        if i != 1:
             break
     if u != sorted(w):
         raise AssertionError(f"sorting {w} ended at {tuple(u)}")
@@ -349,7 +388,7 @@ def connect(w: Word, v: Word) -> Certificate:
     """
     w, v = tuple(w), tuple(v)
     _require_letters(w + v)
-    if Counter(w) != Counter(v):
+    if sorted(w) != sorted(v):
         raise NotSameMultiset(f"{v} is not a rearrangement of {w}")
     if w == v:
         return Certificate(w, (), v)

@@ -19,9 +19,9 @@ from cyltab.words import (
     PatternMismatch,
     ROTATE,
     WordError,
-    _find_switch,
     _move,
     _sorting_moves,
+    _switches,
     applicable_moves,
     apply_move,
     connect,
@@ -193,23 +193,25 @@ class TestWordTransform:
 
     @pytest.mark.parametrize("m", [4, 9])
     def test_stalled_switch_scan_is_stopped(self, monkeypatch, m):
-        # 1 2 .. m-2 m m-1 switches only at m - 2; reporting that pair again
-        # and again swaps it back and forth, each swap a valid move, so only
-        # the bound of m non-anchor switches in a row stops the sort.
+        # 1 2 .. m-2 m m-1 switches only at m - 2.  A word whose item
+        # assignment does nothing never takes that switch, so the scan finds
+        # it again and again, and only the bound of m non-anchor switches in
+        # a row stops the sort.
         w = tuple(range(1, m - 1)) + (m, m - 1)
-        assert _find_switch(w)[0] == m - 2
-        calls = []
+        assert next(_switches(list(w)))[0] == m - 2
+        swaps = []
 
-        def stalled(p, start=1):
-            calls.append(p)
-            return _find_switch(p, m - 2)
+        class Stuck(list):
+            def __setitem__(self, index, value):
+                swaps.append(index)
 
-        monkeypatch.setattr("cyltab.words._find_switch", stalled)
+        real = _switches
+        monkeypatch.setattr("cyltab.words._switches", lambda p: real(Stuck(p)))
         for sort in (word_transform, _sorting_moves.__wrapped__):
-            calls.clear()
+            swaps.clear()
             with pytest.raises(AssertionError, match="failed to make progress"):
                 sort(w)
-            assert len(calls) == m + 1
+            assert swaps == [m - 3, m - 2] * (m + 1)
 
     def test_rejects_non_permutation(self):
         with pytest.raises(NotAPermutation):
@@ -335,12 +337,18 @@ class TestFastPathsMatchOracles:
         assert count == 5913
 
     def test_switch_scan_on_criterion_7_permutations(self):
-        # One scan finds the leftmost switch and the moves that realize it.
+        # The scan's first switch is the leftmost one, with the moves that realize it.
         count = 0
         for w in knuth_permutations():
             i = find_switch_oracle(w)
-            expected = None if i is None else (i, tuple(_switch_moves_oracle(w, i)))
-            assert _find_switch(w) == expected
+            scan = _switches(list(w))
+            if i is not None:
+                assert next(scan) == (i, tuple(_switch_moves_oracle(w, i)))
+            elif w == tuple(range(1, len(w) + 1)):
+                assert list(scan) == []
+            else:
+                with pytest.raises(AssertionError, match=r"^no switch available on "):
+                    next(scan)
             count += 1
         assert count == 5913
 
