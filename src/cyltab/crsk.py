@@ -41,16 +41,17 @@ def crsk(t: CylTableau, u: CylTableau) -> CrskOutput:
     """Map a pair of tableaux sharing an inner shape to a pair sharing an outer one.
 
     The letters of u are consumed in increasing order; each letter's strip of
-    per-row counts is multi-inserted into one working state (initially t), and
-    the boxes its outer shape gains at the row ends are recorded in q under
-    that letter.  p and q are built, so validated, once.  Weights are preserved.
+    per-row counts is multi-inserted, with no step log, into one working state
+    (initially t), and the boxes its outer shape gains at the row ends are
+    recorded in q under that letter.  p and q are built, so validated, once.
+    Weights are preserved.
     """
     _check_same("inner", t.inner, u.inner, MismatchedInnerShapes)
     st = TableauState.from_tableau(t)
     q_rows: list[list[int]] = [[] for _ in st.lam]
     for i, counts in sorted(strip_counts(u).items()):
         before = list(st.lam)
-        _insert_strip(st, counts, 0, [])
+        _insert_strip(st, counts)
         for row, a, b in zip(q_rows, before, st.lam):
             row += [i] * (b - a)
     p = st.to_tableau()
@@ -60,15 +61,16 @@ def crsk(t: CylTableau, u: CylTableau) -> CrskOutput:
 def crsk_inverse(p: CylTableau, q: CylTableau) -> CrskInput:
     """Invert crsk: peel the letters of q in decreasing order out of one working state.
 
-    The boxes each letter's strip sheds from the row starts of the inner shape
-    are recorded in u under it; t and u are built, so validated, once.
+    Each strip is reverse-inserted with no step log; the boxes it sheds from
+    the row starts of the inner shape are recorded in u under its letter.  t
+    and u are built, so validated, once.
     """
     _check_same("outer", p.outer, q.outer, MismatchedOuterShapes)
     st = TableauState.from_tableau(p)
     u_rows: list[list[int]] = [[] for _ in st.mu]
     for i, counts in sorted(strip_counts(q).items(), reverse=True):
         before = list(st.mu)
-        _remove_strip(st, counts, 0, [])
+        _remove_strip(st, counts)
         for row, a, b in zip(u_rows, st.mu, before):
             row[:0] = [i] * (b - a)
     t = st.to_tableau()

@@ -5,9 +5,10 @@ bumps the displaced entries downward row by row, driven by a FIFO queue of
 (letter, row) pairs.  Every seed, bump and landing is one tuple of a flat
 step log; the bumping routes (the chain of plane points each displaced box
 travels through, always trending weakly left), the successive queues and
-the events are derived from that log when they are read.  The core
-`_insert_strip` works in place on one `TableauState` and takes the strip as
-per-row counts; `full_multi` checks a `Box` list, converts it and wraps it.
+the events are derived from that log when they are read.  `full_multi`
+checks a `Box` list, converts it to per-row counts and runs the logged
+seeding and cascade on one `TableauState`; `_insert_strip`, the core the
+correspondence calls, does the same in place from row 0 and keeps no log.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from bisect import bisect_right
 from operator import le
 from typing import Iterable, Sequence
 
-from .errors import Record
+from .errors import Record, exact_ints
 from .geometry import Box, CylParams, CylPartition, Point, SkewShape, lift
 from .tableau import CylTableau, TableauError
 
@@ -305,6 +306,8 @@ def _seed_forward(
     st: TableauState, counts: Sequence[int], seed_row: int, log: list[Step]
 ) -> list[tuple[int, int, int, int]]:
     """Absorb counts[r] boxes into row r, each at column mu[r] + 1, from seed_row on."""
+    if not exact_ints(seed_row):
+        raise PreconditionViolated(f"seed_row must be an integer, got {seed_row!r}")
     k = st.params.k
     rows, mu, lam = st.rows, st.mu, st.lam
     nu = [m + c for m, c in zip(mu, counts)]
@@ -325,9 +328,36 @@ def _seed_forward(
     return queue
 
 
-def _insert_strip(st: TableauState, counts: Sequence[int], seed_row: int, log: list) -> tuple:
-    """Multi-insert a strip of counts[r] boxes per row into st in place; return the rounds."""
-    return _cascade(st, _seed_forward(st, counts, seed_row, log), log, _forward_round)
+def _insert_strip(st: TableauState, counts: Sequence[int]) -> None:
+    """Multi-insert a strip of counts[r] boxes per row into st in place, from row 0.
+
+    The log-free twin of _seed_forward and _cascade: the same seeds and bumps
+    in the same order, with each queued item just (letter, row).  The queue
+    grows as it is read, so every round follows the one before it.
+    """
+    k = st.params.k
+    rows, mu, lam = st.rows, st.mu, st.lam
+    nu = [m + c for m, c in zip(mu, counts)]
+    _check_strip(st.params, mu, nu, nu, "inner shape plus boxes", PreconditionViolated)
+    below = [*range(1, k), 0]
+    queue: list[tuple[int, int]] = []
+    for r, c in enumerate(counts):
+        if c:
+            row = rows[r]
+            seeds = min(c, len(row))  # entries displaced; boxes past them join both shapes
+            queue += [(x, below[r]) for x in row[:seeds]]
+            del row[:seeds]
+            mu[r] += c
+            lam[r] += c - seeds
+    for x, r in queue:
+        row = rows[r]
+        idx = bisect_right(row, x)
+        if idx == len(row):
+            row.append(x)
+            lam[r] += 1
+        else:
+            queue.append((row[idx], below[r]))
+            row[idx] = x
 
 
 def full_multi(t: CylTableau, boxes: Iterable[Box], seed_row: int = 0) -> MultiInsertResult:
@@ -342,7 +372,8 @@ def full_multi(t: CylTableau, boxes: Iterable[Box], seed_row: int = 0) -> MultiI
     """
     log: list[Step] = []
     st = TableauState.from_tableau(t)
-    rounds = _insert_strip(st, _strip_into_inner(st.params, st.mu, boxes), seed_row, log)
+    queue = _seed_forward(st, _strip_into_inner(st.params, st.mu, boxes), seed_row, log)
+    rounds = _cascade(st, queue, log, _forward_round)
     result = st.to_tableau()
     # The new set is measured against the outer shape of the input tableau,
     # so boxes absorbed degenerately during seeding count as new.

@@ -131,6 +131,10 @@ class IdentityReport(Record, derived=("equal", "mismatches")):
     mismatches: tuple[tuple[tuple[int, ...], int, int], ...]
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.lhs, SparsePolynomial) and isinstance(self.rhs, SparsePolynomial)):
+            sides = f"{type(self.lhs).__name__} and {type(self.rhs).__name__}"
+            raise PolynomialError(f"both sides must be polynomials, got {sides}")
+        self.lhs._check(self.rhs)  # sides in different variables would compare vacuously
         bad = []
         lhs, rhs = self.lhs._coeffs, self.rhs._coeffs
         if self.lhs is not self.rhs and lhs != rhs:

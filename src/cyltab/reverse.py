@@ -2,9 +2,11 @@
 
 A horizontal strip is removed from the outer shape and the displaced entries
 bump upward, each chain landing on the inner frontier.  Reverse routes
-retrace the forward routes point for point, in reverse order.  The core
-`_remove_strip` works in place on one `TableauState` and takes the strip as
-per-row counts; `reverse_full_multi` checks a `Box` list, converts it and wraps it.
+retrace the forward routes point for point, in reverse order.
+`reverse_full_multi` checks a `Box` list, converts it to per-row counts and
+runs the logged seeding and cascade on one `TableauState`; `_remove_strip`,
+the core the inverse correspondence calls, does the same in place from row 0
+and keeps no log.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from bisect import bisect_left
 from operator import ge
 from typing import Iterable, Sequence
 
-from .errors import Record
+from .errors import Record, exact_ints
 # `lift` is no longer called here but stays a module name: bench/tracer.py rebinds it.
 from .geometry import Box, CylParams, SkewShape, lift  # noqa: F401
 from .insertion import (
@@ -133,6 +135,8 @@ def _seed_reverse(
     st: TableauState, counts: Sequence[int], seed_row: int, log: list[Step]
 ) -> list[tuple[int, int, int, int]]:
     """Peel counts[r] boxes off row r, each at column lam[r], from seed_row downward."""
+    if not exact_ints(seed_row):
+        raise ReversePreconditionViolated(f"seed_row must be an integer, got {seed_row!r}")
     k = st.params.k
     rows, mu, lam = st.rows, st.mu, st.lam
     xi = [m - c for m, c in zip(lam, counts)]
@@ -154,9 +158,36 @@ def _seed_reverse(
     return queue
 
 
-def _remove_strip(st: TableauState, counts: Sequence[int], seed_row: int, log: list) -> tuple:
-    """Reverse-insert a strip of counts[r] boxes per row out of st in place; return the rounds."""
-    return _cascade(st, _seed_reverse(st, counts, seed_row, log), log, _reverse_round)
+def _remove_strip(st: TableauState, counts: Sequence[int]) -> None:
+    """Reverse-insert a strip of counts[r] boxes per row out of st in place, from row 0.
+
+    The log-free twin of _seed_reverse and _cascade: the same seeds and bumps
+    in the same order, with each queued item just (letter, row).  Rows are
+    peeled 0, k - 1, ..., 1, and the queue grows as it is read.
+    """
+    k = st.params.k
+    rows, mu, lam = st.rows, st.mu, st.lam
+    xi = [m - c for m, c in zip(lam, counts)]
+    _check_strip(st.params, xi, lam, xi, "outer shape minus boxes", ReversePreconditionViolated)
+    above = [k - 1, *range(k - 1)]
+    queue: list[tuple[int, int]] = []
+    for r in (0, *range(k - 1, 0, -1)):
+        c = counts[r]
+        if c:
+            row = rows[r]
+            seeds = min(c, len(row))  # entries displaced, last first; boxes past them leave both
+            queue += [(row.pop(), above[r]) for _ in range(seeds)]
+            lam[r] -= c
+            mu[r] -= c - seeds
+    for x, r in queue:
+        row = rows[r]
+        idx = bisect_left(row, x) - 1
+        if idx < 0:
+            mu[r] -= 1
+            row.insert(0, x)
+        else:
+            queue.append((row[idx], above[r]))
+            row[idx] = x
 
 
 def seed_reverse_multi(
@@ -180,7 +211,8 @@ def reverse_full_multi(
     """
     log: list[Step] = []
     st = TableauState.from_tableau(t)
-    rounds = _remove_strip(st, _strip_from_outer(st.params, st.lam, boxes), seed_row, log)
+    queue = _seed_reverse(st, _strip_from_outer(st.params, st.lam, boxes), seed_row, log)
+    rounds = _cascade(st, queue, log, _reverse_round)
     result = st.to_tableau()
     # Measured against the inner shape of the input tableau, so boxes shed
     # degenerately during seeding count as part of the reverse new set.

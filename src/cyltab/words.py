@@ -123,16 +123,18 @@ def _apply(buf: list[int], moves: Iterable[Move]) -> None:
         buf[:] = buf[-s:] + buf[:-s]
 
 
-def _replay(w: Word, moves: Iterable[Move]) -> Word:
-    """Apply moves in order to a copy of w, checking each."""
-    buf = list(w)
-    _apply(buf, moves)
+def _replay(w: Iterable[int], moves: Iterable[Move]) -> Word:
+    """Apply moves in order to a copy of w, checking w's letters once and each move."""
+    buf = list(_word(w))
+    try:
+        _apply(buf, moves)
+    except (AttributeError, TypeError) as e:  # a move that is not a Move
+        raise WordError(f"moves must be Move records: {e}") from None
     return tuple(buf)
 
 
 def apply_move(w: Word, move: Move) -> Word:
     """Apply one move, checking its pattern precondition."""
-    _require_letters(w)
     return _replay(w, (move,))
 
 
@@ -150,7 +152,7 @@ def inverse_moves(moves: tuple[Move, ...] | list[Move], length: int) -> list[Mov
 
 def applicable_moves(w: Word) -> list[Move]:
     """Every move that the checked applier accepts on w; rotation always is."""
-    _require_letters(w)
+    w = _word(w)
     out = [_ROTATE]
     for p in range(len(w) - 2):
         for kind in _PATTERNS:  # the triple moves, in MOVE_KINDS order
@@ -162,23 +164,29 @@ def applicable_moves(w: Word) -> list[Move]:
     return out
 
 
-def _require_letters(w: Word) -> None:
-    """Raise WordError at the first letter of w that is not an exact integer."""
+def _word(w: Iterable[int]) -> Word:
+    """w as a tuple; WordError if it is not iterable or at its first non-integer letter."""
+    try:
+        w = tuple(w)
+    except TypeError:
+        raise WordError(f"a word must be a sequence of integers, got {w!r}") from None
     if not exact_ints(*w):
         bad = next(a for a in w if not exact_ints(a))
         raise WordError(f"letters must be integers, got {bad!r}")
+    return w
 
 
-def _check_permutation(w: Word) -> None:
-    _require_letters(w)
+def _permutation(w: Iterable[int]) -> Word:
+    """w as a tuple; WordError unless it is a permutation of 1..m."""
+    w = _word(w)
     if sorted(w) != list(range(1, len(w) + 1)):
         raise NotAPermutation(f"{w} is not a permutation of 1..{len(w)}")
+    return w
 
 
 def monovariant(w: Word) -> int:
     """Positional number N(w): digit l is the position of letter l, base m + 1."""
-    _check_permutation(w)
-    return _monovariant(w)
+    return _monovariant(_permutation(w))
 
 
 def _monovariant(p: Word | list[int]) -> int:
@@ -278,8 +286,7 @@ def word_transform(w: Word) -> TransformResult:
     critical.  The positional monovariant strictly decreases from one
     critical word to the next, which certifies termination.
     """
-    w = tuple(w)
-    _check_permutation(w)
+    w = _permutation(w)
     j = w.index(1) if w else 0
     moves = [_ROTATE] * (len(w) - j if j else 0)
     buf = list(w[j:] + w[:j])
@@ -315,8 +322,7 @@ def lift_word(w: Word) -> LiftedWord:
     """
     if not w:
         raise WordError("word must be nonempty")
-    _require_letters(w)
-    p, t, s = _lift(w)
+    p, t, s = _lift(_word(w))
     return LiftedWord(tuple(p), t, s)
 
 
@@ -386,8 +392,7 @@ def connect(w: Word, v: Word) -> Certificate:
     w's sorting path with the inverse of v's.  Every emitted move satisfies
     the pattern preconditions on the original words.
     """
-    w, v = tuple(w), tuple(v)
-    _require_letters(w + v)
+    w, v = _word(w), _word(v)
     if sorted(w) != sorted(v):
         raise NotSameMultiset(f"{v} is not a rearrangement of {w}")
     if w == v:

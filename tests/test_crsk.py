@@ -4,17 +4,21 @@ import pytest
 
 from cyltab.crsk import MismatchedInnerShapes, MismatchedOuterShapes, crsk, crsk_inverse
 from cyltab.enumeration import enumerate_outer, enumerate_ssct
-from cyltab.geometry import CylParams, CylPartition, SkewShape
-from cyltab.insertion import full_multi
-from cyltab.reverse import reverse_full_multi
+from cyltab.geometry import Box, CylParams, CylPartition, SkewShape
+from cyltab.insertion import InsertionError, TableauState, _insert_strip, full_multi
+from cyltab.reverse import _remove_strip, reverse_full_multi
 from cyltab.tableau import empty_tableau, tableau_validate, weight
 from sweeps import (
+    addable_strips,
     anchored_partitions,
     crsk_criterion_4_instances,
     crsk_inverse_per_batch_oracle,
     crsk_per_batch_oracle,
     from_box_entries,
+    iter_params,
+    iter_tableaux,
     random_crsk_pairs,
+    removable_strips,
 )
 
 K3N6 = CylParams(3, 6)
@@ -165,10 +169,9 @@ class TestSweep:
         states = []
 
         def checked(core):
-            def run(st, boxes, seed_row, log):
-                rounds = core(st, boxes, seed_row, log)
+            def run(st, counts):
+                core(st, counts)
                 states.append(st.to_tableau())
-                return rounds
 
             return run
 
@@ -218,3 +221,45 @@ class TestPerBatchOracle:
         assert {t.params.k for t, _ in pairs} == {3, 4, 5}
         for t, u in pairs:
             self.check(t, u)
+
+
+def strip_counts_of(params, boxes):
+    return [sum(b.row == r for b in boxes) for r in range(params.k)]
+
+
+class TestLogFreeCores:
+    """crsk's log-free cores against the logged cascade of the public step API."""
+
+    def test_each_strip_gives_the_logged_result(self):
+        seen = 0
+        for params in iter_params(max_k=3, max_width=3):
+            for t in iter_tableaux(params, max_boxes=4, letters=2):
+                for strip in addable_strips(t.inner, 3):
+                    st = TableauState.from_tableau(t)
+                    _insert_strip(st, strip_counts_of(params, strip))
+                    assert st.to_tableau() == full_multi(t, strip).tableau
+                    seen += 1
+                for strip in removable_strips(t.outer, 3):
+                    st = TableauState.from_tableau(t)
+                    _remove_strip(st, strip_counts_of(params, strip))
+                    assert st.to_tableau() == reverse_full_multi(t, strip).tableau
+                    seen += 1
+        assert seen == 5306
+
+    @pytest.mark.parametrize(
+        "logged, core, boxes",
+        [
+            (full_multi, _insert_strip, [Box(1, 4), Box(2, 2), Box(2, 3), Box(2, 4)]),
+            (reverse_full_multi, _remove_strip, [Box(0, 7), Box(1, 4), Box(1, 5), Box(2, 4)]),
+        ],
+        ids=["forward", "reverse"],
+    )
+    def test_a_strip_that_is_not_horizontal_is_refused_alike(self, logged, core, boxes):
+        # Each strip stacks two boxes of T in column 4, in rows 1 and 2.
+        with pytest.raises(InsertionError) as expected:
+            logged(T, boxes)
+        st = TableauState.from_tableau(T)
+        with pytest.raises(InsertionError) as got:
+            core(st, strip_counts_of(K3N6, boxes))
+        assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+        assert str(got.value) == "boxes do not form a horizontal strip"

@@ -85,6 +85,8 @@ ONE_BOX = cyltab.SkewShape(cyltab.CylPartition(K2N4, (1, 0)), ZERO)
 ONE = cyltab.tableau_validate(ONE_BOX, [[1], []])
 ARR_ZERO = cyltab.arrangement(ZERO)  # counts (2, 0)
 STR_TURN = cyltab.MarbleGame(ARR_ZERO, (("a", "b"),))
+KDPRIME_0 = cyltab.Move("Kdprime", 0)
+ZERO_POLY_1, ZERO_POLY_2 = cyltab.SparsePolynomial.zero(1), cyltab.SparsePolynomial.zero(2)
 
 
 @pytest.mark.parametrize(
@@ -108,6 +110,12 @@ STR_TURN = cyltab.MarbleGame(ARR_ZERO, (("a", "b"),))
         (lambda: cyltab.applicable_moves(("a", "c", "b")), "WordError"),
         (lambda: cyltab.apply_move((1, 2.0, 3), cyltab.Move("Rotate")), "WordError"),
         (lambda: cyltab.Move("Kprime", 0.5), "WordError"),
+        (lambda: cyltab.Certificate(("a", "c", "b"), (KDPRIME_0,), ()).replay(), "WordError"),
+        (lambda: cyltab.full_multi(ONE, [], 0.5), "PreconditionViolated"),
+        (lambda: cyltab.full_multi(ONE, [], True), "PreconditionViolated"),
+        (lambda: cyltab.reverse_full_multi(ONE, [], 0.5), "ReversePreconditionViolated"),
+        (lambda: cyltab.seed_multi(ONE, [], "a"), "PreconditionViolated"),
+        (lambda: cyltab.seed_reverse_multi(ONE, [], True), "ReversePreconditionViolated"),
     ],
     ids=[
         "str_entry",
@@ -128,6 +136,12 @@ STR_TURN = cyltab.MarbleGame(ARR_ZERO, (("a", "b"),))
         "applicable_moves",
         "apply_move",
         "move_pos",
+        "replay_start",
+        "full_multi_seed_row",
+        "full_multi_bool_seed_row",
+        "reverse_full_multi_seed_row",
+        "seed_multi_seed_row",
+        "seed_reverse_multi_seed_row",
     ],
 )
 def test_every_entry_point_refuses_a_non_integer_with_its_error(call, error):
@@ -139,3 +153,29 @@ def test_every_entry_point_refuses_a_non_integer_with_its_error(call, error):
 
 def test_a_game_with_a_non_integer_turn_is_not_valid():
     assert cyltab.game_validate(STR_TURN) is False
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: cyltab.Certificate((1, 3, 2), (None,), ()).replay(), "WordError"),
+        (lambda: cyltab.Certificate(None, (), ()).replay(), "WordError"),
+        (lambda: cyltab.apply_move((1, 2, 3), None), "WordError"),
+        (lambda: cyltab.connect(None, None), "WordError"),
+        (lambda: cyltab.IdentityReport(1, 2), "PolynomialError"),
+        (lambda: cyltab.IdentityReport(ZERO_POLY_1, ZERO_POLY_2), "PolynomialError"),
+    ],
+    ids=[
+        "replay_move",
+        "replay_start",
+        "apply_move",
+        "connect",
+        "identity_report",
+        "identity_report_arity",
+    ],
+)
+def test_every_entry_point_refuses_an_argument_of_the_wrong_class(call, error):
+    # Each of these used to fail with a raw AttributeError or TypeError.
+    with pytest.raises(CyltabError) as info:
+        call()
+    assert type(info.value).__name__ == error
