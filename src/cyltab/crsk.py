@@ -48,12 +48,13 @@ def crsk(t: CylTableau, u: CylTableau) -> CrskOutput:
     """
     _check_same("inner", t.inner, u.inner, MismatchedInnerShapes)
     st = TableauState.from_tableau(t)
-    q_rows: list[list[int]] = [[] for _ in st.lam]
+    q_rows: list[list[int]] = [[] for _ in st.rows]
     for i, counts in sorted(strip_counts(u).items()):
-        before = list(st.lam)
+        before = [len(r) for r in st.rows]
         _insert_strip(st, counts)
-        for row, a, b in zip(q_rows, before, st.lam):
-            row += [i] * (b - a)
+        # Row r's outer end moves by its counts[r] new inner boxes plus its length change.
+        for row, c, a, r in zip(q_rows, counts, before, st.rows):
+            row += [i] * (c + len(r) - a)
     p = st.to_tableau()
     return CrskOutput(p, tableau_validate(SkewShape(p.outer, t.outer), q_rows), p.outer)
 

@@ -136,6 +136,8 @@ class CylPartition(Record):
 
     def part(self, m: int) -> int:
         """The m-th term of the bi-infinite sequence, any integer m."""
+        if not exact_ints(m):
+            raise GeometryError(f"part index must be an integer, got {m!r}")
         k = self.params.k
         r = m % k
         return self.window[r] - ((m - r) // k) * self.params.width

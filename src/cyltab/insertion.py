@@ -8,7 +8,8 @@ travels through, always trending weakly left), the successive queues and
 the events are derived from that log when they are read.  `full_multi`
 checks a `Box` list, converts it to per-row counts and runs the logged
 seeding and cascade on one `TableauState`; `_insert_strip`, the core the
-correspondence calls, does the same in place from row 0 and keeps no log.
+correspondence calls, does the same in place from row 0, unlogged and
+unchecked.
 """
 
 from __future__ import annotations
@@ -181,22 +182,19 @@ class TableauState(Record):
 
     params: CylParams
     mu: list[int]
-    lam: list[int]
     rows: list[list[int]]
+
+    @property
+    def lam(self) -> list[int]:
+        """The outer window, derived: row r ends at column mu[r] + len(rows[r])."""
+        return [m + len(r) for m, r in zip(self.mu, self.rows)]
 
     @staticmethod
     def from_tableau(t: CylTableau) -> "TableauState":
-        return TableauState(
-            t.params,
-            list(t.inner.window),
-            list(t.outer.window),
-            [list(r) for r in t.rows],
-        )
+        return TableauState(t.params, list(t.inner.window), [list(r) for r in t.rows])
 
     def copy(self) -> "TableauState":
-        return TableauState(
-            self.params, list(self.mu), list(self.lam), [list(r) for r in self.rows]
-        )
+        return TableauState(self.params, list(self.mu), [list(r) for r in self.rows])
 
     def to_tableau(self) -> CylTableau:
         shape = SkewShape(
@@ -276,15 +274,14 @@ def _forward_round(
     of the row if there is none.  Rows stay weakly increasing throughout.
     """
     k = st.params.k
-    rows, mu, lam = st.rows, st.mu, st.lam
+    rows, mu = st.rows, st.mu
     out = []
     for x, r, plane, rid in queue:
         row = rows[r]
         idx = bisect_right(row, x)
         if idx == len(row):
             row.append(x)
-            lam[r] += 1
-            log.append(("land", r, lam[r], plane, rid, x, None))
+            log.append(("land", r, mu[r] + len(row), plane, rid, x, None))
         else:
             bumped = row[idx]
             row[idx] = x
@@ -309,7 +306,7 @@ def _seed_forward(
     if not exact_ints(seed_row):
         raise PreconditionViolated(f"seed_row must be an integer, got {seed_row!r}")
     k = st.params.k
-    rows, mu, lam = st.rows, st.mu, st.lam
+    rows, mu = st.rows, st.mu
     nu = [m + c for m, c in zip(mu, counts)]
     _check_strip(st.params, mu, nu, nu, "inner shape plus boxes", PreconditionViolated)
     queue: list[tuple[int, int, int, int]] = []  # letter, row, plane row, route id
@@ -318,12 +315,11 @@ def _seed_forward(
         for _ in range(counts[r]):
             rid = len(log)
             mu[r] += 1
-            if mu[r] <= lam[r]:
+            if rows[r]:
                 x = rows[r].pop(0)
                 queue.append((x, (h + 1) % k, h + 1, rid))
                 log.append(("seed", r, mu[r], h, rid, None, x))
             else:
-                lam[r] += 1
                 log.append(("seed_out", r, mu[r], h, rid, None, None))
     return queue
 
@@ -333,28 +329,24 @@ def _insert_strip(st: TableauState, counts: Sequence[int]) -> None:
 
     The log-free twin of _seed_forward and _cascade: the same seeds and bumps
     in the same order, with each queued item just (letter, row).  The queue
-    grows as it is read, so every round follows the one before it.
+    grows as it is read, so every round follows the one before it.  Unlike
+    _seed_forward it does not check the strip: crsk passes only U's own strips.
     """
     k = st.params.k
-    rows, mu, lam = st.rows, st.mu, st.lam
-    nu = [m + c for m, c in zip(mu, counts)]
-    _check_strip(st.params, mu, nu, nu, "inner shape plus boxes", PreconditionViolated)
+    rows, mu = st.rows, st.mu
     below = [*range(1, k), 0]
     queue: list[tuple[int, int]] = []
     for r, c in enumerate(counts):
         if c:
             row = rows[r]
-            seeds = min(c, len(row))  # entries displaced; boxes past them join both shapes
-            queue += [(x, below[r]) for x in row[:seeds]]
-            del row[:seeds]
+            queue += [(x, below[r]) for x in row[:c]]  # boxes past row's end join both shapes
+            del row[:c]
             mu[r] += c
-            lam[r] += c - seeds
     for x, r in queue:
         row = rows[r]
         idx = bisect_right(row, x)
         if idx == len(row):
             row.append(x)
-            lam[r] += 1
         else:
             queue.append((row[idx], below[r]))
             row[idx] = x

@@ -63,8 +63,9 @@ class MarbleGame(Record):
 
 
 def _counts(alpha: CylPartition) -> tuple[int, ...]:
-    """The marble counts of arrangement(alpha), unchecked."""
-    return tuple([alpha.part(i - 1) - alpha.part(i) for i in range(alpha.params.k)])
+    """The marble counts of arrangement(alpha), unchecked, read off its window."""
+    w = alpha.window
+    return (w[-1] + alpha.params.width - w[0], *[a - b for a, b in zip(w, w[1:])])
 
 
 def arrangement(alpha: CylPartition) -> Arrangement:
@@ -74,6 +75,8 @@ def arrangement(alpha: CylPartition) -> Arrangement:
 
 def _pass_marbles(counts: list[int], turn: tuple[int, ...]) -> None:
     """Play one turn on a list of counts in place, raising MarbleError if it is illegal."""
+    if not exact_ints(*turn):
+        raise MarbleError(f"entries must be integers, got {turn}")
     if len(turn) != len(counts):
         raise MarbleError(f"turn {turn} has wrong length")
     if min(turn) < 0:
@@ -105,8 +108,6 @@ def game_validate(game: MarbleGame) -> bool:
 def final_arrangement(game: MarbleGame) -> Arrangement:
     counts = list(game.initial.counts)
     for turn in game.turns:
-        if not exact_ints(*turn):
-            raise MarbleError(f"turn {turn} has a non-integer entry")
         _pass_marbles(counts, turn)
     return Arrangement(game.params, tuple(counts))
 
@@ -142,8 +143,6 @@ def game_to_tableau(mu: CylPartition, game: MarbleGame) -> CylTableau:
     counts = list(game.initial.counts)
     rows: list[list[int]] = [[] for _ in counts]
     for idx, turn in enumerate(game.turns, start=1):
-        if not exact_ints(*turn):
-            raise InvalidTurn(idx, f"entries must be integers, got {turn}")
         try:
             _pass_marbles(counts, turn)
         except MarbleError as e:

@@ -5,8 +5,8 @@ bump upward, each chain landing on the inner frontier.  Reverse routes
 retrace the forward routes point for point, in reverse order.
 `reverse_full_multi` checks a `Box` list, converts it to per-row counts and
 runs the logged seeding and cascade on one `TableauState`; `_remove_strip`,
-the core the inverse correspondence calls, does the same in place from row 0
-and keeps no log.
+the core the inverse correspondence calls, does the same in place from row 0,
+unlogged and unchecked.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def _reverse_round(
 def _seed_reverse(
     st: TableauState, counts: Sequence[int], seed_row: int, log: list[Step]
 ) -> list[tuple[int, int, int, int]]:
-    """Peel counts[r] boxes off row r, each at column lam[r], from seed_row downward."""
+    """Peel counts[r] boxes off row r, each at its end column, from seed_row downward."""
     if not exact_ints(seed_row):
         raise ReversePreconditionViolated(f"seed_row must be an integer, got {seed_row!r}")
     k = st.params.k
@@ -146,9 +146,8 @@ def _seed_reverse(
         r = h % k
         for _ in range(counts[r]):
             rid = len(log)
-            col = lam[r]
-            lam[r] -= 1
-            if col > mu[r]:
+            col = mu[r] + len(rows[r])
+            if rows[r]:
                 x = rows[r].pop()
                 queue.append((x, (h - 1) % k, h - 1, rid))
                 log.append(("seed", r, col, h, rid, None, x))
@@ -163,12 +162,11 @@ def _remove_strip(st: TableauState, counts: Sequence[int]) -> None:
 
     The log-free twin of _seed_reverse and _cascade: the same seeds and bumps
     in the same order, with each queued item just (letter, row).  Rows are
-    peeled 0, k - 1, ..., 1, and the queue grows as it is read.
+    peeled 0, k - 1, ..., 1, and the queue grows as it is read.  Unlike
+    _seed_reverse it does not check the strip: crsk_inverse passes only Q's own strips.
     """
     k = st.params.k
-    rows, mu, lam = st.rows, st.mu, st.lam
-    xi = [m - c for m, c in zip(lam, counts)]
-    _check_strip(st.params, xi, lam, xi, "outer shape minus boxes", ReversePreconditionViolated)
+    rows, mu = st.rows, st.mu
     above = [k - 1, *range(k - 1)]
     queue: list[tuple[int, int]] = []
     for r in (0, *range(k - 1, 0, -1)):
@@ -177,7 +175,6 @@ def _remove_strip(st: TableauState, counts: Sequence[int]) -> None:
             row = rows[r]
             seeds = min(c, len(row))  # entries displaced, last first; boxes past them leave both
             queue += [(row.pop(), above[r]) for _ in range(seeds)]
-            lam[r] -= c
             mu[r] -= c - seeds
     for x, r in queue:
         row = rows[r]

@@ -186,6 +186,8 @@ def shift_rows(t: CylTableau, steps: int = 1) -> CylTableau:
     The result describes the same cylindric object read from row `steps`,
     so window index i maps to old sequence index i + steps.
     """
+    if not exact_ints(steps):
+        raise TableauError(f"steps must be an integer, got {steps!r}")
     k = t.params.k
     outer = CylPartition(t.params, tuple(t.outer.part(i + steps) for i in range(k)))
     inner = CylPartition(t.params, tuple(t.inner.part(i + steps) for i in range(k)))

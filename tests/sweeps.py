@@ -672,7 +672,6 @@ def full_multi_oracle(t, boxes, seed_row=0):
                 tr.emit("seed", b, None, x)
             else:
                 st.mu[r] += 1
-                st.lam[r] += 1
                 tr.emit("seed_out", b, None, None)
     queues = [InsertionQueue(tuple((x, r) for x, r, _, _ in queue), k)]
     while queue:
@@ -680,7 +679,6 @@ def full_multi_oracle(t, boxes, seed_row=0):
         for x, r, plane, rid in queue:
             row = st.rows[r]
             if not row or x >= row[-1]:
-                st.lam[r] += 1
                 row.append(x)
                 box = Box(r, st.lam[r])
                 tr.extend(rid, lift(box, plane, params))
@@ -715,12 +713,10 @@ def reverse_full_multi_oracle(t, boxes, seed_row=0):
             rid = tr.new_route(lift(b, h, params))
             if b.col > st.mu[r]:
                 x = st.rows[r].pop()
-                st.lam[r] -= 1
                 queue.append((x, (h - 1) % k, h - 1, rid))
                 tr.emit("seed", b, None, x)
             else:
                 st.mu[r] -= 1
-                st.lam[r] -= 1
                 tr.emit("seed_out", b, None, None)
     queues = [ReverseQueue(tuple((x, r) for x, r, _, _ in queue), k)]
     while queue:
@@ -824,12 +820,11 @@ def _seed_forward_boxes(st, boxes, seed_row, log):
                 continue
             rid = len(log)
             st.mu[r] += 1
-            if b.col <= st.lam[r]:
+            if st.rows[r]:
                 x = st.rows[r].pop(0)
                 queue.append((x, (h + 1) % k, h + 1, rid))
                 log.append(("seed", r, b.col, h, rid, None, x))
             else:
-                st.lam[r] += 1
                 log.append(("seed_out", r, b.col, h, rid, None, None))
     return queue
 
@@ -846,7 +841,6 @@ def _seed_reverse_boxes(st, boxes, seed_row, log):
             if b.row != r:
                 continue
             rid = len(log)
-            st.lam[r] -= 1
             if b.col > st.mu[r]:
                 x = st.rows[r].pop()
                 queue.append((x, (h - 1) % k, h - 1, rid))

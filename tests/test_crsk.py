@@ -4,8 +4,8 @@ import pytest
 
 from cyltab.crsk import MismatchedInnerShapes, MismatchedOuterShapes, crsk, crsk_inverse
 from cyltab.enumeration import enumerate_outer, enumerate_ssct
-from cyltab.geometry import Box, CylParams, CylPartition, SkewShape
-from cyltab.insertion import InsertionError, TableauState, _insert_strip, full_multi
+from cyltab.geometry import CylParams, CylPartition, SkewShape
+from cyltab.insertion import TableauState, _insert_strip, full_multi
 from cyltab.reverse import _remove_strip, reverse_full_multi
 from cyltab.tableau import empty_tableau, tableau_validate, weight
 from sweeps import (
@@ -245,21 +245,3 @@ class TestLogFreeCores:
                     assert st.to_tableau() == reverse_full_multi(t, strip).tableau
                     seen += 1
         assert seen == 5306
-
-    @pytest.mark.parametrize(
-        "logged, core, boxes",
-        [
-            (full_multi, _insert_strip, [Box(1, 4), Box(2, 2), Box(2, 3), Box(2, 4)]),
-            (reverse_full_multi, _remove_strip, [Box(0, 7), Box(1, 4), Box(1, 5), Box(2, 4)]),
-        ],
-        ids=["forward", "reverse"],
-    )
-    def test_a_strip_that_is_not_horizontal_is_refused_alike(self, logged, core, boxes):
-        # Each strip stacks two boxes of T in column 4, in rows 1 and 2.
-        with pytest.raises(InsertionError) as expected:
-            logged(T, boxes)
-        st = TableauState.from_tableau(T)
-        with pytest.raises(InsertionError) as got:
-            core(st, strip_counts_of(K3N6, boxes))
-        assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
-        assert str(got.value) == "boxes do not form a horizontal strip"

@@ -10,7 +10,8 @@ import pytest
 import cyltab
 from cyltab import serialization
 from cyltab.errors import CyltabError
-from cyltab.marbles import final_arrangement
+from cyltab.marbles import apply_turn, final_arrangement
+from cyltab.tableau import shift_rows
 
 
 def test_every_error_class_subclasses_cyltab_error():
@@ -104,6 +105,12 @@ ZERO_POLY_1, ZERO_POLY_2 = cyltab.SparsePolynomial.zero(1), cyltab.SparsePolynom
         (lambda: cyltab.game_to_tableau(ZERO, STR_TURN), "InvalidTurn"),
         (lambda: final_arrangement(STR_TURN), "MarbleError"),
         (lambda: cyltab.Arrangement(K2N4, (True, 1)), "MarbleError"),
+        (lambda: apply_turn(ARR_ZERO, ("a", 0)), "MarbleError"),
+        (lambda: apply_turn(ARR_ZERO, (True, 0)), "MarbleError"),
+        (lambda: shift_rows(ONE, 0.5), "TableauError"),
+        (lambda: shift_rows(ONE, True), "TableauError"),
+        (lambda: ZERO.part(0.5), "GeometryError"),
+        (lambda: ZERO.part(True), "GeometryError"),
         (lambda: cyltab.lift_word(("a", "b")), "WordError"),
         (lambda: cyltab.word_transform((1.0, 2)), "WordError"),
         (lambda: cyltab.connect(("a", "b"), ("b", "a")), "WordError"),
@@ -130,6 +137,12 @@ ZERO_POLY_1, ZERO_POLY_2 = cyltab.SparsePolynomial.zero(1), cyltab.SparsePolynom
         "decode_turn",
         "final_arrangement",
         "arrangement",
+        "apply_turn",
+        "apply_turn_bool",
+        "shift_rows",
+        "shift_rows_bool",
+        "part",
+        "part_bool",
         "lift_word",
         "word_transform",
         "connect",

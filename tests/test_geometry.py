@@ -111,6 +111,18 @@ class TestPartition:
         with pytest.raises(GeometryError, match=rf"must be (an integer|integers), got {bad}$"):
             make()
 
+    @pytest.mark.parametrize(
+        "k, n, message",
+        [
+            (0, 4, "k must be positive, got 0"),
+            (-1, 4, "k must be positive, got -1"),
+        ],
+    )
+    def test_parameters_out_of_range_are_refused(self, k, n, message):
+        with pytest.raises(GeometryError) as info:
+            CylParams(k, n)
+        assert (type(info.value), str(info.value)) == (GeometryError, message)
+
     def test_contains_params_mismatch(self):
         with pytest.raises(ParamsMismatch):
             partition_contains(CylPartition(K2N4, (0, 0)), CylPartition(K3N6, (0, 0, 0)))

@@ -89,7 +89,7 @@ FIELDS = {
     InsertionEvent: ("step", "kind", "box", "inserted", "bumped"),
     cyltab.MultiInsertResult: ("tableau", "new_set", "log", "rounds"),
     cyltab.ReverseMultiResult: ("tableau", "reverse_new_set", "log", "rounds"),
-    TableauState: ("params", "mu", "lam", "rows"),
+    TableauState: ("params", "mu", "rows"),
     cyltab.CrskOutput: ("p", "q", "lam"),
     cyltab.CrskInput: ("t", "u", "mu"),
     cyltab.Arrangement: ("params", "counts"),

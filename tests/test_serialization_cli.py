@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cyltab as ct
-from cyltab import enumeration, serialization as ser
+from cyltab import cli, enumeration, serialization as ser
 from cyltab.cli import OPERATIONS, main, run_fixtures
 from cyltab.geometry import CylParams
 from cyltab.polynomials import IdentityReport, SparsePolynomial
@@ -385,6 +385,27 @@ class TestCli:
         lines = []
         assert run_fixtures(emit=lines.append) == 0
         assert lines[-1].endswith("fixtures passed")
+
+    def test_a_fixture_that_builds_another_document_is_a_mismatch(self, monkeypatch):
+        build, calls = cli._build, []
+
+        def build_first_wrong(operation, values, *rest):
+            calls.append(operation)
+            got = build(operation, values, *rest)
+            return {**got, "tampered": 1} if len(calls) == 1 else got
+
+        monkeypatch.setattr(cli, "_build", build_first_wrong)
+        lines = []
+        assert run_fixtures(emit=lines.append) == 1
+        first = min(e.name for e in FIXTURE_DIR.iterdir() if e.name.endswith(".json"))
+        doc = json.loads(FIXTURE_DIR.joinpath(first).read_text())
+        assert lines[:3] == [
+            f"MISMATCH {doc['name']}",
+            f"  expected {ser.canonical_json(doc['expected'])}",
+            f"  got      {ser.canonical_json({**doc['expected'], 'tampered': 1})}",
+        ]
+        assert all(line.startswith("ok ") for line in lines[3:-1])
+        assert lines[-1] == f"{len(FIXTURES) - 1}/{len(FIXTURES)} fixtures passed"
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
